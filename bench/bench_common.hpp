@@ -15,7 +15,6 @@
 
 #include "core/pleroma.hpp"
 #include "obs/report.hpp"
-#include "util/worker_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace pleroma::bench {
@@ -61,22 +60,6 @@ inline bool smokeMode() {
 template <typename T>
 inline T scaled(T full, T smoke) {
   return smokeMode() ? smoke : full;
-}
-
-/// Worker-thread count for this bench run: `--threads=N` on the command
-/// line, else $PLEROMA_THREADS, else 1. The determinism contract makes the
-/// choice invisible in every reported number — benches record it in the
-/// metadata ("threads") purely as provenance.
-inline int benchThreads(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--threads=", 0) == 0) {
-      return std::max(1, std::atoi(arg.data() + 10));
-    }
-  }
-  const char* env = std::getenv("PLEROMA_THREADS");
-  if (env != nullptr && *env != '\0') return std::max(1, std::atoi(env));
-  return 1;
 }
 
 /// Routes one bench's output to both sinks: the historical TSV on stdout

@@ -1,16 +1,17 @@
-# Determinism gate for the parallel build, run as a CTest:
+# Determinism gate, run as a CTest:
 #
-#   cmake -DFIG7A=<bin> -DFIG7F=<bin> -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir>
-#         -P determinism_check.cmake
+#   cmake -DFIG7A=<bin> -DFIG7F=<bin> -DSCALE_AGG=<bin> -DHOTSPOT=<bin>
+#         -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir> -P determinism_check.cmake
 #
-# Runs the fig7a and fig7f smoke benches with --threads=1 and --threads=4
-# and asserts:
-#   * fig7a's TSV stdout is byte-identical (every cell is simulated-time
-#     derived, so the whole table must not move by a single byte);
-#   * both benches' BENCH_*.json series are cell-identical via
+# Runs the fig7a, fig7f, scale_aggregation and hotspot_rebalance smoke
+# benches twice each, in separate processes with identical arguments, and
+# asserts:
+#   * the TSV stdout of fig7a, scale_aggregation and hotspot_rebalance is
+#     byte-identical (every cell is simulated-time derived or accounted
+#     state, so a same-seed replay must not move by a single byte);
+#   * every bench's BENCH_*.json series are cell-identical via
 #     `schema_check --compare-series`, ignoring only fig7f's wall-clock
-#     columns (controller_wall_us, subs_per_sec), which vary run to run
-#     even at a fixed thread count.
+#     columns (controller_wall_us, subs_per_sec), which vary run to run.
 foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT SCHEMA_CHECK WORK_DIR)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "determinism_check.cmake: -D${v}=... is required")
@@ -18,101 +19,64 @@ foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT SCHEMA_CHECK WORK_DIR)
 endforeach()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}/t1" "${WORK_DIR}/t4")
+file(MAKE_DIRECTORY "${WORK_DIR}/run1" "${WORK_DIR}/run2")
 set(ENV{PLEROMA_BENCH_SMOKE} "1")
 
-function(run_bench bin threads outdir tsv)
-  set(ENV{PLEROMA_BENCH_DIR} "${outdir}")
+function(run_bench bin run tsv)
+  set(ENV{PLEROMA_BENCH_DIR} "${WORK_DIR}/run${run}")
   execute_process(
-    COMMAND "${bin}" "--threads=${threads}"
+    COMMAND "${bin}"
     OUTPUT_FILE "${tsv}"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${bin} --threads=${threads} failed (${rc})")
+    message(FATAL_ERROR "${bin} failed on run ${run} (${rc})")
   endif()
 endfunction()
 
-run_bench("${FIG7A}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/fig7a_t1.tsv")
-run_bench("${FIG7A}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/fig7a_t4.tsv")
-run_bench("${FIG7F}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/fig7f_t1.tsv")
-run_bench("${FIG7F}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/fig7f_t4.tsv")
-run_bench("${SCALE_AGG}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/scale_agg_t1.tsv")
-run_bench("${SCALE_AGG}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/scale_agg_t4.tsv")
-run_bench("${HOTSPOT}" 1 "${WORK_DIR}/t1" "${WORK_DIR}/hotspot_t1.tsv")
-run_bench("${HOTSPOT}" 4 "${WORK_DIR}/t4" "${WORK_DIR}/hotspot_t4.tsv")
+foreach(run 1 2)
+  run_bench("${FIG7A}" ${run} "${WORK_DIR}/fig7a_run${run}.tsv")
+  run_bench("${FIG7F}" ${run} "${WORK_DIR}/fig7f_run${run}.tsv")
+  run_bench("${SCALE_AGG}" ${run} "${WORK_DIR}/scale_agg_run${run}.tsv")
+  run_bench("${HOTSPOT}" ${run} "${WORK_DIR}/hotspot_run${run}.tsv")
+endforeach()
 
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E compare_files
-          "${WORK_DIR}/fig7a_t1.tsv" "${WORK_DIR}/fig7a_t4.tsv"
-  RESULT_VARIABLE tsv_diff)
-if(NOT tsv_diff EQUAL 0)
-  message(FATAL_ERROR
-          "fig7a TSV differs between --threads=1 and --threads=4; the "
-          "parallel simulator broke byte-identity "
-          "(diff ${WORK_DIR}/fig7a_t1.tsv ${WORK_DIR}/fig7a_t4.tsv)")
-endif()
+# Byte-compares one bench's two TSV outputs.
+function(require_same_tsv stem label)
+  execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E compare_files
+            "${WORK_DIR}/${stem}_run1.tsv" "${WORK_DIR}/${stem}_run2.tsv"
+    RESULT_VARIABLE tsv_diff)
+  if(NOT tsv_diff EQUAL 0)
+    message(FATAL_ERROR
+            "${label} TSV differs between two same-seed runs "
+            "(diff ${WORK_DIR}/${stem}_run1.tsv ${WORK_DIR}/${stem}_run2.tsv)")
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_fig7a.json" "${WORK_DIR}/t4/BENCH_fig7a.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fig7a BENCH json result fields differ across threads")
-endif()
+# Cell-compares one bench's two BENCH_*.json reports; extra arguments are
+# passed through to schema_check (--ignore-column=...).
+function(require_same_series name)
+  execute_process(
+    COMMAND "${SCHEMA_CHECK}" --compare-series
+            "${WORK_DIR}/run1/BENCH_${name}.json"
+            "${WORK_DIR}/run2/BENCH_${name}.json" ${ARGN}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "${name} BENCH json result fields differ between two same-seed runs")
+  endif()
+endfunction()
 
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_fig7f.json" "${WORK_DIR}/t4/BENCH_fig7f.json"
-          --ignore-column=controller_wall_us --ignore-column=subs_per_sec
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "fig7f BENCH json result fields differ across threads")
-endif()
-
-# scale_aggregation: every cell is accounted controller/switch state, so —
-# like fig7a — the TSV must not move by a byte across thread counts.
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E compare_files
-          "${WORK_DIR}/scale_agg_t1.tsv" "${WORK_DIR}/scale_agg_t4.tsv"
-  RESULT_VARIABLE tsv_diff)
-if(NOT tsv_diff EQUAL 0)
-  message(FATAL_ERROR
-          "scale_aggregation TSV differs between --threads=1 and "
-          "--threads=4; aggregated flow-state lost determinism "
-          "(diff ${WORK_DIR}/scale_agg_t1.tsv ${WORK_DIR}/scale_agg_t4.tsv)")
-endif()
-
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_scale_aggregation.json"
-          "${WORK_DIR}/t4/BENCH_scale_aggregation.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "scale_aggregation BENCH json result fields differ across threads")
-endif()
-
+require_same_tsv(fig7a fig7a)
+require_same_series(fig7a)
+require_same_series(fig7f
+                    --ignore-column=controller_wall_us --ignore-column=subs_per_sec)
+# scale_aggregation: every cell is accounted controller/switch state.
+require_same_tsv(scale_agg scale_aggregation)
+require_same_series(scale_aggregation)
 # hotspot_rebalance: queue depths, drop counters, and reroot decisions all
 # derive from virtual time, so the congested run too must be byte-stable.
-execute_process(
-  COMMAND "${CMAKE_COMMAND}" -E compare_files
-          "${WORK_DIR}/hotspot_t1.tsv" "${WORK_DIR}/hotspot_t4.tsv"
-  RESULT_VARIABLE tsv_diff)
-if(NOT tsv_diff EQUAL 0)
-  message(FATAL_ERROR
-          "hotspot_rebalance TSV differs between --threads=1 and "
-          "--threads=4; the congestion/backpressure path lost determinism "
-          "(diff ${WORK_DIR}/hotspot_t1.tsv ${WORK_DIR}/hotspot_t4.tsv)")
-endif()
+require_same_tsv(hotspot hotspot_rebalance)
+require_same_series(hotspot_rebalance)
 
-execute_process(
-  COMMAND "${SCHEMA_CHECK}" --compare-series
-          "${WORK_DIR}/t1/BENCH_hotspot_rebalance.json"
-          "${WORK_DIR}/t4/BENCH_hotspot_rebalance.json"
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "hotspot_rebalance BENCH json result fields differ across threads")
-endif()
-
-message(STATUS "determinism check passed: threads={1,4} byte-identical")
+message(STATUS "determinism check passed: two same-seed runs byte-identical")

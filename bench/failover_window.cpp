@@ -14,9 +14,8 @@
 // events routed through the dead node are unrecoverable until the live
 // controller reroutes around it.
 //
-// Every reported number is thread-invariant: the promoted channel's fault
-// Rng is reseeded deterministically, so CI diffs the JSON across
-// --threads=1 and --threads=4.
+// Every reported number is deterministic: the promoted channel's fault
+// Rng is reseeded at promotion, so CI diffs the JSON of two runs.
 #include "bench_common.hpp"
 
 #include <memory>
@@ -47,18 +46,14 @@ struct Rig {
   std::vector<bench::DeployedSub> subs;
   workload::WorkloadGenerator gen{bench::robustnessWorkload(kSeed)};
 
-  Rig(const ctrl::FailoverConfig& cfg, double deployDrop,
-      util::WorkerPool* pool) {
-    if (pool != nullptr) sim.setWorkerPool(pool);
+  Rig(const ctrl::FailoverConfig& cfg, double deployDrop) {
     network = std::make_unique<net::Network>(topo, sim, net::NetworkConfig{});
     primary = std::make_unique<ctrl::Controller>(
         dz::EventSpace(2, 10), *network, ctrl::Scope::wholeTopology(topo),
         bench::robustnessControllerConfig());
-    if (pool != nullptr) primary->setWorkerPool(pool);
     // Standby attaches before any registration (replay needs full history).
     standby = std::make_unique<ctrl::StandbyController>(*primary);
     failover = std::make_unique<ctrl::FailoverManager>(*primary, *standby, cfg);
-    if (pool != nullptr) failover->setWorkerPool(pool);
 
     bench::applyFaultProfile(primary->channel(), deployDrop, kDeployRetries,
                              kSeed);
@@ -82,12 +77,11 @@ struct WindowNumbers {
   double probeWindowMs = -1;
 };
 
-WindowNumbers runWindow(net::SimTime heartbeatInterval, int missThreshold,
-                        util::WorkerPool* pool) {
+WindowNumbers runWindow(net::SimTime heartbeatInterval, int missThreshold) {
   ctrl::FailoverConfig cfg;
   cfg.heartbeatInterval = heartbeatInterval;
   cfg.missThreshold = missThreshold;
-  Rig rig(cfg, kDeployDrop, pool);
+  Rig rig(cfg, kDeployDrop);
 
   std::set<net::NodeId> got;
   rig.network->setDeliverHandler(
@@ -201,9 +195,9 @@ net::NodeId pickCoreSwitch(const net::Topology& topo) {
   return topo.switches()[0];
 }
 
-LossNumbers runControllerDeath(double deployDrop, util::WorkerPool* pool) {
+LossNumbers runControllerDeath(double deployDrop) {
   ctrl::FailoverConfig cfg;  // defaults: 10 ms heartbeat × 3 misses
-  Rig rig(cfg, deployDrop, pool);
+  Rig rig(cfg, deployDrop);
   std::vector<dz::Event> probes;
   for (int i = 0; i < 16; ++i) probes.push_back(rig.gen.makeEvent());
 
@@ -216,9 +210,9 @@ LossNumbers runControllerDeath(double deployDrop, util::WorkerPool* pool) {
   return n;
 }
 
-LossNumbers runSwitchDeath(double deployDrop, util::WorkerPool* pool) {
+LossNumbers runSwitchDeath(double deployDrop) {
   ctrl::FailoverConfig cfg;
-  Rig rig(cfg, deployDrop, pool);
+  Rig rig(cfg, deployDrop);
   std::vector<dz::Event> probes;
   for (int i = 0; i < 16; ++i) probes.push_back(rig.gen.makeEvent());
 
@@ -240,11 +234,8 @@ LossNumbers runSwitchDeath(double deployDrop, util::WorkerPool* pool) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pleroma::bench;
-  const int threads = benchThreads(argc, argv);
-  std::unique_ptr<pleroma::util::WorkerPool> pool;
-  if (threads > 1) pool = std::make_unique<pleroma::util::WorkerPool>(threads);
 
   BenchTable bench("failover_window", "Controller failover window",
                    "controller death under the HA layer: event-loss window vs "
@@ -255,7 +246,6 @@ int main(int argc, char** argv) {
   bench.meta("seed", static_cast<std::int64_t>(kSeed));
   bench.meta("topology", "testbed_fat_tree");
   bench.meta("workload", "uniform_24_subscriptions_lossy_channel");
-  bench.meta("threads", threads);
 
   bench.beginSeries("window_sweep", {{"hb_ms", "ms"},
                                      {"miss_threshold", "count"},
@@ -278,7 +268,7 @@ int main(int argc, char** argv) {
                                                   : std::vector<int>{2, 3};
   for (const int th : thresholds) {
     for (const net::SimTime hb : intervals) {
-      const WindowNumbers n = runWindow(hb, th, pool.get());
+      const WindowNumbers n = runWindow(hb, th);
       bench.row({cell(static_cast<double>(hb) / net::kMillisecond, 0), th,
                  cell(n.detectMs, 1), cell(n.windowMs, 1), n.repairMods,
                  n.entriesSurviving, n.buffered, n.replayed,
@@ -296,11 +286,10 @@ int main(int argc, char** argv) {
     LossNumbers n;
   };
   std::vector<Mode> modes;
+  modes.push_back({"controller_death_clean_deploy", runControllerDeath(0.0)});
   modes.push_back(
-      {"controller_death_clean_deploy", runControllerDeath(0.0, pool.get())});
-  modes.push_back({"controller_death_lossy_deploy",
-                   runControllerDeath(kDeployDrop, pool.get())});
-  modes.push_back({"switch_death", runSwitchDeath(0.0, pool.get())});
+      {"controller_death_lossy_deploy", runControllerDeath(kDeployDrop)});
+  modes.push_back({"switch_death", runSwitchDeath(0.0)});
   for (const Mode& m : modes) {
     bench.row({m.name, m.n.expected, m.n.delivered, m.n.lost,
                cell(m.n.windowMs, 1)});

@@ -26,8 +26,7 @@ struct Row {
   double subsPerSec;
 };
 
-Row runOnce(std::size_t deployed, std::uint64_t seed, bool batched,
-            int threads) {
+Row runOnce(std::size_t deployed, std::uint64_t seed, bool batched) {
   // A 6-attribute schema with narrow subscriptions keeps arriving
   // subscriptions genuinely *new*: with a tiny schema the few end hosts
   // soon cover every subspace and further subscriptions would stop
@@ -36,7 +35,6 @@ Row runOnce(std::size_t deployed, std::uint64_t seed, bool batched,
   opts.numAttributes = 6;
   opts.controller.maxDzLength = 24;
   opts.controller.maxCellsPerRequest = 8;
-  opts.threads = threads;
   core::Pleroma p(net::Topology::testbedFatTree(), opts);
   p.controller().channel().enableBatching(batched);
   const auto hosts = p.topology().hosts();
@@ -79,16 +77,14 @@ Row runOnce(std::size_t deployed, std::uint64_t seed, bool batched,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace pleroma::bench;
-  const int threads = benchThreads(argc, argv);
   BenchTable bench("fig7f", "Fig 7(f)",
                    "reconfiguration delay per new subscription vs. subscriptions "
                    "already deployed");
   bench.meta("seed", 41);
   bench.meta("topology", "testbed_fat_tree");
   bench.meta("workload", "uniform_6dim_narrow_subscriptions");
-  bench.meta("threads", threads);
   const std::vector<std::size_t> sweep =
       smokeMode() ? std::vector<std::size_t>{100}
                   : std::vector<std::size_t>{100, 1000, 5000, 10000, 25000};
@@ -99,7 +95,7 @@ int main(int argc, char** argv) {
                                        {"switch_install_ms", "ms"},
                                        {"subs_per_sec", "1/s"}});
   for (const std::size_t n : sweep) {
-    const Row r = runOnce(n, 41, /*batched=*/false, threads);
+    const Row r = runOnce(n, 41, /*batched=*/false);
     bench.row({n, cell(r.meanFlowMods, 1), cell(r.meanCtrlMsgs, 1),
                cell(r.meanWallUs, 1), cell(r.meanModeledMs, 2),
                cell(r.subsPerSec, 1)});
@@ -114,7 +110,7 @@ int main(int argc, char** argv) {
                                                {"switch_install_ms", "ms"},
                                                {"subs_per_sec", "1/s"}});
   for (const std::size_t n : sweep) {
-    const Row r = runOnce(n, 41, /*batched=*/true, threads);
+    const Row r = runOnce(n, 41, /*batched=*/true);
     bench.row({n, cell(r.meanFlowMods, 1), cell(r.meanCtrlMsgs, 1),
                cell(r.meanWallUs, 1), cell(r.meanModeledMs, 2),
                cell(r.subsPerSec, 1)});

@@ -5,9 +5,9 @@
 #
 # For every scenarios/*.json:
 #   * lints it (`schema_check --scenario`);
-#   * smoke-runs it with --threads=1 and --threads=4;
-#   * asserts the TSV stdout is byte-identical across thread counts (every
-#     reported value is virtual-time derived);
+#   * smoke-runs it twice, in separate processes, with identical arguments;
+#   * asserts the two runs' TSV stdout is byte-identical (every reported
+#     value is virtual-time derived, so a same-seed replay must not move);
 #   * schema-validates both BENCH_*.json reports and requires their series
 #     to be cell-identical via `schema_check --compare-series`.
 foreach(v SCENARIO_RUN SCHEMA_CHECK SCENARIO_DIR WORK_DIR)
@@ -24,7 +24,7 @@ endif()
 list(SORT scenarios)
 
 file(REMOVE_RECURSE "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}/t1" "${WORK_DIR}/t4")
+file(MAKE_DIRECTORY "${WORK_DIR}/run1" "${WORK_DIR}/run2")
 
 execute_process(
   COMMAND "${SCHEMA_CHECK}" --scenario ${scenarios}
@@ -35,30 +35,30 @@ endif()
 
 foreach(scenario IN LISTS scenarios)
   get_filename_component(stem "${scenario}" NAME_WE)
-  foreach(threads 1 4)
-    set(ENV{PLEROMA_BENCH_DIR} "${WORK_DIR}/t${threads}")
+  foreach(run 1 2)
+    set(ENV{PLEROMA_BENCH_DIR} "${WORK_DIR}/run${run}")
     execute_process(
-      COMMAND "${SCENARIO_RUN}" "${scenario}" --smoke "--threads=${threads}"
-      OUTPUT_FILE "${WORK_DIR}/${stem}_t${threads}.tsv"
+      COMMAND "${SCENARIO_RUN}" "${scenario}" --smoke
+      OUTPUT_FILE "${WORK_DIR}/${stem}_run${run}.tsv"
       RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "${scenario} failed with --threads=${threads} (${rc})")
+      message(FATAL_ERROR "${scenario} failed on run ${run} (${rc})")
     endif()
   endforeach()
 
   execute_process(
     COMMAND "${CMAKE_COMMAND}" -E compare_files
-            "${WORK_DIR}/${stem}_t1.tsv" "${WORK_DIR}/${stem}_t4.tsv"
+            "${WORK_DIR}/${stem}_run1.tsv" "${WORK_DIR}/${stem}_run2.tsv"
     RESULT_VARIABLE tsv_diff)
   if(NOT tsv_diff EQUAL 0)
     message(FATAL_ERROR
-            "${stem}: TSV differs between --threads=1 and --threads=4 "
-            "(diff ${WORK_DIR}/${stem}_t1.tsv ${WORK_DIR}/${stem}_t4.tsv)")
+            "${stem}: TSV differs between two same-seed runs "
+            "(diff ${WORK_DIR}/${stem}_run1.tsv ${WORK_DIR}/${stem}_run2.tsv)")
   endif()
 
   # The per-run report name is BENCH_<scenario name>.json; the scenario's
   # "name" field must match the file stem for the catalog (enforced here).
-  if(NOT EXISTS "${WORK_DIR}/t1/BENCH_${stem}.json")
+  if(NOT EXISTS "${WORK_DIR}/run1/BENCH_${stem}.json")
     message(FATAL_ERROR
             "${stem}: expected report BENCH_${stem}.json was not written "
             "(scenario name must match the file stem)")
@@ -66,7 +66,7 @@ foreach(scenario IN LISTS scenarios)
 
   execute_process(
     COMMAND "${SCHEMA_CHECK}"
-            "${WORK_DIR}/t1/BENCH_${stem}.json" "${WORK_DIR}/t4/BENCH_${stem}.json"
+            "${WORK_DIR}/run1/BENCH_${stem}.json" "${WORK_DIR}/run2/BENCH_${stem}.json"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${stem}: report failed pleroma-bench-v1 validation")
@@ -74,11 +74,11 @@ foreach(scenario IN LISTS scenarios)
 
   execute_process(
     COMMAND "${SCHEMA_CHECK}" --compare-series
-            "${WORK_DIR}/t1/BENCH_${stem}.json" "${WORK_DIR}/t4/BENCH_${stem}.json"
+            "${WORK_DIR}/run1/BENCH_${stem}.json" "${WORK_DIR}/run2/BENCH_${stem}.json"
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "${stem}: report series differ across thread counts")
+    message(FATAL_ERROR "${stem}: report series differ between two same-seed runs")
   endif()
 endforeach()
 
-message(STATUS "scenario smoke passed: ${count} scenario(s), threads={1,4}")
+message(STATUS "scenario smoke passed: ${count} scenario(s), two runs each")

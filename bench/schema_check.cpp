@@ -8,7 +8,7 @@
 // asserts that the two reports carry the same series with cell-identical
 // rows, skipping columns named in --ignore-column (wall-clock measurements
 // that legitimately vary run to run). The determinism CI job runs benches
-// with --threads 1 and --threads 4 and feeds both artifacts through this.
+// twice with identical arguments and feeds both artifacts through this.
 //
 // Third mode:
 //   schema_check --scenario FILE.json...

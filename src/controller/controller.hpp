@@ -3,14 +3,7 @@
 // set of disjoint-DZ spanning trees, embedding per-(publisher, subscriber)
 // routes in them, and keeping the switches' TCAM flow tables consistent.
 // Requests are processed strictly sequentially (Sec 2), so no internal
-// synchronisation is needed — with one exception: multi-tree rebuilds
-// (failure handling, rerooting) may plan the new trees concurrently on a
-// WorkerPool. Because Algorithm 1 keeps DZ(t) disjoint across trees, each
-// tree's plan (spanning-tree construction + route derivation) reads only
-// shared-immutable state and writes only its own slot; all mutation happens
-// in a sequential commit phase that replays the single-threaded order, so
-// registry, installer mirror and flow-mod streams are byte-identical with
-// and without a pool.
+// synchronisation is needed.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +24,6 @@
 #include "dz/event_space.hpp"
 #include "net/network.hpp"
 #include "openflow/control_channel.hpp"
-#include "util/worker_pool.hpp"
 
 namespace pleroma::ctrl {
 
@@ -215,7 +207,7 @@ class Controller {
   std::uint64_t coveredSubscribes() const noexcept { return coveredSubscribes_; }
   /// Deterministic byte accounting of controller flow state (registry
   /// paths + aggregation indexes + installer mirrors), element counts only
-  /// — identical across thread counts, for the bench memory series.
+  /// — independent of the allocator, for the bench memory series.
   std::size_t flowStateBytes() const noexcept;
 
   /// Wires this controller, its control channel, and its flow installer
@@ -225,10 +217,6 @@ class Controller {
   /// metrics.
   void attachObservability(obs::MetricsRegistry& reg,
                            obs::Tracer* tracer = nullptr);
-
-  /// Optional pool for concurrent tree recomputation (nullptr → inline).
-  /// Results are identical either way; the pool only changes wall-clock.
-  void setWorkerPool(util::WorkerPool* pool) noexcept { pool_ = pool; }
 
   // ---- high availability (controller failover) --------------------------
 
@@ -242,7 +230,7 @@ class Controller {
   }
 
   /// True while a multi-step mutation batch is rewriting tree / registry /
-  /// mirror state: a rebuildTrees commit, a tree merge, a re-index, or a
+  /// mirror state: a rebuildTrees batch, a tree merge, a re-index, or a
   /// standby's promotion replay. The Reconciler defers audit passes that
   /// would otherwise diff against the half-committed state.
   bool mutationInProgress() const noexcept { return mutationDepth_ > 0; }
@@ -314,11 +302,11 @@ class Controller {
   // ---- tree pooling ----------------------------------------------------
   /// A ready-to-use tree: a recycled pool object rebuilt in place when one
   /// is available (allocation-free on an unchanged topology), a fresh
-  /// SpanningTree otherwise. Pool pops mutate treePool_, so callers inside
-  /// a parallel section must pop sequentially beforehand.
+  /// SpanningTree otherwise. `linkCosts` as in SpanningTree's constructor.
   std::unique_ptr<SpanningTree> acquireTree(
       int id, dz::DzSet dzSet, net::NodeId root,
-      const std::vector<net::LinkId>& allowedLinks);
+      const std::vector<net::LinkId>& allowedLinks,
+      const std::vector<net::SimTime>* linkCosts = nullptr);
   /// Returns a no-longer-listed tree to the pool (dropped once the pool is
   /// at capacity). Null-safe.
   void retireTree(std::unique_ptr<SpanningTree> tree);
@@ -345,9 +333,8 @@ class Controller {
   /// subscriptions. Heals paths dropped during outages.
   void rebuildTree(int treeId);
   void rebuildTreeAt(int treeId, net::NodeId root);
-  /// Batched rebuild of several trees at given roots: per-tree plans run
-  /// concurrently on pool_ (when set), then commit sequentially in list
-  /// order, reproducing the exact effects of rebuilding one-by-one.
+  /// Rebuilds several trees at given roots, one after another in list
+  /// order, as one mutation batch.
   void rebuildTrees(const std::vector<std::pair<int, net::NodeId>>& idRoots);
   /// The tree's root if still active, else a live fallback (the attach
   /// switch of one of its publishers, or any active scope switch).
@@ -377,8 +364,7 @@ class Controller {
   std::vector<net::LinkId> downLinks_;
   std::vector<net::NodeId> downSwitches_;
   /// Dijkstra edge-weight override for the rebuildTrees call currently on
-  /// the stack (set by rerootTree, read-only during the concurrent plan
-  /// phase). nullptr = plain link latency.
+  /// the stack (set by rerootTree). nullptr = plain link latency.
   const std::vector<net::SimTime>* linkCostOverride_ = nullptr;
   int nextTreeId_ = 0;
   std::map<PublisherId, AdvRecord> advertisements_;
@@ -395,7 +381,6 @@ class Controller {
   dz::DzTrie<SubscriptionId> subscriptionIndex_;
   PublisherId nextPublisher_ = 0;
   SubscriptionId nextSubscription_ = 0;
-  util::WorkerPool* pool_ = nullptr;
   IntentObserver intentObserver_;
   int mutationDepth_ = 0;
   OpStats lastOp_;

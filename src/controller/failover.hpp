@@ -47,7 +47,8 @@ struct FailoverConfig {
   /// Seed of the heartbeat channel's fault Rng.
   std::uint64_t heartbeatSeed = 0x48B5EA7ULL;
   /// Seed the promoted controller's channel fault Rng is reset to, so a
-  /// promotion yields the same repair sequence at any thread count.
+  /// promotion's repair sequence does not depend on the dead primary's
+  /// Rng position.
   std::uint64_t promotedChannelSeed = 0x9E0C0DE5ULL;
   /// Round budget of the post-promotion reconciliation loop.
   std::size_t repairRoundLimit = 16;
@@ -127,9 +128,6 @@ class FailoverManager {
   void setPromotionCallback(std::function<void(Controller&)> cb) {
     onPromoted_ = std::move(cb);
   }
-  /// Worker pool handed to the promoted controller (parallel rebuilds).
-  void setWorkerPool(util::WorkerPool* pool) noexcept { pool_ = pool; }
-
   const FailoverStats& stats() const noexcept { return stats_; }
   const FailoverConfig& config() const noexcept { return config_; }
   openflow::ControlChannel& heartbeatChannel() noexcept { return hbChannel_; }
@@ -149,7 +147,6 @@ class FailoverManager {
   /// never share fault draws with the data-plane channel).
   openflow::ControlChannel hbChannel_;
   std::unique_ptr<Controller> promotedCtrl_;
-  util::WorkerPool* pool_ = nullptr;
   std::function<void(Controller&)> onPromoted_;
 
   bool running_ = false;

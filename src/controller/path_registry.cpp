@@ -10,7 +10,7 @@ namespace pleroma::ctrl {
 const InstalledPath* PathRegistry::findPath(PathId id) const {
   const auto ti = treeOf_.find(id);
   if (ti == treeOf_.end()) return nullptr;
-  return &shards_.at(ti->second).at(id);
+  return &byTree_.at(ti->second).at(id);
 }
 
 PathId PathRegistry::add(InstalledPath path) {
@@ -20,15 +20,15 @@ PathId PathRegistry::add(InstalledPath path) {
   bySubscription_[path.subscription].insert(id);
   byPublisher_[path.publisher].insert(id);
   treeOf_.emplace(id, path.treeId);
-  shards_[path.treeId].emplace(id, std::move(path));
+  byTree_[path.treeId].emplace(id, std::move(path));
   return id;
 }
 
 void PathRegistry::remove(PathId id) {
   const auto ti = treeOf_.find(id);
   if (ti == treeOf_.end()) return;
-  const auto si = shards_.find(ti->second);
-  assert(si != shards_.end());
+  const auto si = byTree_.find(ti->second);
+  assert(si != byTree_.end());
   const auto it = si->second.find(id);
   assert(it != si->second.end());
   const InstalledPath& p = it->second;
@@ -49,20 +49,20 @@ void PathRegistry::remove(PathId id) {
   dropFrom(bySubscription_, p.subscription);
   dropFrom(byPublisher_, p.publisher);
   si->second.erase(it);
-  if (si->second.empty()) shards_.erase(si);
+  if (si->second.empty()) byTree_.erase(si);
   treeOf_.erase(ti);
 }
 
 void PathRegistry::setDz(PathId id, dz::DzSet dz) {
   const auto ti = treeOf_.find(id);
   assert(ti != treeOf_.end());
-  shards_.at(ti->second).at(id).dz = std::move(dz);
+  byTree_.at(ti->second).at(id).dz = std::move(dz);
 }
 
 std::size_t PathRegistry::stateBytes() const noexcept {
   std::size_t bytes = 0;
-  for (const auto& [treeId, shard] : shards_) {
-    for (const auto& [id, path] : shard) {
+  for (const auto& [treeId, paths] : byTree_) {
+    for (const auto& [id, path] : paths) {
       bytes += sizeof(InstalledPath);
       bytes += path.hops.size() * sizeof(RouteHop);
       bytes += path.dz.size() * sizeof(dz::DzExpression);
@@ -72,7 +72,7 @@ std::size_t PathRegistry::stateBytes() const noexcept {
 }
 
 void PathRegistry::clear() {
-  shards_.clear();
+  byTree_.clear();
   treeOf_.clear();
   bySwitch_.clear();
   bySubscription_.clear();
@@ -98,8 +98,8 @@ std::vector<PathId> PathRegistry::pathsOfPublisher(PublisherId p) const {
 }
 
 std::vector<PathId> PathRegistry::pathsOfTree(int treeId) const {
-  const auto it = shards_.find(treeId);
-  if (it == shards_.end()) return {};
+  const auto it = byTree_.find(treeId);
+  if (it == byTree_.end()) return {};
   std::vector<PathId> out;
   out.reserve(it->second.size());
   for (const auto& [id, path] : it->second) out.push_back(id);

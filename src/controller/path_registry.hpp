@@ -12,13 +12,10 @@
 // every contributed coarser prefix; and a flow whose own ports are already
 // covered by its prefixes' union is unnecessary (that's the "downgrade").
 //
-// Storage is sharded by tree id: each tree's paths live in their own map,
-// matching the per-tree task granularity of concurrent tree recomputation
-// (Controller::rebuildTrees) — a tree rebuild drains and refills exactly
-// one shard, and Algorithm 1 keeps DZ(t) disjoint across trees so shards
-// never share a path. The cross-tree indexes (by switch / subscription /
-// publisher) are maintained alongside and only touched on the sequential
-// commit path.
+// Storage is split by tree id: each tree's paths live in their own map, so
+// pathsOfTree — where every tree rebuild, merge and re-index starts — reads
+// one map instead of scanning every path. The cross-tree indexes (by
+// switch / subscription / publisher) are maintained alongside.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +49,7 @@ class PathRegistry {
   void remove(PathId id);
   bool contains(PathId id) const { return treeOf_.contains(id); }
   const InstalledPath& at(PathId id) const {
-    return shards_.at(treeOf_.at(id)).at(id);
+    return byTree_.at(treeOf_.at(id)).at(id);
   }
   std::size_t size() const noexcept { return treeOf_.size(); }
   void clear();
@@ -94,8 +91,8 @@ class PathRegistry {
   /// nullptr when unknown; the only internal path-by-id lookup.
   const InstalledPath* findPath(PathId id) const;
 
-  /// Per-tree shards (see file comment); treeOf_ routes id lookups.
-  std::unordered_map<int, std::unordered_map<PathId, InstalledPath>> shards_;
+  /// Per-tree path maps (see file comment); treeOf_ routes id lookups.
+  std::unordered_map<int, std::unordered_map<PathId, InstalledPath>> byTree_;
   std::unordered_map<PathId, int> treeOf_;
   std::unordered_map<net::NodeId, std::unordered_set<PathId>> bySwitch_;
   std::unordered_map<std::int64_t, std::unordered_set<PathId>> bySubscription_;

@@ -94,10 +94,10 @@ ReconcileReport Reconciler::reconcileSwitch(net::NodeId sw) {
 
 ReconcileReport Reconciler::reconcileAll() {
   ReconcileReport total;
-  // A periodic tick can land between a rebuildTrees plan and its commit
-  // (or inside a merge / re-index / promotion replay): the mirror is then
+  // A periodic tick can land inside a mutation batch (a rebuildTrees
+  // batch, a merge, a re-index or a promotion replay): the mirror is then
   // half-rewritten and diffing against it would issue repairs that the
-  // commit immediately contradicts. Abandon the pass; the next tick (or
+  // batch immediately contradicts. Abandon the pass; the next tick (or
   // convergence round) retries against settled state.
   if (controller_.mutationInProgress()) {
     total.deferredForMutation = true;

@@ -36,7 +36,7 @@ struct ReconcileReport {
   /// data-plane activity observed through the flow-stats reads.
   std::uint64_t matchedPacketsSeen = 0;
   /// The whole pass was abandoned because the controller was mid-way
-  /// through a mutation batch (rebuildTrees commit, merge, re-index):
+  /// through a mutation batch (rebuildTrees batch, merge, re-index):
   /// auditing against a half-committed mirror would mis-repair. The pass
   /// retries on the next periodic tick / convergence round.
   bool deferredForMutation = false;

@@ -38,18 +38,17 @@ void StandbyController::follow(Controller& source) {
       [this](const IntentCommand& cmd) { log_.push_back(cmd); });
 }
 
-std::unique_ptr<Controller> StandbyController::promote(util::WorkerPool* pool) {
+std::unique_ptr<Controller> StandbyController::promote() {
   if (source_ != nullptr) {
     source_->setIntentObserver(nullptr);
     source_ = nullptr;
   }
   auto next = std::make_unique<Controller>(space_, network_, scope_, config_);
-  if (pool != nullptr) next->setWorkerPool(pool);
   // Muted replay: FlowInstaller updates the per-switch mirror before it
   // hands mods to the channel, so with the channel muted the replay builds
   // the full intent mirror without transmitting, applying, or counting a
   // single wire message — and without drawing from the fault Rng, which
-  // keeps promotion byte-identical across thread counts and fault seeds.
+  // keeps promotion byte-identical across fault seeds.
   next->channel().setMuted(true);
   {
     Controller::MutationScope mutationScope(*next);

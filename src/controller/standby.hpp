@@ -52,7 +52,7 @@ class StandbyController {
   /// mirror). The returned controller's mirror equals the dead primary's
   /// intent; its channel is unmuted and ready for reconciliation. The
   /// standby stops following its source controller.
-  std::unique_ptr<Controller> promote(util::WorkerPool* pool = nullptr);
+  std::unique_ptr<Controller> promote();
 
   std::size_t logSize() const noexcept { return log_.size(); }
   const std::vector<IntentCommand>& log() const noexcept { return log_; }

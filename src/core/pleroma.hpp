@@ -24,7 +24,6 @@
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/worker_pool.hpp"
 
 namespace pleroma::core {
 
@@ -52,20 +51,6 @@ struct PleromaOptions {
   /// Apply flow-mods asynchronously (each takes flowModLatency of simulated
   /// time): subscriptions *activate* only once their flows are installed.
   bool asyncFlowInstall = false;
-  /// Worker threads for the simulator's sharded run execution and the
-  /// controller's concurrent tree recomputation. 1 = fully sequential (no
-  /// pool). Any value produces byte-identical results; only wall-clock
-  /// changes.
-  int threads = 1;
-  /// How node shards map onto workers (DESIGN.md §13). kBlock gives each
-  /// worker a contiguous range of switches (and of hosts), keeping its
-  /// FlowTable working set cache-resident; kStrided is the historical
-  /// `node % threads` interleaving. Either way results are byte-identical —
-  /// placement never changes replay order.
-  util::ShardPlacement shardPlacement = util::ShardPlacement::kBlock;
-  /// Pin pool workers (including the calling thread, as worker 0) to cores.
-  /// Off by default because it mutates the caller's thread affinity.
-  bool pinWorkers = false;
 };
 
 /// One delivered (event, host) pair as observed at the application layer.
@@ -185,16 +170,12 @@ class Pleroma {
   net::Network& network() noexcept { return *network_; }
   net::Simulator& simulator() noexcept { return sim_; }
   const net::Topology& topology() const { return network_->topology(); }
-  /// Worker threads in use (1 when no pool was requested).
-  int threads() const noexcept { return pool_ ? pool_->threads() : 1; }
 
  private:
   void onDeliver(net::NodeId host, const net::Packet& packet);
 
   obs::MetricsRegistry metrics_;  // before network/controller: outlives them
   obs::Tracer tracer_;
-  /// Shared by simulator and controller; before sim_ so it outlives users.
-  std::unique_ptr<util::WorkerPool> pool_;
   net::Simulator sim_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<ctrl::Controller> controller_;

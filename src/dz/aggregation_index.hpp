@@ -72,7 +72,7 @@ class AggregationIndex {
   /// Live trie nodes (the arena may hold more capacity than this).
   std::size_t nodeCount() const noexcept { return liveNodes_; }
   /// Deterministic accounting of held state (element counts, not vector
-  /// capacities, so it is identical across thread counts and runs).
+  /// capacities, so it is identical across runs).
   std::size_t stateBytes() const noexcept;
 
   void clear();

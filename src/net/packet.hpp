@@ -12,7 +12,6 @@
 // per-hop heap allocations.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -67,12 +66,6 @@ class PayloadPool {
     /// allocator internals, if any) pass through to the global heap.
     std::size_t slotBytes = 0;
     std::vector<void*> free;
-    /// Guards the free list: during parallel run execution a dropped
-    /// packet releases the last payload reference on a worker thread, so
-    /// deallocations race each other (and, across runs, allocations). A
-    /// spinlock suffices — the critical section is a few instructions and
-    /// taken once per publication, not per hop.
-    std::atomic_flag lock = ATOMIC_FLAG_INIT;
     /// Bounds the parked memory; beyond this, blocks return to the heap.
     static constexpr std::size_t kMaxFree = 4096;
 
@@ -80,40 +73,24 @@ class PayloadPool {
       for (void* p : free) ::operator delete(p);
     }
 
-    void acquireLock() noexcept {
-      while (lock.test_and_set(std::memory_order_acquire)) {
-        lock.wait(true, std::memory_order_relaxed);
-      }
-    }
-    void releaseLock() noexcept {
-      lock.clear(std::memory_order_release);
-      lock.notify_one();
-    }
-
     void* allocate(std::size_t bytes) {
-      acquireLock();
       if (bytes == slotBytes && !free.empty()) {
         void* p = free.back();
         free.pop_back();
-        releaseLock();
         return p;
       }
       if (slotBytes == 0) {
         slotBytes = bytes;
         free.reserve(kMaxFree);
       }
-      releaseLock();
       return ::operator new(bytes);
     }
 
     void deallocate(void* p, std::size_t bytes) noexcept {
-      acquireLock();
       if (bytes == slotBytes && free.size() < kMaxFree) {
         free.push_back(p);
-        releaseLock();
         return;
       }
-      releaseLock();
       ::operator delete(p);
     }
   };

@@ -31,7 +31,6 @@
 #include "net/packet.hpp"
 #include "net/small_task.hpp"
 #include "net/types.hpp"
-#include "util/worker_pool.hpp"
 
 namespace pleroma::net {
 
@@ -48,30 +47,8 @@ enum class PacketEventKind : std::uint8_t {
 /// simulator), so multiple Networks may share one Simulator.
 class PacketSink {
  public:
-  /// "This event must not execute on a worker thread" — the default, so
-  /// sinks that never opted into parallel execution stay sequential.
-  static constexpr std::int64_t kNoShard = -1;
-
   virtual void onPacketEvent(PacketEventKind kind, NodeId node, PortId port,
                              Packet&& packet) = 0;
-
-  /// Shard key for parallel run execution (DESIGN.md §10): events with the
-  /// same key are executed by the same worker, in canonical order. A sink
-  /// must key every event by the unit of state its handler mutates (the
-  /// target node), and return kNoShard for any event whose handler touches
-  /// cross-shard state — the whole run then executes sequentially.
-  virtual std::int64_t packetShardKey(PacketEventKind /*kind*/,
-                                      NodeId /*node*/, PortId /*port*/,
-                                      const Packet& /*packet*/) const {
-    return kNoShard;
-  }
-
-  /// Replays a callback staged by a worker (Simulator::stageCallback).
-  /// Invoked on the coordinating thread during the merge phase, at the
-  /// exact position in the canonical effect order where the sequential
-  /// build would have invoked the callback inline. `kind` is sink-defined.
-  virtual void onStagedCallback(int /*kind*/, NodeId /*node*/,
-                                PortId /*port*/, Packet&& /*packet*/) {}
 
  protected:
   ~PacketSink() = default;  // sinks are never owned through this interface
@@ -123,57 +100,6 @@ class Simulator {
   /// Wall-clock nanoseconds spent inside run()/runUntil() so far; with
   /// now() this gives the virtual/wall time ratio benches report.
   std::uint64_t wallTimeNanos() const noexcept { return wallNanos_; }
-
-  // --- parallel run execution (DESIGN.md §10) ---------------------------
-
-  /// Attaches a worker pool: runs of >= parallelThreshold() same-timestamp
-  /// packet events are executed across the pool's workers, sharded by
-  /// PacketSink::packetShardKey, with all side effects (schedules and
-  /// sink callbacks) staged per worker and replayed on this thread in
-  /// canonical sequence order. Dispatch order, sequence numbering, and
-  /// callback order are byte-identical to the single-threaded build.
-  /// nullptr (or a 1-thread pool) restores pure sequential execution.
-  void setWorkerPool(util::WorkerPool* pool) noexcept { pool_ = pool; }
-
-  /// Minimum run size worth forking for; smaller runs (and any run with a
-  /// slow-lane task or a kNoShard event) execute sequentially. Purely a
-  /// performance knob: by the staging/merge equivalence the outputs are
-  /// identical either way, so this may depend on thread count without
-  /// breaking determinism.
-  void setParallelThreshold(std::size_t n) noexcept {
-    parallelThreshold_ = n < 2 ? 2 : n;
-  }
-  std::size_t parallelThreshold() const noexcept { return parallelThreshold_; }
-
-  /// Installs an explicit shard-key -> worker placement table, indexed by
-  /// shard key (node id); see net::blockShardPlacement. Keys beyond the
-  /// table and entries outside [0, pool threads) fall back to the strided
-  /// `key % threads` mapping, so a table built for one topology/pool pair
-  /// degrades gracefully rather than misassigning. Placement only selects
-  /// the executing worker — staged effects replay in canonical order
-  /// regardless — so any table is determinism-safe. Empty vector restores
-  /// pure strided placement.
-  void setShardPlacement(std::vector<int> workerOfKey) {
-    placement_ = std::move(workerOfKey);
-  }
-
-  /// How many runs / events went through the parallel path (test hook for
-  /// asserting the machinery actually engaged).
-  std::uint64_t parallelRunsExecuted() const noexcept { return parallelRuns_; }
-  std::uint64_t parallelEventsExecuted() const noexcept {
-    return parallelEvents_;
-  }
-
-  /// True while the calling thread is a worker executing a run's events;
-  /// schedule calls are being captured into a staging buffer and sinks
-  /// must stage their callbacks instead of invoking them.
-  static bool staging() noexcept { return tlsStage_ != nullptr; }
-
-  /// Stages a sink callback for replay (PacketSink::onStagedCallback) on
-  /// the coordinating thread, in canonical order. Only callable while
-  /// staging() is true.
-  void stageCallback(PacketSink& sink, int kind, NodeId node, PortId port,
-                     Packet&& packet);
 
  private:
   /// Lane tag folded into the slot index (top bit), so a run's FIFO can
@@ -288,37 +214,6 @@ class Simulator {
     }
   };
 
-  /// One side effect captured on a worker thread during parallel run
-  /// execution: a scheduled packet event, a scheduled slow-lane task, or a
-  /// deferred sink callback. Replayed on the coordinator in canonical
-  /// order, which reproduces the sequential build's enqueue/callback
-  /// sequence exactly (fresh sequence numbers are assigned at replay).
-  struct StagedEffect {
-    enum class Kind : std::uint8_t { kPacket, kTask, kCallback };
-    Kind kind = Kind::kPacket;
-    PacketEventKind packetKind = PacketEventKind::kArrive;
-    int callbackKind = 0;
-    NodeId node = kInvalidNode;
-    PortId port = kInvalidPort;
-    SimTime when = 0;
-    PacketSink* sink = nullptr;
-    Packet packet;
-    SmallTask task;
-  };
-
-  /// Per-worker staging buffer: the effects of the worker's assigned
-  /// events, plus one [begin, end) range per event so the merge phase can
-  /// replay ranges in canonical (cross-worker) event order.
-  struct WorkerStage {
-    struct Range {
-      std::uint32_t event = 0;  // canonical index within the run
-      std::uint32_t begin = 0;
-      std::uint32_t end = 0;
-    };
-    std::vector<StagedEffect> effects;
-    std::vector<Range> ranges;
-  };
-
   /// Appends the (lane-tagged) slot to the current run if `when` matches
   /// it, else opens a fresh run and pushes its heap entry.
   void enqueue(SimTime when, std::uint32_t taggedSlot);
@@ -328,14 +223,6 @@ class Simulator {
   std::uint32_t takeNext();
 
   void dispatch(std::uint32_t taggedSlot);
-
-  /// Executes the entire top run across the worker pool if it qualifies
-  /// (all fast-lane, all shardable, big enough). Returns the number of
-  /// events executed, or 0 for "not eligible — dispatch sequentially".
-  std::size_t tryRunParallel();
-
-  /// Replays one staged effect on the coordinating thread.
-  void replay(StagedEffect& e);
 
   SimTime now_ = 0;
   std::uint64_t nextSeq_ = 0;
@@ -352,25 +239,6 @@ class Simulator {
   std::uint32_t cacheRun_ = 0;
   Slab<SmallTask> tasks_;
   Slab<PacketEvent> packets_;
-
-  // --- parallel execution state (all coordinator-owned; workers only
-  // touch their own WorkerStage and their assigned packet slots) ---------
-  util::WorkerPool* pool_ = nullptr;
-  std::size_t parallelThreshold_ = 8;
-  std::uint64_t parallelRuns_ = 0;
-  std::uint64_t parallelEvents_ = 0;
-  /// Scratch for the run being executed: its tagged slots in canonical
-  /// order and the worker each one is assigned to.
-  std::vector<std::uint32_t> runSlots_;
-  std::vector<int> shardOf_;
-  /// Optional shard-key -> worker table (setShardPlacement); empty means
-  /// strided key % threads.
-  std::vector<int> placement_;
-  std::vector<WorkerStage> stages_;
-  std::vector<std::size_t> mergeCursor_;
-  /// The staging buffer of the worker running on this thread (null outside
-  /// a parallel region); routes schedule calls into the buffer.
-  static thread_local WorkerStage* tlsStage_;
 };
 
 }  // namespace pleroma::net

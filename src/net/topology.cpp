@@ -320,28 +320,4 @@ Topology Topology::randomConnected(int numSwitches, int extraLinks,
   return t;
 }
 
-std::vector<int> blockShardPlacement(const Topology& topo, int workers) {
-  std::vector<int> placement(static_cast<std::size_t>(topo.nodeCount()), 0);
-  if (workers <= 1) return placement;
-  // Rank nodes within their class, then cut each class into `workers`
-  // near-equal contiguous blocks: worker = rank * workers / classSize.
-  int switchCount = 0;
-  int hostCount = 0;
-  for (NodeId id = 0; id < topo.nodeCount(); ++id) {
-    (topo.isSwitch(id) ? switchCount : hostCount)++;
-  }
-  int switchRank = 0;
-  int hostRank = 0;
-  for (NodeId id = 0; id < topo.nodeCount(); ++id) {
-    if (topo.isSwitch(id)) {
-      placement[static_cast<std::size_t>(id)] = static_cast<int>(
-          static_cast<std::int64_t>(switchRank++) * workers / switchCount);
-    } else {
-      placement[static_cast<std::size_t>(id)] = static_cast<int>(
-          static_cast<std::int64_t>(hostRank++) * workers / hostCount);
-    }
-  }
-  return placement;
-}
-
 }  // namespace pleroma::net

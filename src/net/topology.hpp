@@ -144,13 +144,4 @@ class Topology {
   std::vector<Link> links_;
 };
 
-/// Cache-topology-aware shard placement (util::ShardPlacement::kBlock): a
-/// per-node worker index, assigning each node class contiguous rank ranges —
-/// switches split into `workers` equal blocks by switch rank, hosts
-/// likewise by host rank. Ranking per class (rather than raw node id) keeps
-/// the blocks balanced on builder layouts where switch ids cluster low
-/// (fat-trees): raw-id blocks would put every switch on worker 0. Returned
-/// vector is indexed by NodeId; workers < 1 yields all-zero placement.
-std::vector<int> blockShardPlacement(const Topology& topo, int workers);
-
 }  // namespace pleroma::net

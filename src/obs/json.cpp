@@ -194,8 +194,18 @@ class Parser {
       return std::nullopt;
     }
     const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      // Each level recurses once; unbounded nesting would overflow the stack.
+      if (depth_ == JsonValue::kMaxParseDepth) {
+        fail("nesting deeper than " + std::to_string(JsonValue::kMaxParseDepth) +
+             " levels");
+        return std::nullopt;
+      }
+      ++depth_;
+      std::optional<JsonValue> v = c == '{' ? object() : array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       std::optional<std::string> s = string();
       if (!s) return std::nullopt;
@@ -340,6 +350,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers currently open
   std::string error_;
 };
 

@@ -80,8 +80,13 @@ class JsonValue {
   /// Serializes; indent < 0 yields compact one-line output.
   std::string dump(int indent = -1) const;
 
+  /// Deepest container nesting parse() accepts. The catalog, reports and
+  /// traces nest fewer than 10 levels.
+  static constexpr int kMaxParseDepth = 256;
+
   /// Strict parse of a complete JSON document. On failure returns nullopt
-  /// and (when given) describes the problem in *error.
+  /// and (when given) describes the problem, with its byte offset, in
+  /// *error.
   static std::optional<JsonValue> parse(std::string_view text,
                                         std::string* error = nullptr);
 

@@ -22,9 +22,9 @@ Cell::Cell(double v) : json(v) {
 
 BenchReporter::BenchReporter(std::string name) : name_(std::move(name)) {
   metadata_.set("git_describe", PLEROMA_GIT_DESCRIBE);
-  // Parallelism provenance: benches running a WorkerPool overwrite
-  // "threads"; "hardware_concurrency" records what the machine offered so
-  // scaling numbers can be judged from the artifact alone.
+  // Every run executes on one thread (DESIGN.md §10); the schema keeps
+  // "threads", and "hardware_concurrency" records what the machine offered
+  // so wall-clock numbers can be judged from the artifact alone.
   metadata_.set("threads", 1);
   metadata_.set("hardware_concurrency",
                 static_cast<long long>(std::thread::hardware_concurrency()));

@@ -54,7 +54,7 @@ class Backend {
 
 class SingleBackend final : public Backend {
  public:
-  SingleBackend(const Scenario& s, int threads) {
+  explicit SingleBackend(const Scenario& s) {
     core::PleromaOptions opts;
     opts.numAttributes = s.numAttributes;
     opts.bitsPerDim = s.bitsPerDim;
@@ -68,7 +68,6 @@ class SingleBackend final : public Backend {
     if (s.tcamBudget.has_value()) opts.controller.tcamBudget = *s.tcamBudget;
     opts.network.linkQueueCapacity = s.network.linkQueueCapacity;
     opts.network.backpressure = s.network.backpressure;
-    opts.threads = threads;
     if (s.needsFailover()) {
       // The heartbeat is armed at the kill instant, not at start-up: a
       // live self-rearming tick would keep settle() from ever draining
@@ -92,14 +91,10 @@ class SingleBackend final : public Backend {
       cc.sampleInterval = s.rebalance.interval;
       congestion_ =
           std::make_unique<net::CongestionMonitor>(pleroma_->network(), cc);
-      ctrl::LoadMonitorConfig lc;
-      lc.hotLinkThreshold = s.rebalance.hotThreshold;
-      lc.congestionFactor = s.rebalance.congestionFactor;
-      loadMonitor_ =
-          std::make_unique<ctrl::LoadMonitor>(pleroma_->controller(), lc);
-      loadMonitor_->attachCongestion(congestion_.get());
-      congestion_->startPeriodic();
-      loadMonitor_->startPeriodic(rebalanceInterval_);
+      loadConfig_.hotLinkThreshold = s.rebalance.hotThreshold;
+      loadConfig_.congestionFactor = s.rebalance.congestionFactor;
+      watchActiveController();
+      resumeRebalancing();
     }
   }
 
@@ -127,17 +122,14 @@ class SingleBackend final : public Backend {
     // the loop, drain — the already-armed ticks fire once as no-ops at
     // their deterministic instants — then re-arm relative to the settled
     // clock.
-    if (loadMonitor_ != nullptr) {
-      loadMonitor_->stopPeriodic();
-      congestion_->stop();
-    }
+    pauseRebalancing();
     pleroma_->settle();
-    if (loadMonitor_ != nullptr) {
-      congestion_->startPeriodic();
-      loadMonitor_->startPeriodic(rebalanceInterval_);
-    }
+    resumeRebalancing();
   }
-  void settleUntil(net::SimTime t) override { pleroma_->settleUntil(t); }
+  void settleUntil(net::SimTime t) override {
+    pleroma_->settleUntil(t);
+    if (awaitingPromotion_) resumeRebalancing();
+  }
   net::SimTime now() const override { return pleroma_->simulator().now(); }
 
   Snapshot snapshot() override {
@@ -179,6 +171,14 @@ class SingleBackend final : public Backend {
         if (ctrl::FailoverManager* fo = pleroma_->failover()) {
           if (!fo->running()) fo->start();
           fo->killPrimary();
+          // Promotion drains the simulator, which a live rebalancing tick
+          // would keep from ever finishing; and until then the loop would
+          // reroot trees of the dead controller. Pause it until the
+          // promoted controller takes over.
+          if (loadMonitor_ != nullptr && !fo->promoted()) {
+            pauseRebalancing();
+            awaitingPromotion_ = true;
+          }
         }
         break;
     }
@@ -198,18 +198,51 @@ class SingleBackend final : public Backend {
     c.bpRetries = nc.backpressureRetries;
     c.peakLinkQueueDepth = pleroma_->network().stats().peakLinkQueueDepth;
     if (loadMonitor_ != nullptr) c.rebalances = loadMonitor_->rebalances();
+    if (primaryMonitor_ != nullptr) c.rebalances += primaryMonitor_->rebalances();
     return c;
   }
 
  private:
+  /// Points the load monitor at the active controller. A monitor replaced
+  /// after a promotion is kept alive: its last tick may still be queued.
+  void watchActiveController() {
+    primaryMonitor_ = std::move(loadMonitor_);
+    loadMonitor_ =
+        std::make_unique<ctrl::LoadMonitor>(pleroma_->controller(), loadConfig_);
+    loadMonitor_->attachCongestion(congestion_.get());
+  }
+
+  void pauseRebalancing() {
+    if (loadMonitor_ == nullptr) return;
+    loadMonitor_->stopPeriodic();
+    congestion_->stop();
+  }
+
+  /// Re-arms the closed loop, unless a killed controller still awaits its
+  /// promotion; right after the promotion, moves the loop onto the
+  /// promoted controller first.
+  void resumeRebalancing() {
+    if (loadMonitor_ == nullptr) return;
+    if (awaitingPromotion_) {
+      if (!promoted()) return;
+      awaitingPromotion_ = false;
+      watchActiveController();
+    }
+    congestion_->startPeriodic();
+    loadMonitor_->startPeriodic(rebalanceInterval_);
+  }
+
   std::unique_ptr<core::Pleroma> pleroma_;
   std::vector<net::NodeId> hosts_;
   std::vector<net::NodeId> switches_;
   // Declared after pleroma_: destroyed first, while the simulator whose
   // tasks point at them still exists.
   std::unique_ptr<net::CongestionMonitor> congestion_;
+  std::unique_ptr<ctrl::LoadMonitor> primaryMonitor_;
   std::unique_ptr<ctrl::LoadMonitor> loadMonitor_;
+  ctrl::LoadMonitorConfig loadConfig_;
   net::SimTime rebalanceInterval_ = 0;
+  bool awaitingPromotion_ = false;
 };
 
 class MultiBackend final : public Backend {
@@ -367,7 +400,7 @@ RunResult ScenarioRunner::run() {
   if (s.partitions > 1) {
     backend = std::make_unique<MultiBackend>(s);
   } else {
-    backend = std::make_unique<SingleBackend>(s, std::max(1, options_.threads));
+    backend = std::make_unique<SingleBackend>(s);
   }
   const std::size_t hostCount = backend->hostCount();
 
@@ -508,7 +541,6 @@ void ScenarioRunner::report(obs::BenchReporter& out,
   out.meta("seed", s.seed);
   out.meta("topology", s.topologyLabel());
   out.meta("workload", s.workloadLabel());
-  out.meta("threads", std::max(1, options_.threads));
   out.meta("scenario", s.name);
   out.meta("scenario_schema", kScenarioSchema);
   out.meta("partitions", s.partitions);

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -46,24 +47,27 @@ bool needObject(const JsonValue* f, const std::string& path, std::string* error)
   return true;
 }
 
-/// Optional integer field; leaves *out untouched when absent.
-bool readInt(const JsonValue& obj, const char* key, const std::string& path,
-             std::int64_t* out, std::string* error) {
-  const JsonValue* f = obj.get(key);
-  if (f == nullptr) return true;
-  if (!f->isInt()) return fail(error, join(path, key), "expected an integer");
-  *out = f->asInt();
-  return true;
-}
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+/// Largest `*_us` value whose SimTime (nanoseconds) does not overflow.
+constexpr std::int64_t kMaxMicros = kInt64Max / net::kMicrosecond;
 
-/// Optional integer with an inclusive lower bound.
-bool readIntMin(const JsonValue& obj, const char* key, const std::string& path,
-                std::int64_t minValue, std::int64_t* out, std::string* error) {
+/// Optional integer within [minValue, maxValue]; leaves *out untouched when
+/// absent. `maxValue` is the limit of the field's destination, so the
+/// caller's cast or unit conversion never narrows or overflows.
+bool readIntRange(const JsonValue& obj, const char* key,
+                  const std::string& path, std::int64_t minValue,
+                  std::int64_t maxValue, std::int64_t* out,
+                  std::string* error) {
   const JsonValue* f = obj.get(key);
   if (f == nullptr) return true;
   if (!f->isInt() || f->asInt() < minValue) {
     return fail(error, join(path, key),
                 "expected an integer >= " + std::to_string(minValue));
+  }
+  if (f->asInt() > maxValue) {
+    return fail(error, join(path, key),
+                "expected an integer <= " + std::to_string(maxValue));
   }
   *out = f->asInt();
   return true;
@@ -139,31 +143,31 @@ bool parseTopology(const JsonValue& v, const std::string& path, TopologySpec* t,
   }
   std::int64_t i;
   i = t->switches;
-  if (!readIntMin(v, "switches", path, 1, &i, error)) return false;
+  if (!readIntRange(v, "switches", path, 1, kIntMax, &i, error)) return false;
   t->switches = static_cast<int>(i);
   i = t->core;
-  if (!readIntMin(v, "core", path, 1, &i, error)) return false;
+  if (!readIntRange(v, "core", path, 1, kIntMax, &i, error)) return false;
   t->core = static_cast<int>(i);
   i = t->aggregation;
-  if (!readIntMin(v, "aggregation", path, 1, &i, error)) return false;
+  if (!readIntRange(v, "aggregation", path, 1, kIntMax, &i, error)) return false;
   t->aggregation = static_cast<int>(i);
   i = t->edgePerAgg;
-  if (!readIntMin(v, "edge_per_agg", path, 1, &i, error)) return false;
+  if (!readIntRange(v, "edge_per_agg", path, 1, kIntMax, &i, error)) return false;
   t->edgePerAgg = static_cast<int>(i);
   i = t->hostsPerEdge;
-  if (!readIntMin(v, "hosts_per_edge", path, 1, &i, error)) return false;
+  if (!readIntRange(v, "hosts_per_edge", path, 1, kIntMax, &i, error)) return false;
   t->hostsPerEdge = static_cast<int>(i);
   i = t->k;
-  if (!readIntMin(v, "k", path, 2, &i, error)) return false;
+  if (!readIntRange(v, "k", path, 2, kIntMax, &i, error)) return false;
   t->k = static_cast<int>(i);
   i = t->extraLinks;
-  if (!readIntMin(v, "extra_links", path, 0, &i, error)) return false;
+  if (!readIntRange(v, "extra_links", path, 0, kIntMax, &i, error)) return false;
   t->extraLinks = static_cast<int>(i);
   i = static_cast<std::int64_t>(t->topoSeed);
-  if (!readIntMin(v, "topo_seed", path, 0, &i, error)) return false;
+  if (!readIntRange(v, "topo_seed", path, 0, kInt64Max, &i, error)) return false;
   t->topoSeed = static_cast<std::uint64_t>(i);
   i = t->linkLatency / net::kMicrosecond;
-  if (!readIntMin(v, "link_latency_us", path, 1, &i, error)) return false;
+  if (!readIntRange(v, "link_latency_us", path, 1, kMaxMicros, &i, error)) return false;
   t->linkLatency = i * net::kMicrosecond;
   double mbps = t->linkBandwidthBps / 1e6;
   if (!readNum(v, "link_bandwidth_mbps", path, &mbps, error)) return false;
@@ -201,19 +205,21 @@ bool parsePhase(const JsonValue& v, const std::string& path, std::size_t index,
   }
   std::int64_t i;
   i = 0;
-  if (!readIntMin(v, "advertisements", path, 0, &i, error)) return false;
+  if (!readIntRange(v, "advertisements", path, 0, kInt64Max, &i, error)) return false;
   ph->advertisements = static_cast<std::size_t>(i);
   i = 0;
-  if (!readIntMin(v, "subscriptions", path, 0, &i, error)) return false;
+  if (!readIntRange(v, "subscriptions", path, 0, kInt64Max, &i, error)) return false;
   ph->subscriptions = static_cast<std::size_t>(i);
   i = 0;
-  if (!readIntMin(v, "events", path, 0, &i, error)) return false;
+  if (!readIntRange(v, "events", path, 0, kInt64Max, &i, error)) return false;
   ph->events = static_cast<std::size_t>(i);
   i = 0;
-  if (!readIntMin(v, "churn_moves", path, 0, &i, error)) return false;
+  if (!readIntRange(v, "churn_moves", path, 0, kInt64Max, &i, error)) return false;
   ph->churnMoves = static_cast<std::size_t>(i);
   i = ph->eventInterval / net::kMicrosecond;
-  if (!readIntMin(v, "event_interval_us", path, 1, &i, error)) return false;
+  if (!readIntRange(v, "event_interval_us", path, 1, kMaxMicros, &i, error)) {
+    return false;
+  }
   ph->eventInterval = i * net::kMicrosecond;
 
   double d;
@@ -224,7 +230,7 @@ bool parsePhase(const JsonValue& v, const std::string& path, std::size_t index,
   }
   if (v.contains("hotspots")) {
     i = 0;
-    if (!readIntMin(v, "hotspots", path, 1, &i, error)) return false;
+    if (!readIntRange(v, "hotspots", path, 1, kIntMax, &i, error)) return false;
     ph->hotspots = static_cast<int>(i);
   }
   if (v.contains("zipf_alpha")) {
@@ -291,7 +297,10 @@ bool parseFault(const JsonValue& v, const std::string& path, FaultSpec* fs,
                     "or controller-kill)");
   }
   std::int64_t i = fs->target;
-  if (!readInt(v, "target", path, &i, error)) return false;
+  if (!readIntRange(v, "target", path, std::numeric_limits<int>::min(),
+                    kIntMax, &i, error)) {
+    return false;
+  }
   fs->target = static_cast<int>(i);
   if (fs->action != FaultAction::kControllerKill && fs->target < 0) {
     return fail(error, join(path, "target"),
@@ -510,7 +519,7 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
     return std::nullopt;
   }
   std::int64_t i = static_cast<std::int64_t>(s.seed);
-  if (!readIntMin(doc, "seed", "", 0, &i, error)) return std::nullopt;
+  if (!readIntRange(doc, "seed", "", 0, kInt64Max, &i, error)) return std::nullopt;
   s.seed = static_cast<std::uint64_t>(i);
 
   const JsonValue* topo = doc.get("topology");
@@ -526,19 +535,19 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
       return std::nullopt;
     }
     i = s.numAttributes;
-    if (!readIntMin(*attrs, "count", "attributes", 1, &i, error)) {
+    if (!readIntRange(*attrs, "count", "attributes", 1, kIntMax, &i, error)) {
       return std::nullopt;
     }
     s.numAttributes = static_cast<int>(i);
     i = s.bitsPerDim;
-    if (!readIntMin(*attrs, "bits", "attributes", 1, &i, error)) {
+    if (!readIntRange(*attrs, "bits", "attributes", 1, kIntMax, &i, error)) {
       return std::nullopt;
     }
     s.bitsPerDim = static_cast<int>(i);
   }
 
   i = s.partitions;
-  if (!readIntMin(doc, "partitions", "", 1, &i, error)) return std::nullopt;
+  if (!readIntRange(doc, "partitions", "", 1, kIntMax, &i, error)) return std::nullopt;
   s.partitions = static_cast<int>(i);
 
   if (const JsonValue* c = doc.get("controller")) {
@@ -554,14 +563,16 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
     }
     if (c->contains("max_dz_length")) {
       i = 0;
-      if (!readIntMin(*c, "max_dz_length", "controller", 1, &i, error)) {
+      if (!readIntRange(*c, "max_dz_length", "controller",
+                        1, kIntMax, &i, error)) {
         return std::nullopt;
       }
       s.maxDzLength = static_cast<int>(i);
     }
     if (c->contains("max_cells_per_request")) {
       i = 0;
-      if (!readIntMin(*c, "max_cells_per_request", "controller", 1, &i, error)) {
+      if (!readIntRange(*c, "max_cells_per_request", "controller",
+                        1, kInt64Max, &i, error)) {
         return std::nullopt;
       }
       s.maxCellsPerRequest = static_cast<std::size_t>(i);
@@ -575,7 +586,8 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
     }
     if (c->contains("tcam_budget")) {
       i = 0;
-      if (!readIntMin(*c, "tcam_budget", "controller", 0, &i, error)) {
+      if (!readIntRange(*c, "tcam_budget", "controller",
+                        0, kInt64Max, &i, error)) {
         return std::nullopt;
       }
       s.tcamBudget = static_cast<std::size_t>(i);
@@ -601,7 +613,8 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
     s.failover.heartbeatInterval =
         static_cast<net::SimTime>(hb * static_cast<double>(net::kMillisecond));
     i = s.failover.missThreshold;
-    if (!readIntMin(*f, "miss_threshold", "failover", 1, &i, error)) {
+    if (!readIntRange(*f, "miss_threshold", "failover",
+                      1, kIntMax, &i, error)) {
       return std::nullopt;
     }
     s.failover.missThreshold = static_cast<int>(i);
@@ -617,7 +630,8 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
       return std::nullopt;
     }
     i = static_cast<std::int64_t>(s.network.linkQueueCapacity);
-    if (!readIntMin(*n, "link_queue_capacity", "network", 1, &i, error)) {
+    if (!readIntRange(*n, "link_queue_capacity", "network",
+                      1, kInt64Max, &i, error)) {
       return std::nullopt;
     }
     s.network.linkQueueCapacity = static_cast<std::size_t>(i);
@@ -642,7 +656,8 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
     }
     s.rebalance.enabled = true;
     i = s.rebalance.interval / net::kMicrosecond;
-    if (!readIntMin(*r, "interval_us", "rebalance", 1, &i, error)) {
+    if (!readIntRange(*r, "interval_us", "rebalance",
+                      1, kMaxMicros, &i, error)) {
       return std::nullopt;
     }
     s.rebalance.interval = i * net::kMicrosecond;
@@ -682,7 +697,7 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
       return std::nullopt;
     }
     i = s.workload.hotspots;
-    if (!readIntMin(*w, "hotspots", "workload", 1, &i, error)) {
+    if (!readIntRange(*w, "hotspots", "workload", 1, kIntMax, &i, error)) {
       return std::nullopt;
     }
     s.workload.hotspots = static_cast<int>(i);
@@ -731,22 +746,25 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
       return std::nullopt;
     }
     i = static_cast<std::int64_t>(s.smoke.maxAdvertisements);
-    if (!readIntMin(*sm, "max_advertisements", "smoke", 1, &i, error)) {
+    if (!readIntRange(*sm, "max_advertisements", "smoke",
+                      1, kInt64Max, &i, error)) {
       return std::nullopt;
     }
     s.smoke.maxAdvertisements = static_cast<std::size_t>(i);
     i = static_cast<std::int64_t>(s.smoke.maxSubscriptions);
-    if (!readIntMin(*sm, "max_subscriptions", "smoke", 1, &i, error)) {
+    if (!readIntRange(*sm, "max_subscriptions", "smoke",
+                      1, kInt64Max, &i, error)) {
       return std::nullopt;
     }
     s.smoke.maxSubscriptions = static_cast<std::size_t>(i);
     i = static_cast<std::int64_t>(s.smoke.maxEvents);
-    if (!readIntMin(*sm, "max_events", "smoke", 1, &i, error)) {
+    if (!readIntRange(*sm, "max_events", "smoke", 1, kInt64Max, &i, error)) {
       return std::nullopt;
     }
     s.smoke.maxEvents = static_cast<std::size_t>(i);
     i = static_cast<std::int64_t>(s.smoke.maxChurnMoves);
-    if (!readIntMin(*sm, "max_churn_moves", "smoke", 1, &i, error)) {
+    if (!readIntRange(*sm, "max_churn_moves", "smoke",
+                      1, kInt64Max, &i, error)) {
       return std::nullopt;
     }
     s.smoke.maxChurnMoves = static_cast<std::size_t>(i);

@@ -127,8 +127,8 @@ enum class FaultAction { kLinkDown, kLinkUp, kSwitchDown, kSwitchUp, kController
 /// One fault-schedule entry. `target` is a link id for link actions and an
 /// index into Topology::switches() for switch actions; it is ignored for
 /// controller-kill. Faults apply at the first workload timeline step at or
-/// after `at` (virtual time), so a schedule replays identically at any
-/// thread count.
+/// after `at` (virtual time), so a schedule replays identically on every
+/// run.
 struct FaultSpec {
   net::SimTime at = 0;
   FaultAction action = FaultAction::kLinkDown;

@@ -15,7 +15,6 @@
 
 #include "controller/controller.hpp"
 #include "controller/standby.hpp"
-#include "util/worker_pool.hpp"
 #include "workload/workload.hpp"
 
 namespace pleroma::ctrl {
@@ -42,13 +41,11 @@ std::string mirrorDigest(Controller& c) {
 }
 
 struct AggregationStack {
-  explicit AggregationStack(ControllerConfig cfg,
-                            util::WorkerPool* pool = nullptr)
+  explicit AggregationStack(ControllerConfig cfg)
       : topo(net::Topology::testbedFatTree()),
         network(topo, sim, {}),
         controller(dz::EventSpace(2, 10), network, Scope::wholeTopology(topo),
                    cfg) {
-    if (pool != nullptr) controller.setWorkerPool(pool);
     hosts = topo.hosts();
     network.setDeliverHandler(
         [this](net::NodeId h, const net::Packet&) { delivered.insert(h); });
@@ -285,7 +282,7 @@ TEST_P(AggregationEquivalence, BudgetCoarseningGivesSupersetsNeverMisses) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregationEquivalence,
                          ::testing::Values(3u, 47u, 911u));
 
-// ---- standby replay and worker-thread determinism -------------------------
+// ---- standby replay ------------------------------------------------------
 
 TEST(AggregationController, StandbyReplayReproducesAggregatedIntent) {
   ControllerConfig cfg = aggregatedConfig();
@@ -313,36 +310,6 @@ TEST(AggregationController, StandbyReplayReproducesAggregatedIntent) {
     EXPECT_EQ(replica->installer().coarsenLength(sw),
               s.controller.installer().coarsenLength(sw));
   }
-}
-
-TEST(AggregationController, ByteIdenticalAcrossWorkerThreads) {
-  ControllerConfig cfg = aggregatedConfig();
-  cfg.tcamBudget = 8;
-  util::WorkerPool pool(4);
-  AggregationStack seq(cfg);
-  AggregationStack par(cfg, &pool);
-
-  auto drive = [&](AggregationStack& s) {
-    s.controller.advertise(s.hosts[0], rect(0, 1023));
-    s.controller.advertise(s.hosts[4], rect(256, 767));
-    for (int i = 0; i < 12; ++i) {
-      s.controller.subscribe(s.hosts[1 + i % 5], rect(0, 127 + 64 * (i % 4)));
-    }
-    // Failure-driven multi-tree rebuilds exercise the parallel plan path.
-    const net::LinkId link = s.controller.scope().internalLinks.front();
-    s.network.setLinkUp(link, false);
-    s.controller.onLinkDown(link);
-    s.controller.unsubscribe(4);
-    s.network.setLinkUp(link, true);
-    s.controller.onLinkUp(link);
-    s.sim.run();
-  };
-  drive(seq);
-  drive(par);
-  EXPECT_EQ(mirrorDigest(seq.controller), mirrorDigest(par.controller));
-  EXPECT_EQ(seq.controller.flowStateBytes(), par.controller.flowStateBytes());
-  EXPECT_EQ(seq.controller.controlStats().flowModsSent,
-            par.controller.controlStats().flowModsSent);
 }
 
 }  // namespace

@@ -5,9 +5,7 @@
 // both spanning trees on core R1, so the shared uplink is offered ~1.3x
 // its service rate. The closed loop (CongestionMonitor EWMA ->
 // LoadMonitor congestion-weighted reroot) must strictly improve both p99
-// delivery delay and queue-full drops, and the whole congested run —
-// queue timing, EWMA samples, reroot decisions — must be byte-identical
-// across simulator thread counts.
+// delivery delay and queue-full drops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +25,6 @@ struct HotspotResult {
   std::uint64_t queueDrops = 0;
   std::uint64_t bpDrops = 0;
   std::uint64_t rebalances = 0;
-  std::vector<net::SimTime> latencies;
 };
 
 net::SimTime p99Of(std::vector<net::SimTime> samples) {
@@ -36,10 +33,9 @@ net::SimTime p99Of(std::vector<net::SimTime> samples) {
   return samples[std::min(samples.size() - 1, (samples.size() * 99) / 100)];
 }
 
-HotspotResult runHotspot(bool rebalance, bool backpressure, int threads) {
+HotspotResult runHotspot(bool rebalance, bool backpressure) {
   core::PleromaOptions opts;
   opts.numAttributes = 2;
-  opts.threads = threads;
   opts.controller.maxDzLength = 8;
   opts.network.linkQueueCapacity = 8;
   opts.network.backpressure = backpressure;
@@ -93,20 +89,19 @@ HotspotResult runHotspot(bool rebalance, bool backpressure, int threads) {
   r.queueDrops = p.network().counters().dropped(net::DropReason::kLinkQueue);
   r.bpDrops = p.network().counters().dropped(net::DropReason::kBackpressure);
   r.rebalances = monitor.rebalances();
-  r.latencies = p.latencySamples();
   return r;
 }
 
 TEST(CongestionHotspot, QueueOnlyBaselineCongests) {
-  const HotspotResult drop = runHotspot(false, false, 1);
+  const HotspotResult drop = runHotspot(false, false);
   EXPECT_GT(drop.queueDrops, 0u);
   EXPECT_LT(drop.delivered, 800u);
   EXPECT_EQ(drop.rebalances, 0u);
 }
 
 TEST(CongestionHotspot, RebalanceStrictlyImprovesP99AndDrops) {
-  const HotspotResult drop = runHotspot(false, false, 1);
-  const HotspotResult rebalanced = runHotspot(true, true, 1);
+  const HotspotResult drop = runHotspot(false, false);
+  const HotspotResult rebalanced = runHotspot(true, true);
 
   EXPECT_GE(rebalanced.rebalances, 1u);
   // The acceptance bar: both p99 delay and queue-full losses strictly
@@ -114,19 +109,6 @@ TEST(CongestionHotspot, RebalanceStrictlyImprovesP99AndDrops) {
   EXPECT_LT(rebalanced.p99, drop.p99);
   EXPECT_LT(rebalanced.queueDrops + rebalanced.bpDrops, drop.queueDrops);
   EXPECT_GT(rebalanced.delivered, drop.delivered);
-}
-
-TEST(CongestionDeterminism, CongestedRunIdenticalAcrossThreads) {
-  for (const bool rebalance : {false, true}) {
-    SCOPED_TRACE(rebalance);
-    const HotspotResult t1 = runHotspot(rebalance, true, 1);
-    const HotspotResult t4 = runHotspot(rebalance, true, 4);
-    EXPECT_EQ(t1.delivered, t4.delivered);
-    EXPECT_EQ(t1.queueDrops, t4.queueDrops);
-    EXPECT_EQ(t1.bpDrops, t4.bpDrops);
-    EXPECT_EQ(t1.rebalances, t4.rebalances);
-    EXPECT_EQ(t1.latencies, t4.latencies);
-  }
 }
 
 }  // namespace

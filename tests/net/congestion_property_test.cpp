@@ -3,8 +3,7 @@
 // failures on a congested fat-tree, every packet instance admitted to the
 // data plane reaches exactly one terminal — delivered, punted, consumed
 // by fan-out, dropped with a counted reason, or parked — so the counter
-// identity holds at every quiescent point, and the whole run is
-// counter-identical at --threads={1,4}.
+// identity holds at every quiescent point.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,45 +27,12 @@ void expectConservation(core::Pleroma& p) {
       << "conservation identity violated";
 }
 
-/// Full deterministic fingerprint of a run: every aggregate counter, the
-/// per-link queue-drop/peak-depth accounting, and the delivery stats.
-std::vector<std::uint64_t> digest(core::Pleroma& p) {
-  net::Network& n = p.network();
-  const net::NetworkCounters& c = n.counters();
-  std::vector<std::uint64_t> d = {
-      c.packetsForwarded,
-      c.packetsPuntedToController,
-      c.packetsDeliveredToHosts,
-      c.packetsSentFromHosts,
-      c.packetsInjectedByController,
-      c.packetsConsumedAtSwitch,
-      c.packetsBufferedOnMiss,
-      c.packetsReplayedFromMissBuffer,
-      c.packetsParkedOnBackpressure,
-      c.packetsResumedFromBackpressure,
-      c.backpressureRetries,
-  };
-  for (std::size_t r = 0; r < net::kDropReasonCount; ++r) {
-    d.push_back(c.dropped(static_cast<net::DropReason>(r)));
-  }
-  for (net::LinkId l = 0; l < p.topology().linkCount(); ++l) {
-    d.push_back(n.linkCounters(l).queueDrops);
-    d.push_back(n.peakLinkQueueDepth(l));
-  }
-  d.push_back(p.deliveryStats().delivered);
-  d.push_back(p.deliveryStats().falsePositives);
-  d.push_back(static_cast<std::uint64_t>(p.deliveryStats().latencySum));
-  return d;
-}
-
 /// One randomized churn run on an 8 Mbps 2x2x2x2 fat-tree with 4-deep
 /// link queues. The op sequence depends only on the seed (never on
 /// simulation results), so two runs with the same seed are replays.
-std::vector<std::uint64_t> churnRun(std::uint64_t seed, bool backpressure,
-                                    int threads) {
+void churnRun(std::uint64_t seed, bool backpressure) {
   core::PleromaOptions opts;
   opts.numAttributes = 2;
-  opts.threads = threads;
   opts.controller.maxDzLength = 8;
   opts.network.linkQueueCapacity = 4;
   opts.network.backpressure = backpressure;
@@ -166,29 +132,19 @@ std::vector<std::uint64_t> churnRun(std::uint64_t seed, bool backpressure,
   expectConservation(p);
   EXPECT_EQ(p.network().backpressureParkedPackets(), 0u);
   EXPECT_EQ(p.network().stats().linkQueued, 0u);
-  return digest(p);
 }
 
 TEST(CongestionConservation, HoldsUnderRandomizedChurnAndFlaps) {
   for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
     SCOPED_TRACE(seed);
-    churnRun(seed, /*backpressure=*/false, /*threads=*/1);
+    churnRun(seed, /*backpressure=*/false);
   }
 }
 
 TEST(CongestionConservation, HoldsWithBackpressureEnabled) {
   for (const std::uint64_t seed : {11ull, 23ull, 47ull}) {
     SCOPED_TRACE(seed);
-    churnRun(seed, /*backpressure=*/true, /*threads=*/1);
-  }
-}
-
-TEST(CongestionConservation, CountersIdenticalAcrossThreadCounts) {
-  for (const bool backpressure : {false, true}) {
-    SCOPED_TRACE(backpressure);
-    const auto t1 = churnRun(31, backpressure, 1);
-    const auto t4 = churnRun(31, backpressure, 4);
-    EXPECT_EQ(t1, t4);
+    churnRun(seed, /*backpressure=*/true);
   }
 }
 

@@ -238,14 +238,14 @@ TEST_P(FlowTablePropertyTest, ModifyAndCountersMatchReference) {
   EXPECT_EQ(checked, table.size());
 
   const FlowTableStats& s = table.stats();
-  EXPECT_EQ(s.inserts.value(), expectInserts);
-  EXPECT_EQ(s.modifies.value(), expectModifies);
-  EXPECT_EQ(s.removes.value(), expectRemoves);
-  EXPECT_EQ(s.rejectedDuplicate.value(), expectDuplicates);
-  EXPECT_EQ(s.lookups.value(), expectLookups);
-  EXPECT_EQ(s.hits.value(), expectHits);
-  EXPECT_EQ(s.misses.value(), expectMisses);
-  EXPECT_EQ(s.rejectedCapacity.value(), 0u);
+  EXPECT_EQ(s.inserts, expectInserts);
+  EXPECT_EQ(s.modifies, expectModifies);
+  EXPECT_EQ(s.removes, expectRemoves);
+  EXPECT_EQ(s.rejectedDuplicate, expectDuplicates);
+  EXPECT_EQ(s.lookups, expectLookups);
+  EXPECT_EQ(s.hits, expectHits);
+  EXPECT_EQ(s.misses, expectMisses);
+  EXPECT_EQ(s.rejectedCapacity, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTablePropertyTest,

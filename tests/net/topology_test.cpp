@@ -208,45 +208,6 @@ TEST(Topology, SingleSwitchRandom) {
   EXPECT_EQ(t.linkCount(), 1);  // just the access link
 }
 
-TEST(Topology, BlockShardPlacementSplitsEachClassContiguously) {
-  // testbedFatTree: all switch ids precede all host ids, the layout that
-  // breaks naive raw-id blocking (every switch would land on worker 0).
-  const Topology t = Topology::testbedFatTree();
-  const int workers = 4;
-  const std::vector<int> placement = blockShardPlacement(t, workers);
-  ASSERT_EQ(placement.size(), static_cast<std::size_t>(t.nodeCount()));
-
-  for (const bool wantSwitch : {true, false}) {
-    std::vector<int> assigned;  // per-class assignment in rank order
-    for (NodeId id = 0; id < t.nodeCount(); ++id) {
-      if (t.isSwitch(id) == wantSwitch) {
-        assigned.push_back(placement[static_cast<std::size_t>(id)]);
-      }
-    }
-    ASSERT_FALSE(assigned.empty());
-    // Contiguous blocks: assignments are non-decreasing in rank order...
-    EXPECT_TRUE(std::is_sorted(assigned.begin(), assigned.end()));
-    EXPECT_GE(assigned.front(), 0);
-    EXPECT_LT(assigned.back(), workers);
-    // ...and balanced: every worker gets floor or ceil of classSize/workers.
-    std::vector<int> perWorker(workers, 0);
-    for (const int w : assigned) ++perWorker[static_cast<std::size_t>(w)];
-    const int lo = static_cast<int>(assigned.size()) / workers;
-    for (const int count : perWorker) {
-      EXPECT_GE(count, lo);
-      EXPECT_LE(count, lo + 1);
-    }
-  }
-}
-
-TEST(Topology, BlockShardPlacementSingleWorkerIsAllZero) {
-  const Topology t = Topology::line(3);
-  for (const int workers : {0, 1}) {
-    const std::vector<int> placement = blockShardPlacement(t, workers);
-    for (const int w : placement) EXPECT_EQ(w, 0);
-  }
-}
-
 TEST(Topology, LinkPeerOf) {
   Topology t;
   const NodeId a = t.addSwitch();

@@ -1,4 +1,4 @@
-// Execution-layer tests: determinism across thread counts, exact
+// Execution-layer tests: same-seed replay determinism, exact
 // equivalence of the flash-crowd family with a hand-coded bench, churn,
 // fault schedules, multi-partition runs, and failover promotion.
 #include "scenario/runner.hpp"
@@ -50,34 +50,106 @@ const char* kMixedScenario = R"({
              "max_events": 12, "max_churn_moves": 4 }
 })";
 
-TEST_F(ScenarioRunnerTest, ByteIdenticalAcrossThreadCounts) {
-  const Scenario s = parseScenario(kMixedScenario);
+/// Every feature stack whose state a replay must reproduce: aggregation
+/// under a TCAM budget, finite link queues with backpressure and
+/// congestion-driven rebalancing, and a controller kill mid-stream with
+/// standby promotion — on top of churn and a flash crowd.
+const char* kReplayScenario = R"({
+  "schema": "pleroma-scenario-v1",
+  "name": "replay",
+  "seed": 5,
+  "topology": { "kind": "fat-tree", "core": 2, "aggregation": 2,
+                "edge_per_agg": 2, "hosts_per_edge": 2,
+                "link_latency_us": 50, "link_bandwidth_mbps": 8 },
+  "attributes": { "count": 2, "bits": 10 },
+  "controller": { "max_dz_length": 8, "aggregate_subscriptions": true,
+                  "tcam_budget": 6 },
+  "network": { "link_queue_capacity": 4, "backpressure": true },
+  "rebalance": { "interval_us": 500, "hot_threshold": 2.0,
+                 "congestion_factor": 8.0 },
+  "failover": { "heartbeat_ms": 1, "miss_threshold": 2 },
+  "phases": [
+    { "name": "hotspot", "family": "flash-crowd",
+      "advertisements": 4, "subscriptions": 32, "events": 300,
+      "event_interval_us": 60, "crowd_centre": [0.25, 0.5],
+      "crowd_radius": 0.2 },
+    { "name": "moves", "family": "churn", "churn_moves": 8, "events": 100,
+      "event_interval_us": 100 }
+  ],
+  "faults": [ { "at_ms": 10.0, "action": "controller-kill" } ]
+})";
 
-  auto runAt = [&](int threads) {
-    RunOptions opts;
-    opts.threads = threads;
-    ScenarioRunner runner(s, opts);
+void expectSameResult(const RunResult& a, const RunResult& b) {
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (std::size_t i = 0; i < a.phases.size(); ++i) {
+    SCOPED_TRACE(a.phases[i].name);
+    const PhaseResult& x = a.phases[i];
+    const PhaseResult& y = b.phases[i];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.family, y.family);
+    EXPECT_EQ(x.advertisements, y.advertisements);
+    EXPECT_EQ(x.subscriptions, y.subscriptions);
+    EXPECT_EQ(x.churnMoves, y.churnMoves);
+    EXPECT_EQ(x.events, y.events);
+    EXPECT_EQ(x.delivered, y.delivered);
+    EXPECT_EQ(x.falsePositives, y.falsePositives);
+    EXPECT_DOUBLE_EQ(x.meanLatencyUs, y.meanLatencyUs);
+    EXPECT_EQ(x.flowMods, y.flowMods);
+    EXPECT_EQ(x.flowEntries, y.flowEntries);
+    EXPECT_EQ(x.end, y.end);
+  }
+  ASSERT_EQ(a.faults.size(), b.faults.size());
+  for (std::size_t i = 0; i < a.faults.size(); ++i) {
+    EXPECT_EQ(a.faults[i].spec.at, b.faults[i].spec.at);
+    EXPECT_EQ(a.faults[i].spec.action, b.faults[i].spec.action);
+    EXPECT_EQ(a.faults[i].spec.target, b.faults[i].spec.target);
+    EXPECT_EQ(a.faults[i].appliedAt, b.faults[i].appliedAt);
+  }
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.falsePositives, b.falsePositives);
+  EXPECT_EQ(a.published, b.published);
+  EXPECT_DOUBLE_EQ(a.meanLatencyUs, b.meanLatencyUs);
+  EXPECT_EQ(a.flowMods, b.flowMods);
+  EXPECT_EQ(a.controlMessages, b.controlMessages);
+  EXPECT_EQ(a.promoted, b.promoted);
+  EXPECT_EQ(a.congestion.queueDrops, b.congestion.queueDrops);
+  EXPECT_EQ(a.congestion.bpDrops, b.congestion.bpDrops);
+  EXPECT_EQ(a.congestion.bpParks, b.congestion.bpParks);
+  EXPECT_EQ(a.congestion.bpRetries, b.congestion.bpRetries);
+  EXPECT_EQ(a.congestion.peakLinkQueueDepth, b.congestion.peakLinkQueueDepth);
+  EXPECT_EQ(a.congestion.rebalances, b.congestion.rebalances);
+  EXPECT_EQ(a.end, b.end);
+}
+
+TEST_F(ScenarioRunnerTest, SameSeedReplayIsByteIdentical) {
+  const Scenario s = parseScenario(kReplayScenario);
+
+  auto runOnce = [&] {
+    ScenarioRunner runner(s);
     const RunResult result = runner.run();
     obs::BenchReporter report(s.name);
     runner.report(report, result);
     report.finish();
     return std::make_pair(result, report.toJson());
   };
-  const auto [r1, j1] = runAt(1);
-  const auto [r4, j4] = runAt(4);
+  const auto [r1, j1] = runOnce();
+  const auto [r2, j2] = runOnce();
 
-  // Every series (phases, faults, totals) must match cell for cell; only
-  // the "threads" metadata entry may differ between the two reports.
+  // Every series (phases, faults, congestion, totals) must match cell for
+  // cell, and so must every field of the run result.
   ASSERT_NE(j1.get("series"), nullptr);
-  ASSERT_NE(j4.get("series"), nullptr);
-  EXPECT_EQ(j1.get("series")->dump(), j4.get("series")->dump());
+  ASSERT_NE(j2.get("series"), nullptr);
+  EXPECT_EQ(j1.get("series")->dump(), j2.get("series")->dump());
+  expectSameResult(r1, r2);
 
-  EXPECT_EQ(r1.delivered, r4.delivered);
-  EXPECT_EQ(r1.falsePositives, r4.falsePositives);
-  EXPECT_EQ(r1.published, r4.published);
-  EXPECT_EQ(r1.flowMods, r4.flowMods);
-  EXPECT_EQ(r1.end, r4.end);
-  EXPECT_DOUBLE_EQ(r1.meanLatencyUs, r4.meanLatencyUs);
+  // The replay covers the stacks it names: a promotion happened, the link
+  // queues filled and parked packets, the loop rerooted trees, and
+  // deliveries kept flowing.
+  EXPECT_TRUE(r1.promoted);
+  EXPECT_EQ(r1.faults.size(), 1u);
+  EXPECT_GT(r1.congestion.peakLinkQueueDepth, 0u);
+  EXPECT_GT(r1.congestion.bpParks, 0u);
+  EXPECT_GT(r1.congestion.rebalances, 0u);
   EXPECT_GT(r1.delivered, 0u);
 
   std::string error;

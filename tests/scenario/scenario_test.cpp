@@ -131,6 +131,22 @@ TEST(ScenarioParse, SyntaxErrorReportsLine) {
   EXPECT_NE(error.find("(line 3)"), std::string::npos) << error;
 }
 
+// The parser recurses once per nesting level; a hostile document must be
+// rejected at the 257th open container, not overflow the stack.
+TEST(ScenarioParse, DeepNestingReportsOffset) {
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  for (const auto& [text, offset] :
+       {std::pair{std::string(100000, '['), std::size_t{256}},
+        std::pair{objects, std::size_t{256 * 5}}}) {
+    const std::string error = parseError(text);
+    EXPECT_NE(error.find("nesting deeper than 256 levels at offset " +
+                         std::to_string(offset)),
+              std::string::npos)
+        << error;
+  }
+}
+
 TEST(ScenarioParse, UnknownTopLevelKeyNamed) {
   const std::string error = parseError(minimalWith("  \"topolgy2\": 1,\n"));
   EXPECT_NE(error.find("topolgy2"), std::string::npos) << error;
@@ -170,6 +186,48 @@ TEST(ScenarioParse, TypeMismatchReportsPath) {
   const std::string error = parseError(minimalWith("  \"seed\": \"many\",\n"));
   EXPECT_NE(error.find("seed"), std::string::npos) << error;
   EXPECT_NE(error.find("expected an integer"), std::string::npos) << error;
+}
+
+// Integers beyond the destination type are rejected by path instead of
+// narrowing: 4294967308 would otherwise wrap to a 12-switch topology.
+TEST(ScenarioParse, IntFieldOverflowReportsPath) {
+  for (const char* value : {"4294967308", "2147483648"}) {
+    SCOPED_TRACE(value);
+    const std::string error = parseError(R"({
+      "schema": "pleroma-scenario-v1",
+      "name": "x",
+      "topology": { "kind": "random", "switches": )" + std::string(value) + R"( },
+      "phases": [ { "name": "p", "family": "uniform", "events": 1 } ]
+    })");
+    EXPECT_NE(error.find("topology.switches"), std::string::npos) << error;
+    EXPECT_NE(error.find("expected an integer <= 2147483647"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(ScenarioParse, MicrosecondFieldOverflowReportsPath) {
+  const std::string error = parseError(R"({
+    "schema": "pleroma-scenario-v1",
+    "name": "x",
+    "topology": { "kind": "ring", "switches": 4 },
+    "phases": [ { "name": "p", "family": "uniform", "events": 1,
+                  "event_interval_us": 9223372036854775807 } ]
+  })");
+  EXPECT_NE(error.find("phases[0].event_interval_us"), std::string::npos) << error;
+  EXPECT_NE(error.find("expected an integer <="), std::string::npos) << error;
+}
+
+TEST(ScenarioParse, LargestMicrosecondFieldAccepted) {
+  // INT64_MAX / 1000 us is the largest interval whose nanosecond value fits.
+  auto s = parseOk(R"({
+    "schema": "pleroma-scenario-v1",
+    "name": "x",
+    "topology": { "kind": "ring", "switches": 4 },
+    "phases": [ { "name": "p", "family": "uniform", "events": 1,
+                  "event_interval_us": 9223372036854775 } ]
+  })");
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->phases[0].eventInterval, 9223372036854775 * net::kMicrosecond);
 }
 
 TEST(ScenarioValidate, FaultTargetOutOfRange) {
