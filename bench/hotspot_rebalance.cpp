@@ -101,7 +101,9 @@ ModeResult runMode(Mode mode, int steps) {
   p.subscribe(hosts[6], right);
   p.settle();
   p.resetDeliveryStats();
-  p.clearLatencySamples();
+  std::vector<net::SimTime> latencies;
+  p.setDeliveryCallback(
+      [&](const core::DeliveryRecord& d) { latencies.push_back(d.latency); });
 
   net::CongestionMonitor congestion(
       p.network(), net::CongestionConfig{.sampleInterval = 200 * net::kMicrosecond});
@@ -146,7 +148,7 @@ ModeResult runMode(Mode mode, int steps) {
 
   const net::NetworkCounters& c = p.network().counters();
   r.delivered = p.deliveryStats().delivered;
-  r.p99DelayMs = p99Ms(p.latencySamples());
+  r.p99DelayMs = p99Ms(latencies);
   r.queueDrops = c.dropped(net::DropReason::kLinkQueue);
   r.bpDrops = c.dropped(net::DropReason::kBackpressure);
   r.bpParks = c.packetsParkedOnBackpressure;

@@ -197,7 +197,7 @@ void Controller::runAdvertise(PublisherId id) {
       if (overlap.empty()) continue;
       tree->addPublisher(id, overlap);
       ++lastOp_.treesJoined;
-      if (obsTreesJoined_ != nullptr) obsTreesJoined_->inc();
+      ++stats_.treesJoined;
       addFlowMultSub(id, overlap, *tree);
       covered.unionWith(overlap);
     }
@@ -209,7 +209,7 @@ void Controller::runAdvertise(PublisherId id) {
                                    adv.endpoint.attachSwitch,
                                    activeInternalLinks()));
       ++lastOp_.treesCreated;
-      if (obsTreesCreated_ != nullptr) obsTreesCreated_->inc();
+      ++stats_.treesCreated;
       SpanningTree& tn = *trees_.back();
       tn.addPublisher(id, uncovered);
       addFlowMultSub(id, uncovered, tn);
@@ -437,7 +437,7 @@ void Controller::mergeTreesIfNeeded() {
 void Controller::mergeTreePair(std::size_t idxA, std::size_t idxB) {
   assert(idxA != idxB);
   MutationScope mutationScope(*this);
-  if (obsTreeMerges_ != nullptr) obsTreeMerges_->inc();
+  ++stats_.treeMerges;
   SpanningTree& ta = *trees_[idxA];
   SpanningTree& tb = *trees_[idxB];
 
@@ -523,7 +523,7 @@ bool Controller::rerootTree(int treeId, net::NodeId newRoot,
       scope_.switches.end()) {
     return false;
   }
-  if (obsReroots_ != nullptr) obsReroots_->inc();
+  ++stats_.treeReroots;
   linkCostOverride_ = linkCosts;
   rebuildTreeAt(treeId, newRoot);
   linkCostOverride_ = nullptr;
@@ -697,7 +697,7 @@ void Controller::rebuildTrees(
   for (const auto& [treeId, root] : idRoots) {
     const auto it = findTree(trees_, treeId);
     if (it == trees_.end()) continue;
-    if (obsTreeRebuilds_ != nullptr) obsTreeRebuilds_->inc();
+    ++stats_.treeRebuilds;
     std::unique_ptr<SpanningTree> old = std::move(*it);
     trees_.erase(it);
     // Detach the old tree's paths; routes are re-derived from the registered
@@ -797,7 +797,7 @@ net::Packet Controller::makeEventPacket(net::NodeId publisherHost,
 void Controller::reindex(const std::vector<int>& dims) {
   FlowInstaller::BatchScope batchScope(installer_);
   MutationScope mutationScope(*this);
-  if (obsReindexes_ != nullptr) obsReindexes_->inc();
+  ++stats_.reindexes;
   space_.setIndexedDimensions(dims);
 
   // Regenerate DZ for every rectangle-based registration; raw-DZ
@@ -874,7 +874,7 @@ OpStats Controller::beginOp(const char* opName) {
   snapshot.flowDeletes = s.flowDeletes;
   snapshot.modeledInstallTime = channel_.modeledInstallTime();
   lastOp_ = OpStats{};
-  if (obsOps_ != nullptr) obsOps_->inc();
+  ++stats_.ops;
   if (tracer_ != nullptr && tracer_->enabled()) {
     // The op span is the ambient context for every flow-mod record the
     // control channel emits until endOp.
@@ -892,10 +892,9 @@ void Controller::endOp(OpStats& snapshot) {
   lastOp_.flowDeletes = s.flowDeletes - snapshot.flowDeletes;
   lastOp_.modeledInstallTime =
       channel_.modeledInstallTime() - snapshot.modeledInstallTime;
-  if (obsOpFlowMods_ != nullptr) {
-    obsOpFlowMods_->record(static_cast<double>(lastOp_.totalFlowMods()));
-    obsOpInstallTime_->record(static_cast<double>(lastOp_.modeledInstallTime));
-  }
+  stats_.flowModsPerOp.record(static_cast<double>(lastOp_.totalFlowMods()));
+  stats_.opInstallTimeNs.record(
+      static_cast<double>(lastOp_.modeledInstallTime));
   if (opSpan_ != obs::kNoSpan && tracer_ != nullptr) {
     tracer_->annotate(opSpan_, "flow_mods",
                       std::to_string(lastOp_.totalFlowMods()));
@@ -907,22 +906,6 @@ void Controller::endOp(OpStats& snapshot) {
     tracer_->end(opSpan_, network_.simulator().now());
     opSpan_ = obs::kNoSpan;
   }
-}
-
-void Controller::attachObservability(obs::MetricsRegistry& reg,
-                                     obs::Tracer* tracer) {
-  tracer_ = tracer;
-  obsOps_ = &reg.counter("controller.ops");
-  obsTreesCreated_ = &reg.counter("controller.trees_created");
-  obsTreesJoined_ = &reg.counter("controller.trees_joined");
-  obsTreeMerges_ = &reg.counter("controller.tree_merges");
-  obsReroots_ = &reg.counter("controller.tree_reroots");
-  obsTreeRebuilds_ = &reg.counter("controller.tree_rebuilds");
-  obsReindexes_ = &reg.counter("controller.reindexes");
-  obsOpFlowMods_ = &reg.histogram("controller.flow_mods_per_op");
-  obsOpInstallTime_ = &reg.histogram("controller.op_install_time_ns");
-  channel_.attachObservability(reg, tracer);
-  installer_.attachMetrics(reg);
 }
 
 }  // namespace pleroma::ctrl

@@ -179,6 +179,8 @@ class Controller {
   /// Flow-mod counts and modelled install latency of the last registration
   /// operation (Fig 7f input).
   const OpStats& lastOpStats() const noexcept { return lastOp_; }
+  /// Lifetime operation and tree-lifecycle counters.
+  const ControllerStats& stats() const noexcept { return stats_; }
 
   std::size_t advertisementCount() const noexcept;
   std::size_t subscriptionCount() const noexcept;
@@ -210,13 +212,13 @@ class Controller {
   /// — independent of the allocator, for the bench memory series.
   std::size_t flowStateBytes() const noexcept;
 
-  /// Wires this controller, its control channel, and its flow installer
-  /// into the observability layer. Registration ops (advertise/subscribe/
-  /// un-*) become tracer spans that parent the flow-mod records they cause;
-  /// tree lifecycle and per-op flow-mod volume land in "controller.*"
-  /// metrics.
-  void attachObservability(obs::MetricsRegistry& reg,
-                           obs::Tracer* tracer = nullptr);
+  /// Traces this controller and its control channel into `tracer`
+  /// (nullptr detaches): registration ops (advertise/subscribe/un-*)
+  /// become spans that parent the flow-mod records they cause.
+  void setTracer(obs::Tracer* tracer) noexcept {
+    tracer_ = tracer;
+    channel_.setTracer(tracer);
+  }
 
   // ---- high availability (controller failover) --------------------------
 
@@ -384,21 +386,13 @@ class Controller {
   IntentObserver intentObserver_;
   int mutationDepth_ = 0;
   OpStats lastOp_;
+  ControllerStats stats_;
   /// Recycles (control block + EventPayload) allocations across publishes;
   /// mutable because stamping a packet does not change controller state.
   mutable net::PayloadPool payloadPool_;
 
   obs::Tracer* tracer_ = nullptr;
   obs::SpanId opSpan_ = obs::kNoSpan;  // open registration-op span
-  obs::Counter* obsOps_ = nullptr;
-  obs::Counter* obsTreesCreated_ = nullptr;
-  obs::Counter* obsTreesJoined_ = nullptr;
-  obs::Counter* obsTreeMerges_ = nullptr;
-  obs::Counter* obsReroots_ = nullptr;
-  obs::Counter* obsTreeRebuilds_ = nullptr;
-  obs::Counter* obsReindexes_ = nullptr;
-  obs::Histogram* obsOpFlowMods_ = nullptr;
-  obs::Histogram* obsOpInstallTime_ = nullptr;
 };
 
 }  // namespace pleroma::ctrl

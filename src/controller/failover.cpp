@@ -50,14 +50,12 @@ void FailoverManager::onTick() {
   // tick must not re-arm, or nested convergence loops would never drain.
   if (!running_ || promotedCtrl_ != nullptr) return;
   ++stats_.heartbeatsSent;
-  if (obsHeartbeats_ != nullptr) obsHeartbeats_->inc();
   if (hbChannel_.sendEcho(primaryAlive_)) {
     consecutiveMisses_ = 0;
     armTick();
     return;
   }
   ++stats_.heartbeatsMissed;
-  if (obsMisses_ != nullptr) obsMisses_->inc();
   if (++consecutiveMisses_ < config_.missThreshold) {
     armTick();
     return;
@@ -66,7 +64,6 @@ void FailoverManager::onTick() {
   if (primaryAlive_) {
     // The channel ate missThreshold echoes in a row from a live primary.
     ++stats_.spuriousDetections;
-    if (obsSpurious_ != nullptr) obsSpurious_->inc();
   }
   promote();
 }
@@ -74,16 +71,12 @@ void FailoverManager::onTick() {
 void FailoverManager::forcePromotion() {
   if (promotedCtrl_ != nullptr) return;
   stats_.detectedAt = primary_.network().simulator().now();
-  if (primaryAlive_) {
-    ++stats_.spuriousDetections;
-    if (obsSpurious_ != nullptr) obsSpurious_->inc();
-  }
+  if (primaryAlive_) ++stats_.spuriousDetections;
   promote();
 }
 
 void FailoverManager::promote() {
   ++stats_.promotions;
-  if (obsPromotions_ != nullptr) obsPromotions_->inc();
 
   // 1. Muted-replay rebuild of the primary's intent (standby.hpp).
   promotedCtrl_ = standby_.promote();
@@ -122,9 +115,6 @@ void FailoverManager::promote() {
   Reconciler reconciler(*promotedCtrl_);
   stats_.repairRounds = reconciler.runToConvergence(config_.repairRoundLimit);
   stats_.repairFlowMods = reconciler.totalRepairMods();
-  if (obsRepairMods_ != nullptr) {
-    obsRepairMods_->inc(stats_.repairFlowMods);
-  }
 
   net::Network& network = promotedCtrl_->network();
   stats_.repairedAt = network.simulator().now();
@@ -140,24 +130,8 @@ void FailoverManager::promote() {
   stats_.eventsBuffered = c.packetsBufferedOnMiss - bufferedAtKill_;
   stats_.eventsDroppedBufferFull = c.dropped(net::DropReason::kMissBuffer) - droppedAtKill_;
   stats_.eventsReplayed = c.packetsReplayedFromMissBuffer - replayedAtKill_;
-  if (obsReplayed_ != nullptr) obsReplayed_->inc(stats_.eventsReplayed);
-  if (obsDetectionLatency_ != nullptr) {
-    obsDetectionLatency_->set(static_cast<double>(stats_.detectionLatency()));
-    obsFailoverWindow_->set(static_cast<double>(stats_.failoverWindow()));
-  }
 
   if (onPromoted_) onPromoted_(*promotedCtrl_);
-}
-
-void FailoverManager::attachMetrics(obs::MetricsRegistry& reg) {
-  obsPromotions_ = &reg.counter("failover.promotions");
-  obsSpurious_ = &reg.counter("failover.spurious_detections");
-  obsHeartbeats_ = &reg.counter("failover.heartbeats_sent");
-  obsMisses_ = &reg.counter("failover.heartbeats_missed");
-  obsRepairMods_ = &reg.counter("failover.repair_mods");
-  obsReplayed_ = &reg.counter("failover.events_replayed");
-  obsDetectionLatency_ = &reg.gauge("failover.detection_latency");
-  obsFailoverWindow_ = &reg.gauge("failover.window");
 }
 
 }  // namespace pleroma::ctrl

@@ -124,16 +124,13 @@ class FailoverManager {
   }
 
   /// Invoked right after a promotion's repair converged, with the promoted
-  /// controller (e.g. to re-attach observability).
+  /// controller (e.g. to re-attach a tracer).
   void setPromotionCallback(std::function<void(Controller&)> cb) {
     onPromoted_ = std::move(cb);
   }
   const FailoverStats& stats() const noexcept { return stats_; }
   const FailoverConfig& config() const noexcept { return config_; }
   openflow::ControlChannel& heartbeatChannel() noexcept { return hbChannel_; }
-
-  /// Resolves "failover.*" metric handles.
-  void attachMetrics(obs::MetricsRegistry& reg);
 
  private:
   void armTick();
@@ -159,15 +156,6 @@ class FailoverManager {
   std::uint64_t bufferedAtKill_ = 0;
   std::uint64_t droppedAtKill_ = 0;
   std::uint64_t replayedAtKill_ = 0;
-
-  obs::Counter* obsPromotions_ = nullptr;
-  obs::Counter* obsSpurious_ = nullptr;
-  obs::Counter* obsHeartbeats_ = nullptr;
-  obs::Counter* obsMisses_ = nullptr;
-  obs::Counter* obsRepairMods_ = nullptr;
-  obs::Counter* obsReplayed_ = nullptr;
-  obs::Gauge* obsDetectionLatency_ = nullptr;
-  obs::Gauge* obsFailoverWindow_ = nullptr;
 };
 
 }  // namespace pleroma::ctrl

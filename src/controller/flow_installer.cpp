@@ -93,12 +93,12 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
   // propagation events in their subspace would miss the new destination.
   if (const auto exact = m.find(d); exact != m.end()) {
     if (actionsSubset(fln, exact->second)) {
-      if (obsCase2_ != nullptr) obsCase2_->inc();
+      ++caseStats_.covered;
       return;  // case 2, identical dz
     }
     net::FlowEntry updated = exact->second;
     mergeActions(updated, fln);
-    if (obsCase4_ != nullptr) obsCase4_->inc();
+    ++caseStats_.extend;
     apply(openflow::FlowModType::kModify, hop.switchNode, d, updated);
     // The extended action set must propagate to the finer flows this one
     // covers — they shadow it in the TCAM. Finer flows that the extended
@@ -116,11 +116,11 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
       }
     }
     for (const dz::DzExpression& key : toDelete) {
-      if (obsCase3_ != nullptr) obsCase3_->inc();
+      ++caseStats_.subsumedDelete;
       apply(openflow::FlowModType::kDelete, hop.switchNode, key, m.at(key));
     }
     for (auto& [key, entry] : toModify) {
-      if (obsCase5_ != nullptr) obsCase5_->inc();
+      ++caseStats_.shadowModify;
       apply(openflow::FlowModType::kModify, hop.switchNode, key, entry);
     }
     return;
@@ -135,14 +135,14 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
   // Case 2: some coarser flow fully covers the new one — nothing to do.
   for (const net::FlowEntry* fle : coarser) {
     if (actionsSubset(fln, *fle)) {
-      if (obsCase2_ != nullptr) obsCase2_->inc();
+      ++caseStats_.covered;
       return;
     }
   }
   // Case 4: coarser flows exist with other ports — the new (finer,
   // higher-priority) flow must forward to their ports too, because only the
   // first match is applied.
-  if (!coarser.empty() && obsCase4_ != nullptr) obsCase4_->inc();
+  if (!coarser.empty()) ++caseStats_.extend;
   for (const net::FlowEntry* fle : coarser) mergeActions(fln, *fle);
 
   // Finer flows: the contiguous trie range covered by d.
@@ -161,34 +161,23 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
     }
   }
   for (const dz::DzExpression& key : toDelete) {
-    if (obsCase3_ != nullptr) obsCase3_->inc();
+    ++caseStats_.subsumedDelete;
     apply(openflow::FlowModType::kDelete, hop.switchNode, key, m.at(key));
   }
   for (auto& [key, updated] : toModify) {
-    if (obsCase5_ != nullptr) obsCase5_->inc();
+    ++caseStats_.shadowModify;
     apply(openflow::FlowModType::kModify, hop.switchNode, key, updated);
   }
   // Case 1 (or the add concluding cases 3-5).
-  if (obsCase1_ != nullptr && coarser.empty() && toDelete.empty() &&
-      toModify.empty()) {
-    obsCase1_->inc();
+  if (coarser.empty() && toDelete.empty() && toModify.empty()) {
+    ++caseStats_.freshAdd;
   }
   apply(openflow::FlowModType::kAdd, hop.switchNode, d, fln);
 }
 
-void FlowInstaller::attachMetrics(obs::MetricsRegistry& reg) {
-  obsCase1_ = &reg.counter("flow_installer.case1_fresh_add");
-  obsCase2_ = &reg.counter("flow_installer.case2_covered");
-  obsCase3_ = &reg.counter("flow_installer.case3_subsumed_delete");
-  obsCase4_ = &reg.counter("flow_installer.case4_extend");
-  obsCase5_ = &reg.counter("flow_installer.case5_shadow_modify");
-  obsReconciles_ = &reg.counter("flow_installer.reconcile_passes");
-  obsCoarsens_ = &reg.counter("flow_installer.coarsen_passes");
-}
-
 void FlowInstaller::reconcileSwitch(net::NodeId sw,
                                     const std::vector<net::FlowEntry>& required) {
-  if (obsReconciles_ != nullptr) obsReconciles_->inc();
+  ++caseStats_.reconcilePasses;
   SwitchMirror& m = mirrors_[sw];
 
   // Required flows are exact intent; a coarsened switch holds their
@@ -334,7 +323,6 @@ void FlowInstaller::coarsenTo(net::NodeId sw, int cap) {
   ++coarsenStats_.events;
   coarsenStats_.entriesCollapsed += before - m.size();
   coarsenStats_.addedVolume += volumeAfter - volumeBefore;
-  if (obsCoarsens_ != nullptr) obsCoarsens_->inc();
 }
 
 }  // namespace pleroma::ctrl

@@ -81,6 +81,18 @@ class FlowInstaller {
   /// The switch's current truncation length; -1 while uncoarsened.
   int coarsenLength(net::NodeId sw) const;
 
+  /// How often each of Algorithm 1's five flowAddition cases fired, plus
+  /// reconcile passes (exported as "flow_installer.*").
+  struct CaseStats {
+    std::uint64_t freshAdd = 0;         ///< 1: no related flow, plain add
+    std::uint64_t covered = 0;          ///< 2: an existing flow covers it
+    std::uint64_t subsumedDelete = 0;   ///< 3: finer flow subsumed, deleted
+    std::uint64_t extend = 0;           ///< 4: flow extended with more actions
+    std::uint64_t shadowModify = 0;     ///< 5: finer shadowing flow extended
+    std::uint64_t reconcilePasses = 0;  ///< reconcileSwitch calls
+  };
+  const CaseStats& caseStats() const noexcept { return caseStats_; }
+
   struct CoarsenStats {
     std::uint64_t events = 0;            ///< budget-triggered coarsen passes
     std::uint64_t entriesCollapsed = 0;  ///< mirror entries merged away
@@ -105,10 +117,6 @@ class FlowInstaller {
   /// about to be rebuilt from scratch (reconnect with an empty TCAM).
   /// Subsequent installs/reconciles re-issue every needed flow as an add.
   void forgetSwitch(net::NodeId sw) { mirrors_.erase(sw); }
-
-  /// Resolves per-case counters under "flow_installer.*": how often each
-  /// of Algorithm 1's five flow-addition cases fired, plus reconcile passes.
-  void attachMetrics(obs::MetricsRegistry& reg);
 
   openflow::ControlChannel& channel() noexcept { return channel_; }
 
@@ -147,19 +155,8 @@ class FlowInstaller {
   std::unordered_map<net::NodeId, std::size_t> budgetOverride_;
   /// Sticky per-switch truncation lengths; absent while uncoarsened.
   std::unordered_map<net::NodeId, int> coarsenLen_;
+  CaseStats caseStats_;
   CoarsenStats coarsenStats_;
-
-  /// Per-case counters of Algorithm 1's flowAddition (null until attached):
-  /// 1 = fresh add, 2 = covered by an existing flow, 3 = finer flow
-  /// subsumed and deleted, 4 = new/exact flow extended with coarser or new
-  /// actions, 5 = finer shadowing flow extended.
-  obs::Counter* obsCase1_ = nullptr;
-  obs::Counter* obsCase2_ = nullptr;
-  obs::Counter* obsCase3_ = nullptr;
-  obs::Counter* obsCase4_ = nullptr;
-  obs::Counter* obsCase5_ = nullptr;
-  obs::Counter* obsReconciles_ = nullptr;
-  obs::Counter* obsCoarsens_ = nullptr;
 };
 
 }  // namespace pleroma::ctrl

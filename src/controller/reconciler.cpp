@@ -19,7 +19,6 @@ void Reconciler::repair(openflow::FlowModType type, net::NodeId sw,
       break;
   }
   ++totalRepairs_;
-  if (obsRepairs_ != nullptr) obsRepairs_->inc();
   // Repairs bypass the installer: the mirror already *is* the intended
   // state, only the switch must move. They are collected per audited
   // switch and flushed as one sendBatch — a single message when the
@@ -36,7 +35,6 @@ ReconcileReport Reconciler::reconcileSwitch(net::NodeId sw) {
   if (!controller_.switchActive(sw)) return report;
   if (!channel.switchConnected(sw) || !channel.quiescent(sw)) {
     ++report.switchesSkipped;
-    if (obsSkips_ != nullptr) obsSkips_->inc();
     return report;
   }
 
@@ -46,11 +44,9 @@ ReconcileReport Reconciler::reconcileSwitch(net::NodeId sw) {
   const openflow::FlowStatsReply reply = channel.requestFlowStats(sw);
   if (!reply.ok) {
     ++report.switchesSkipped;
-    if (obsSkips_ != nullptr) obsSkips_->inc();
     return report;
   }
   ++report.switchesAudited;
-  if (obsAudits_ != nullptr) obsAudits_->inc();
 
   const auto& mirror = controller_.installer().mirror(sw);
   std::map<dz::DzExpression, const net::FlowEntry*> actual;
@@ -63,9 +59,6 @@ ReconcileReport Reconciler::reconcileSwitch(net::NodeId sw) {
       continue;
     }
     actual.emplace(*d, &entry);
-  }
-  if (obsMatchedPackets_ != nullptr) {
-    obsMatchedPackets_->add(static_cast<double>(report.matchedPacketsSeen));
   }
 
   // Intent side: every mirrored flow must exist on the switch, verbatim.
@@ -102,7 +95,6 @@ ReconcileReport Reconciler::reconcileAll() {
   if (controller_.mutationInProgress()) {
     total.deferredForMutation = true;
     ++mutationSkips_;
-    if (obsMutationSkips_ != nullptr) obsMutationSkips_->inc();
     last_ = total;
     return total;
   }
@@ -130,14 +122,6 @@ std::size_t Reconciler::runToConvergence(std::size_t maxRounds) {
   }
   sim.run();
   return maxRounds;
-}
-
-void Reconciler::attachMetrics(obs::MetricsRegistry& reg) {
-  obsAudits_ = &reg.counter("reconciler.audits");
-  obsSkips_ = &reg.counter("reconciler.skips");
-  obsMutationSkips_ = &reg.counter("reconciler.mutation_skips");
-  obsRepairs_ = &reg.counter("reconciler.repairs");
-  obsMatchedPackets_ = &reg.gauge("reconciler.matched_packets_seen");
 }
 
 void Reconciler::enablePeriodic(net::SimTime interval) {

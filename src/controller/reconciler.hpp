@@ -83,10 +83,6 @@ class Reconciler {
   /// Passes abandoned because they raced a controller mutation batch.
   std::uint64_t mutationSkips() const noexcept { return mutationSkips_; }
 
-  /// Resolves "reconciler.*" metric handles (audits, skips, repairs, and
-  /// the matched-packet volume seen through flow-stats reads).
-  void attachMetrics(obs::MetricsRegistry& reg);
-
  private:
   void repair(openflow::FlowModType type, net::NodeId sw,
               const net::FlowEntry& entry, ReconcileReport& report);
@@ -104,12 +100,6 @@ class Reconciler {
   std::uint64_t rounds_ = 0;
   std::uint64_t totalRepairs_ = 0;
   std::uint64_t mutationSkips_ = 0;
-
-  obs::Counter* obsAudits_ = nullptr;
-  obs::Counter* obsSkips_ = nullptr;
-  obs::Counter* obsMutationSkips_ = nullptr;
-  obs::Counter* obsRepairs_ = nullptr;
-  obs::Gauge* obsMatchedPackets_ = nullptr;
 };
 
 }  // namespace pleroma::ctrl

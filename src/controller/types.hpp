@@ -6,6 +6,7 @@
 
 #include "dz/ip_encoding.hpp"
 #include "net/types.hpp"
+#include "obs/metrics.hpp"
 
 namespace pleroma::ctrl {
 
@@ -47,6 +48,22 @@ struct OpStats {
   std::uint64_t totalFlowMods() const noexcept {
     return flowAdds + flowModifies + flowDeletes;
   }
+};
+
+/// Lifetime counters of one controller's registration and tree machinery
+/// (exported as "controller.*" by the metrics snapshot).
+struct ControllerStats {
+  std::uint64_t ops = 0;  ///< registration operations (advertise, subscribe, un-*)
+  std::uint64_t treesCreated = 0;
+  std::uint64_t treesJoined = 0;
+  std::uint64_t treeMerges = 0;
+  std::uint64_t treeReroots = 0;
+  std::uint64_t treeRebuilds = 0;
+  std::uint64_t reindexes = 0;
+  /// One sample per registration operation: its flow-mod count and its
+  /// modelled install time (ns).
+  obs::Histogram flowModsPerOp;
+  obs::Histogram opInstallTimeNs;
 };
 
 }  // namespace pleroma::ctrl

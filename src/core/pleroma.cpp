@@ -17,24 +17,18 @@ Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
   network_->setDeliverHandler(
       [this](net::NodeId host, const net::Packet& pkt) { onDeliver(host, pkt); });
 
-  network_->attachObservability(metrics_, &tracer_);
-  controller_->attachObservability(metrics_, &tracer_);
+  network_->setTracer(&tracer_);
+  controller_->setTracer(&tracer_);
   if (options.failover.enableStandby) {
     // The standby must attach before any registration (its replay starts
     // from an empty history); constructing it here guarantees that.
     standby_ = std::make_unique<ctrl::StandbyController>(*controller_);
     failover_ = std::make_unique<ctrl::FailoverManager>(
         *controller_, *standby_, options.failover.config);
-    failover_->attachMetrics(metrics_);
-    failover_->setPromotionCallback([this](ctrl::Controller& promoted) {
-      promoted.attachObservability(metrics_, &tracer_);
-    });
+    failover_->setPromotionCallback(
+        [this](ctrl::Controller& promoted) { promoted.setTracer(&tracer_); });
     if (options.failover.autoStart) failover_->start();
   }
-  obsPublishes_ = &metrics_.counter("core.publishes");
-  obsDeliveries_ = &metrics_.counter("core.deliveries");
-  obsFalsePositives_ = &metrics_.counter("core.false_positive_deliveries");
-  obsDeliveryLatency_ = &metrics_.histogram("core.delivery_latency_ns");
 }
 
 ctrl::PublisherId Pleroma::advertise(net::NodeId host, const dz::Rectangle& rect) {
@@ -66,7 +60,7 @@ void Pleroma::unsubscribe(ctrl::SubscriptionId id) {
 net::EventId Pleroma::publish(net::NodeId host, const dz::Event& event,
                               net::EventId id) {
   if (id == 0) id = nextEventId_++;
-  obsPublishes_->inc();
+  ++publishes_;
   net::Packet packet = controller().makeEventPacket(host, event, id);
   if (tracer_.enabled()) {
     // Root of the event's data-plane span tree: traceId = event id.
@@ -107,11 +101,7 @@ void Pleroma::onDeliver(net::NodeId host, const net::Packet& packet) {
   ++stats_.delivered;
   if (rec.falsePositive) ++stats_.falsePositives;
   stats_.latencySum += rec.latency;
-  latencies_.push_back(rec.latency);
-
-  obsDeliveries_->inc();
-  if (rec.falsePositive) obsFalsePositives_->inc();
-  obsDeliveryLatency_->record(static_cast<double>(rec.latency));
+  latency_.record(static_cast<double>(rec.latency));
   if (tracer_.enabled()) {
     const obs::SpanId span = tracer_.instant(packet.eventId(), packet.traceSpan,
                                              "app_deliver", sim_.now(), host);
@@ -120,51 +110,121 @@ void Pleroma::onDeliver(net::NodeId host, const net::Packet& packet) {
   if (callback_) callback_(rec);
 }
 
-obs::JsonValue Pleroma::snapshotMetrics() {
-  metrics_.gauge("sim.events_executed")
+obs::MetricsRegistry Pleroma::snapshotMetrics() {
+  obs::MetricsRegistry reg;
+  reg.counter("core.publishes").inc(publishes_);
+  reg.counter("core.deliveries").inc(stats_.delivered);
+  reg.counter("core.false_positive_deliveries").inc(stats_.falsePositives);
+  reg.histogram("core.delivery_latency_ns") = latency_;
+
+  net::FlowTableStats tables;
+  for (const net::NodeId sw : topology().switches()) {
+    const net::FlowTableStats& t = network_->flowTable(sw).stats();
+    tables.lookups += t.lookups;
+    tables.hits += t.hits;
+    tables.misses += t.misses;
+    tables.probes += t.probes;
+  }
+  reg.counter("flow_table.lookups").inc(tables.lookups);
+  reg.counter("flow_table.hits").inc(tables.hits);
+  reg.counter("flow_table.misses").inc(tables.misses);
+  reg.gauge("flow_table.probes_per_lookup")
+      .set(tables.lookups == 0 ? 0.0
+                               : static_cast<double>(tables.probes) /
+                                     static_cast<double>(tables.lookups));
+
+  ctrl::Controller& ctl = controller();
+  const openflow::ControlPlaneStats& cs = ctl.controlStats();
+  reg.counter("ctrl_channel.mods_sent").inc(cs.flowModsSent);
+  reg.counter("ctrl_channel.mods_acked").inc(cs.flowModsAcked);
+  reg.counter("ctrl_channel.mods_dropped").inc(cs.flowModsDropped);
+  reg.counter("ctrl_channel.mods_retried").inc(cs.flowModsRetried);
+  reg.counter("ctrl_channel.mods_abandoned").inc(cs.flowModsAbandoned);
+  reg.counter("ctrl_channel.barrier_requests").inc(cs.barrierRequests);
+  reg.counter("ctrl_channel.flow_stats_requests")
+      .inc(cs.flowStatsRequests + cs.flowStatsBatches);
+
+  const ctrl::ControllerStats& ct = ctl.stats();
+  reg.counter("controller.ops").inc(ct.ops);
+  reg.counter("controller.trees_created").inc(ct.treesCreated);
+  reg.counter("controller.trees_joined").inc(ct.treesJoined);
+  reg.counter("controller.tree_merges").inc(ct.treeMerges);
+  reg.counter("controller.tree_reroots").inc(ct.treeReroots);
+  reg.counter("controller.tree_rebuilds").inc(ct.treeRebuilds);
+  reg.counter("controller.reindexes").inc(ct.reindexes);
+  reg.histogram("controller.flow_mods_per_op") = ct.flowModsPerOp;
+  reg.histogram("controller.op_install_time_ns") = ct.opInstallTimeNs;
+
+  const ctrl::FlowInstaller::CaseStats& is = ctl.installer().caseStats();
+  reg.counter("flow_installer.case1_fresh_add").inc(is.freshAdd);
+  reg.counter("flow_installer.case2_covered").inc(is.covered);
+  reg.counter("flow_installer.case3_subsumed_delete").inc(is.subsumedDelete);
+  reg.counter("flow_installer.case4_extend").inc(is.extend);
+  reg.counter("flow_installer.case5_shadow_modify").inc(is.shadowModify);
+  reg.counter("flow_installer.reconcile_passes").inc(is.reconcilePasses);
+  reg.counter("flow_installer.coarsen_passes")
+      .inc(ctl.installer().coarsenStats().events);
+
+  if (failover_) {
+    const ctrl::FailoverStats& fs = failover_->stats();
+    reg.counter("failover.promotions").inc(fs.promotions);
+    reg.counter("failover.spurious_detections").inc(fs.spuriousDetections);
+    reg.counter("failover.heartbeats_sent").inc(fs.heartbeatsSent);
+    reg.counter("failover.heartbeats_missed").inc(fs.heartbeatsMissed);
+    reg.counter("failover.repair_mods").inc(fs.repairFlowMods);
+    reg.counter("failover.events_replayed").inc(fs.eventsReplayed);
+    // The latencies are measured by a promotion; 0 until one happened.
+    const bool promoted = failover_->promoted();
+    reg.gauge("failover.detection_latency")
+        .set(promoted ? static_cast<double>(fs.detectionLatency()) : 0.0);
+    reg.gauge("failover.window")
+        .set(promoted ? static_cast<double>(fs.failoverWindow()) : 0.0);
+  }
+
+  reg.gauge("sim.events_executed")
       .set(static_cast<double>(sim_.processedEvents()));
-  metrics_.gauge("sim.virtual_time_ns").set(static_cast<double>(sim_.now()));
-  metrics_.gauge("sim.wall_time_ns")
+  reg.gauge("sim.virtual_time_ns").set(static_cast<double>(sim_.now()));
+  reg.gauge("sim.wall_time_ns")
       .set(static_cast<double>(sim_.wallTimeNanos()));
-  metrics_.gauge("sim.virtual_wall_ratio")
+  reg.gauge("sim.virtual_wall_ratio")
       .set(sim_.wallTimeNanos() == 0
                ? 0.0
                : static_cast<double>(sim_.now()) /
                      static_cast<double>(sim_.wallTimeNanos()));
   const net::NetworkCounters& nc = network_->counters();
-  metrics_.gauge("net.packets_forwarded")
+  reg.gauge("net.packets_forwarded")
       .set(static_cast<double>(nc.packetsForwarded));
-  metrics_.gauge("net.packets_punted")
+  reg.gauge("net.packets_punted")
       .set(static_cast<double>(nc.packetsPuntedToController));
-  metrics_.gauge("net.packets_delivered")
+  reg.gauge("net.packets_delivered")
       .set(static_cast<double>(nc.packetsDeliveredToHosts));
   // One gauge per drop reason, named from the shared taxonomy so metrics,
   // the CLI `stats` command and bench reports agree on the labels.
   for (std::size_t r = 0; r < net::kDropReasonCount; ++r) {
     const auto reason = static_cast<net::DropReason>(r);
-    metrics_.gauge(std::string("net.drops_") + net::dropReasonName(reason))
+    reg.gauge(std::string("net.drops_") + net::dropReasonName(reason))
         .set(static_cast<double>(nc.dropped(reason)));
   }
-  metrics_.gauge("net.drops_total")
+  reg.gauge("net.drops_total")
       .set(static_cast<double>(nc.totalDropped()));
-  metrics_.gauge("net.miss_buffered")
+  reg.gauge("net.miss_buffered")
       .set(static_cast<double>(nc.packetsBufferedOnMiss));
-  metrics_.gauge("net.miss_replayed")
+  reg.gauge("net.miss_replayed")
       .set(static_cast<double>(nc.packetsReplayedFromMissBuffer));
-  metrics_.gauge("net.link_bytes_total")
+  reg.gauge("net.link_bytes_total")
       .set(static_cast<double>(network_->totalLinkBytes()));
   const net::Network::Stats occupancy = network_->stats();
-  metrics_.gauge("net.queued_hosts")
+  reg.gauge("net.queued_hosts")
       .set(static_cast<double>(occupancy.hostQueued));
-  metrics_.gauge("net.queued_links")
+  reg.gauge("net.queued_links")
       .set(static_cast<double>(occupancy.linkQueued));
-  metrics_.gauge("net.bp_parked")
+  reg.gauge("net.bp_parked")
       .set(static_cast<double>(occupancy.backpressureParked));
-  metrics_.gauge("net.bp_retries")
+  reg.gauge("net.bp_retries")
       .set(static_cast<double>(nc.backpressureRetries));
-  metrics_.gauge("net.peak_link_queue_depth")
+  reg.gauge("net.peak_link_queue_depth")
       .set(static_cast<double>(occupancy.peakLinkQueueDepth));
-  return metrics_.toJson();
+  return reg;
 }
 
 std::vector<int> Pleroma::runDimensionSelection(double threshold) {

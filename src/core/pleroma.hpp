@@ -133,29 +133,28 @@ class Pleroma {
   // ---- metrics ----------------------------------------------------------
 
   const DeliveryStats& deliveryStats() const noexcept { return stats_; }
-  void resetDeliveryStats() noexcept { stats_ = DeliveryStats{}; }
-  const std::vector<net::SimTime>& latencySamples() const noexcept {
-    return latencies_;
+  /// Zeroes the delivery stats and the delivery-latency histogram. Callers
+  /// that need exact per-delivery samples collect them through
+  /// setDeliveryCallback.
+  void resetDeliveryStats() noexcept {
+    stats_ = DeliveryStats{};
+    latency_ = obs::Histogram{};
   }
-  void clearLatencySamples() noexcept { latencies_.clear(); }
 
   // ---- observability ----------------------------------------------------
-
-  /// The instance-wide metrics registry. Every layer (flow tables, control
-  /// channel, controller, installer, core) is attached to it at
-  /// construction; families start enabled.
-  obs::MetricsRegistry& metrics() noexcept { return metrics_; }
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
   /// Hop-by-hop event / controller-op tracer. Disabled by default; enable
   /// with tracer().setEnabled(true) before publishing/registering.
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
 
-  /// Refreshes the snapshot-style gauges (simulator event counts,
-  /// virtual/wall time ratio, network drop/forward counters) and returns
-  /// the full registry as JSON.
-  obs::JsonValue snapshotMetrics();
+  /// The one metrics exporter: builds a registry from the layers' own
+  /// stats — delivery stats and latency ("core.*"), flow tables summed over
+  /// the switches ("flow_table.*"), the active controller's channel,
+  /// controller and installer counters ("ctrl_channel.*", "controller.*",
+  /// "flow_installer.*"), failover ("failover.*", when enabled), the
+  /// simulator ("sim.*") and the network counters ("net.*").
+  obs::MetricsRegistry snapshotMetrics();
 
   // ---- access to the layers ---------------------------------------------
 
@@ -174,7 +173,6 @@ class Pleroma {
  private:
   void onDeliver(net::NodeId host, const net::Packet& packet);
 
-  obs::MetricsRegistry metrics_;  // before network/controller: outlives them
   obs::Tracer tracer_;
   net::Simulator sim_;
   std::unique_ptr<net::Network> network_;
@@ -193,7 +191,8 @@ class Pleroma {
   std::vector<std::vector<HostSub>> subsByHost_;
   DeliveryCallback callback_;
   DeliveryStats stats_;
-  std::vector<net::SimTime> latencies_;
+  obs::Histogram latency_;  ///< delivery latency (ns), alongside stats_
+  std::uint64_t publishes_ = 0;
   std::deque<dz::Event> eventWindow_;
   std::size_t dimensionWindow_;
   net::EventId nextEventId_ = 1;
@@ -202,11 +201,6 @@ class Pleroma {
   std::size_t publishesSinceDimsel_ = 0;
   std::size_t autoReindexCount_ = 0;
   std::size_t reindexes_ = 0;
-
-  obs::Counter* obsPublishes_ = nullptr;
-  obs::Counter* obsDeliveries_ = nullptr;
-  obs::Counter* obsFalsePositives_ = nullptr;
-  obs::Histogram* obsDeliveryLatency_ = nullptr;
 };
 
 }  // namespace pleroma::core

@@ -209,8 +209,7 @@ bool ScriptRunner::executeLine(const std::string& line) {
     std::string mode;
     in >> mode;
     if (mode == "metrics") {
-      middleware_->snapshotMetrics();  // refresh snapshot-style gauges
-      std::istringstream text(middleware_->metrics().toText());
+      std::istringstream text(middleware_->snapshotMetrics().toText());
       std::string metricLine;
       std::size_t n = 0;
       while (std::getline(text, metricLine)) {
@@ -222,7 +221,7 @@ bool ScriptRunner::executeLine(const std::string& line) {
       return true;
     }
     if (mode == "json") {
-      emit(middleware_->snapshotMetrics().dump());
+      emit(middleware_->snapshotMetrics().toJson().dump());
       return true;
     }
     if (!mode.empty()) {

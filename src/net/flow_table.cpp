@@ -263,11 +263,6 @@ const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
       bestLength = b.length;
     }
   }
-  if (obsEnabled_ != nullptr && obsEnabled_->load(std::memory_order_relaxed)) {
-    obsLookups_->inc();
-    obsProbes_->record(static_cast<double>(buckets_.size()));
-    (best != nullptr ? obsHits_ : obsMisses_)->inc();
-  }
   if (best == nullptr) {
     ++stats_.misses;
     return nullptr;
@@ -292,16 +287,6 @@ std::vector<FlowEntry> FlowTable::entries() const {
   out.reserve(size_);
   forEach([&](const FlowEntry& e) { out.push_back(e); });
   return out;
-}
-
-void FlowTable::attachMetrics(obs::MetricsRegistry& reg,
-                              const std::string& prefix) {
-  obsEnabled_ =
-      reg.familyEnabledFlag(obs::MetricsRegistry::familyOf(prefix + ".lookups"));
-  obsLookups_ = &reg.counter(prefix + ".lookups");
-  obsHits_ = &reg.counter(prefix + ".hits");
-  obsMisses_ = &reg.counter(prefix + ".misses");
-  obsProbes_ = &reg.histogram(prefix + ".probes_per_lookup");
 }
 
 }  // namespace pleroma::net

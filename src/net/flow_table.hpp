@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -37,7 +36,6 @@
 
 #include "dz/ip_encoding.hpp"
 #include "net/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace pleroma::net {
 
@@ -217,7 +215,8 @@ struct FlowEntry {
   }
 };
 
-/// Table statistics observable by benches and tests.
+/// Table statistics observable by benches and tests; the only place a
+/// lookup is counted (the metrics snapshot sums them over switches).
 struct FlowTableStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
@@ -305,12 +304,6 @@ class FlowTable {
   void forEach(const std::function<void(const FlowEntry&)>& fn) const {
     forEach<const std::function<void(const FlowEntry&)>&>(fn);
   }
-
-  /// Resolves metric handles under `<prefix>.*` (lookups, hits, misses,
-  /// probes per lookup). Unattached tables skip metrics entirely; handles
-  /// stay valid for the registry's lifetime.
-  void attachMetrics(obs::MetricsRegistry& reg,
-                     const std::string& prefix = "flow_table");
 
  private:
   static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
@@ -428,13 +421,6 @@ class FlowTable {
   mutable std::vector<std::uint64_t> matched_;
 
   mutable FlowTableStats stats_;
-  /// Family enable flag, checked once per lookup to gate all four handle
-  /// updates (keeps the attached-but-disabled cost to one relaxed load).
-  const std::atomic<bool>* obsEnabled_ = nullptr;
-  obs::Counter* obsLookups_ = nullptr;
-  obs::Counter* obsHits_ = nullptr;
-  obs::Counter* obsMisses_ = nullptr;
-  obs::Histogram* obsProbes_ = nullptr;
 };
 
 }  // namespace pleroma::net

@@ -83,7 +83,7 @@ void Network::sendOutPort(NodeId switchNode, PortId outPort, Packet packet) {
 
 void Network::arriveAtNode(NodeId node, PortId inPort, Packet&& packet) {
   if (!nodeUp_[static_cast<std::size_t>(node)]) {
-    ++counters_.drop(DropReason::kNodeDown);
+    drop(DropReason::kNodeDown, node, packet);
     return;
   }
   if (topo_.isHost(node)) {
@@ -122,7 +122,7 @@ void Network::switchPipeline(NodeId switchNode, PortId inPort,
                              Packet&& packet) {
   // The switch may have failed while the packet sat in its pipeline.
   if (!nodeUp_[static_cast<std::size_t>(switchNode)]) {
-    ++counters_.drop(DropReason::kNodeDown);
+    drop(DropReason::kNodeDown, switchNode, packet);
     return;
   }
   // Permanent punt rule for the reserved control address (Sec 2): such
@@ -133,15 +133,11 @@ void Network::switchPipeline(NodeId switchNode, PortId inPort,
     if (packetIn_) packetIn_(switchNode, inPort, std::move(packet));
     return;
   }
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
   if (--packet.hopLimit < 0) {
-    ++counters_.drop(DropReason::kHopLimit);
-    if (tracing) {
-      tracer_->instant(packet.eventId(), packet.traceSpan, "drop.hop_limit",
-                       sim_.now(), switchNode);
-    }
+    drop(DropReason::kHopLimit, switchNode, packet);
     return;
   }
+  const bool tracing = tracer_ != nullptr && tracer_->enabled();
   const FlowEntry* entry =
       tables_[static_cast<std::size_t>(switchNode)].lookup(packet.dst);
   if (entry == nullptr) {
@@ -157,19 +153,11 @@ void Network::switchPipeline(NodeId switchNode, PortId inPort,
         }
         buffer.push_back(ParkedMiss{inPort, std::move(packet)});
       } else {
-        ++counters_.drop(DropReason::kMissBuffer);
-        if (tracing) {
-          tracer_->instant(packet.eventId(), packet.traceSpan,
-                           "drop.miss_buffer_full", sim_.now(), switchNode);
-        }
+        drop(DropReason::kMissBuffer, switchNode, packet);
       }
       return;
     }
-    ++counters_.drop(DropReason::kNoMatch);
-    if (tracing) {
-      tracer_->instant(packet.eventId(), packet.traceSpan, "tcam_miss",
-                       sim_.now(), switchNode);
-    }
+    drop(DropReason::kNoMatch, switchNode, packet);
     return;
   }
   if (tracing) {
@@ -191,7 +179,7 @@ void Network::switchPipeline(NodeId switchNode, PortId inPort,
   if (lastAction == nullptr) {
     // Matched, but every action reflects out the ingress port: the packet
     // has nowhere to go. Counted so the conservation invariant closes.
-    ++counters_.drop(DropReason::kNoEgress);
+    drop(DropReason::kNoEgress, switchNode, packet);
     return;
   }
   ++counters_.packetsConsumedAtSwitch;
@@ -221,7 +209,7 @@ void Network::receiveAtHost(NodeId host, Packet&& packet) {
     return;
   }
   if (state.queued >= config_.hostQueueCapacity) {
-    ++counters_.drop(DropReason::kHostQueue);
+    drop(DropReason::kHostQueue, host, packet);
     return;
   }
   ++state.queued;
@@ -237,14 +225,21 @@ void Network::hostServiceDone(NodeId host, Packet&& packet) {
   if (deliver_) deliver_(host, packet);
 }
 
-void Network::attachObservability(obs::MetricsRegistry& reg,
-                                  obs::Tracer* tracer) {
-  tracer_ = tracer;
-  for (NodeId id = 0; id < topo_.nodeCount(); ++id) {
-    if (topo_.isSwitch(id)) {
-      tables_[static_cast<std::size_t>(id)].attachMetrics(reg, "flow_table");
-    }
+void Network::drop(DropReason reason, NodeId node, const Packet& packet) {
+  ++counters_.drop(reason);
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->instant(packet.eventId(), packet.traceSpan,
+                     std::string("drop.") + dropReasonName(reason), sim_.now(),
+                     node);
   }
+}
+
+void Network::dropParked(DropReason reason, NodeId node, LinkDirState& dir) {
+  for (std::size_t i = dir.parkedHead; i < dir.parked.size(); ++i) {
+    drop(reason, node, dir.parked[i]);
+  }
+  dir.parked.clear();
+  dir.parkedHead = 0;
 }
 
 void Network::setLinkUp(LinkId link, bool up) {
@@ -259,7 +254,9 @@ void Network::setNodeUp(NodeId node, bool up) {
   if (topo_.isSwitch(node)) {
     tables_[static_cast<std::size_t>(node)].clear();
     auto& buffer = missBuffers_[static_cast<std::size_t>(node)];
-    counters_.drop(DropReason::kNodeDown) += buffer.size();
+    for (const ParkedMiss& miss : buffer) {
+      drop(DropReason::kNodeDown, node, miss.packet);
+    }
     buffer.clear();
   }
   // Backpressure buffers of the node's outbound link directions die too
@@ -267,12 +264,7 @@ void Network::setNodeUp(NodeId node, bool up) {
   // retry timer still fires but finds the buffer empty and disarms.
   for (const LinkId lid : topo_.node(node).portLinks) {
     if (lid == kInvalidLink) continue;
-    LinkDirState& dir = dirState(lid, node);
-    const std::size_t lost = dir.parkedCount();
-    if (lost == 0) continue;
-    counters_.drop(DropReason::kNodeDown) += lost;
-    dir.parked.clear();
-    dir.parkedHead = 0;
+    dropParked(DropReason::kNodeDown, node, dirState(lid, node));
   }
 }
 
@@ -368,17 +360,10 @@ void Network::linkRetry(NodeId fromNode, PortId outPort) {
   }
   // The node or link may have failed while packets sat parked: dispose of
   // the buffer so no packet is stranded forever.
-  if (!nodeUp_[static_cast<std::size_t>(fromNode)]) {
-    counters_.drop(DropReason::kNodeDown) += dir.parkedCount();
-    dir.parked.clear();
-    dir.parkedHead = 0;
-    dir.backoff = 0;
-    return;
-  }
-  if (!linkUp_[static_cast<std::size_t>(lid)]) {
-    counters_.drop(DropReason::kLinkDown) += dir.parkedCount();
-    dir.parked.clear();
-    dir.parkedHead = 0;
+  const bool nodeDown = !nodeUp_[static_cast<std::size_t>(fromNode)];
+  if (nodeDown || !linkUp_[static_cast<std::size_t>(lid)]) {
+    dropParked(nodeDown ? DropReason::kNodeDown : DropReason::kLinkDown,
+               fromNode, dir);
     dir.backoff = 0;
     return;
   }
@@ -401,17 +386,17 @@ void Network::linkRetry(NodeId fromNode, PortId outPort) {
 
 void Network::transmit(NodeId fromNode, PortId outPort, Packet&& packet) {
   if (!nodeUp_[static_cast<std::size_t>(fromNode)]) {
-    ++counters_.drop(DropReason::kNodeDown);
+    drop(DropReason::kNodeDown, fromNode, packet);
     return;
   }
   const LinkId lid = topo_.linkAt(fromNode, outPort);
   if (lid == kInvalidLink) {
     // Dangling port: nothing is attached, the packet has no egress.
-    ++counters_.drop(DropReason::kNoEgress);
+    drop(DropReason::kNoEgress, fromNode, packet);
     return;
   }
   if (!linkUp_[static_cast<std::size_t>(lid)]) {
-    ++counters_.drop(DropReason::kLinkDown);
+    drop(DropReason::kLinkDown, fromNode, packet);
     return;
   }
   const std::size_t capacity = linkQueueCap_[static_cast<std::size_t>(lid)];
@@ -445,11 +430,11 @@ void Network::transmit(NodeId fromNode, PortId outPort, Packet&& packet) {
         armRetry(dir, fromNode, outPort);
         return;
       }
-      ++counters_.drop(DropReason::kBackpressure);
+      drop(DropReason::kBackpressure, fromNode, packet);
       ++linkCounters_[static_cast<std::size_t>(lid)].queueDrops;
       return;
     }
-    ++counters_.drop(DropReason::kLinkQueue);
+    drop(DropReason::kLinkQueue, fromNode, packet);
     ++linkCounters_[static_cast<std::size_t>(lid)].queueDrops;
     return;
   }

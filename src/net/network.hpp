@@ -51,8 +51,8 @@ enum class DropReason : std::uint8_t {
 };
 inline constexpr std::size_t kDropReasonCount = 9;
 
-/// Stable snake_case name, used for metrics ("net.drops_<name>"), the CLI
-/// `stats` command and bench report columns.
+/// Stable snake_case name, used for metrics ("net.drops_<name>"), trace
+/// leaves ("drop.<name>"), the CLI `stats` command and bench report columns.
 const char* dropReasonName(DropReason reason) noexcept;
 
 struct NetworkConfig {
@@ -246,13 +246,11 @@ class Network : public PacketSink {
   };
   Stats stats() const;
 
-  /// Wires the data plane into the observability layer: every switch table
-  /// resolves its metric handles against `reg` (all tables share the
-  /// "flow_table.*" names, so the counters aggregate fleet-wide), and — when
-  /// `tracer` is non-null — per-switch TCAM match/miss/drop records and
-  /// host deliveries are traced, chained through Packet::traceSpan.
-  void attachObservability(obs::MetricsRegistry& reg,
-                           obs::Tracer* tracer = nullptr);
+  /// Traces the data plane into `tracer` (nullptr detaches): per-switch
+  /// TCAM matches, host deliveries and every drop, chained through
+  /// Packet::traceSpan so each event's span tree ends in a delivery or a
+  /// "drop.<reason>" leaf.
+  void setTracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   const NetworkCounters& counters() const noexcept { return counters_; }
   const LinkCounters& linkCounters(LinkId link) const {
@@ -330,6 +328,12 @@ class Network : public PacketSink {
                      Packet&& packet);
   /// Schedules the direction's retry timer if none is pending.
   void armRetry(LinkDirState& dir, NodeId fromNode, PortId outPort);
+  /// The one way a packet is lost: counts it under `reason` and, when
+  /// tracing, ends its span in a "drop.<reason>" leaf at `node`.
+  void drop(DropReason reason, NodeId node, const Packet& packet);
+  /// drop() for every packet of the direction's park buffer, which is
+  /// then emptied.
+  void dropParked(DropReason reason, NodeId node, LinkDirState& dir);
 
   Topology topo_;
   Simulator& sim_;

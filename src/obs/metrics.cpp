@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace pleroma::obs {
 
@@ -44,32 +43,16 @@ double Histogram::bucketUpperBound(int index) noexcept {
 }
 
 void Histogram::record(double v) noexcept {
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  buckets_[static_cast<std::size_t>(bucketIndex(v))].fetch_add(
-      1, std::memory_order_relaxed);
-  const std::uint64_t before = count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
+  ++buckets_[static_cast<std::size_t>(bucketIndex(v))];
+  if (count_ == 0) {
+    min_ = v;
+    max_ = v;
+  } else {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
   }
-  if (before == 0) {
-    min_.store(v, std::memory_order_relaxed);
-    max_.store(v, std::memory_order_relaxed);
-    return;
-  }
-  double m = min_.load(std::memory_order_relaxed);
-  while (v < m && !min_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
-  }
-  m = max_.load(std::memory_order_relaxed);
-  while (v > m && !max_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
-  }
-}
-
-double Histogram::min() const noexcept {
-  return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
-}
-
-double Histogram::max() const noexcept {
-  return count() == 0 ? 0.0 : max_.load(std::memory_order_relaxed);
+  ++count_;
+  sum_ += v;
 }
 
 double Histogram::percentile(double q) const {
@@ -89,147 +72,24 @@ double Histogram::percentile(double q) const {
   return max();
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
-  const std::uint64_t otherCount = other.count();
-  if (otherCount == 0) return;
-  for (int i = 0; i < kBucketCount; ++i) {
-    const std::uint64_t v = other.bucketValue(i);
-    if (v != 0) {
-      buckets_[static_cast<std::size_t>(i)].fetch_add(v,
-                                                      std::memory_order_relaxed);
-    }
-  }
-  const std::uint64_t mineBefore = count_.fetch_add(otherCount,
-                                                    std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  const double add = other.sum();
-  while (!sum_.compare_exchange_weak(cur, cur + add, std::memory_order_relaxed)) {
-  }
-  if (mineBefore == 0) {
-    min_.store(other.min(), std::memory_order_relaxed);
-    max_.store(other.max(), std::memory_order_relaxed);
-  } else {
-    min_.store(std::min(min_.load(std::memory_order_relaxed), other.min()),
-               std::memory_order_relaxed);
-    max_.store(std::max(max_.load(std::memory_order_relaxed), other.max()),
-               std::memory_order_relaxed);
-  }
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 // ---- MetricsRegistry ------------------------------------------------------
 
-std::string MetricsRegistry::familyOf(const std::string& name) {
-  const std::size_t dot = name.find('.');
-  return dot == std::string::npos ? name : name.substr(0, dot);
-}
-
-std::atomic<bool>* MetricsRegistry::familyFlag(const std::string& family) {
-  auto& slot = families_[family];
-  if (!slot) slot = std::make_unique<std::atomic<bool>>(true);
-  return slot.get();
-}
-
-const std::atomic<bool>* MetricsRegistry::familyEnabledFlag(
-    const std::string& family) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return familyFlag(family);
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot.reset(new Counter(familyFlag(familyOf(name))));
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot.reset(new Gauge(familyFlag(familyOf(name))));
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot.reset(new Histogram(familyFlag(familyOf(name))));
-  return *slot;
-}
-
-void MetricsRegistry::setFamilyEnabled(const std::string& family, bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  familyFlag(family)->store(enabled, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::setAllFamiliesEnabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, flag] : families_) {
-    flag->store(enabled, std::memory_order_relaxed);
-  }
-}
-
-bool MetricsRegistry::familyEnabled(const std::string& family) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = families_.find(family);
-  return it == families_.end() || it->second->load(std::memory_order_relaxed);
-}
-
-void MetricsRegistry::merge(const MetricsRegistry& other) {
-  // Snapshot the other registry's handles first so the two locks never
-  // overlap (merge(self) is harmless, if pointless).
-  std::vector<std::pair<std::string, const Counter*>> counters;
-  std::vector<std::pair<std::string, const Gauge*>> gauges;
-  std::vector<std::pair<std::string, const Histogram*>> histograms;
-  {
-    std::lock_guard<std::mutex> lock(other.mu_);
-    for (const auto& [name, c] : other.counters_) counters.emplace_back(name, c.get());
-    for (const auto& [name, g] : other.gauges_) gauges.emplace_back(name, g.get());
-    for (const auto& [name, h] : other.histograms_) {
-      histograms.emplace_back(name, h.get());
-    }
-  }
-  for (const auto& [name, c] : counters) {
-    counter(name).value_.fetch_add(c->value(), std::memory_order_relaxed);
-  }
-  for (const auto& [name, g] : gauges) {
-    gauge(name).value_.store(gauge(name).value() + g->value(),
-                             std::memory_order_relaxed);
-  }
-  for (const auto& [name, h] : histograms) histogram(name).merge(*h);
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->value_.store(0, std::memory_order_relaxed);
-  for (auto& [name, g] : gauges_) g->value_.store(0.0, std::memory_order_relaxed);
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
 JsonValue MetricsRegistry::toJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
   JsonValue counters = JsonValue::object();
-  for (const auto& [name, c] : counters_) counters.set(name, c->value());
+  for (const auto& [name, c] : counters_) counters.set(name, c.value());
   JsonValue gauges = JsonValue::object();
-  for (const auto& [name, g] : gauges_) gauges.set(name, g->value());
+  for (const auto& [name, g] : gauges_) gauges.set(name, g.value());
   JsonValue histograms = JsonValue::object();
   for (const auto& [name, h] : histograms_) {
     JsonValue entry = JsonValue::object();
-    entry.set("count", h->count());
-    entry.set("sum", h->sum());
-    entry.set("mean", h->mean());
-    entry.set("min", h->min());
-    entry.set("max", h->max());
-    entry.set("p50", h->percentile(0.50));
-    entry.set("p90", h->percentile(0.90));
-    entry.set("p99", h->percentile(0.99));
+    entry.set("count", h.count());
+    entry.set("sum", h.sum());
+    entry.set("mean", h.mean());
+    entry.set("min", h.min());
+    entry.set("max", h.max());
+    entry.set("p50", h.percentile(0.50));
+    entry.set("p90", h.percentile(0.90));
+    entry.set("p99", h.percentile(0.99));
     histograms.set(name, std::move(entry));
   }
   JsonValue out = JsonValue::object();
@@ -240,25 +100,24 @@ JsonValue MetricsRegistry::toJson() const {
 }
 
 std::string MetricsRegistry::toText() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   char buf[256];
   for (const auto& [name, c] : counters_) {
     std::snprintf(buf, sizeof buf, "%s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c->value()));
+                  static_cast<unsigned long long>(c.value()));
     out += buf;
   }
   for (const auto& [name, g] : gauges_) {
-    std::snprintf(buf, sizeof buf, "%s %.6g\n", name.c_str(), g->value());
+    std::snprintf(buf, sizeof buf, "%s %.6g\n", name.c_str(), g.value());
     out += buf;
   }
   for (const auto& [name, h] : histograms_) {
     std::snprintf(buf, sizeof buf,
                   "%s count=%llu mean=%.6g min=%.6g p50=%.6g p90=%.6g "
                   "p99=%.6g max=%.6g\n",
-                  name.c_str(), static_cast<unsigned long long>(h->count()),
-                  h->mean(), h->min(), h->percentile(0.5), h->percentile(0.9),
-                  h->percentile(0.99), h->max());
+                  name.c_str(), static_cast<unsigned long long>(h.count()),
+                  h.mean(), h.min(), h.percentile(0.5), h.percentile(0.9),
+                  h.percentile(0.99), h.max());
     out += buf;
   }
   return out;

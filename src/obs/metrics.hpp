@@ -1,75 +1,48 @@
-// MetricsRegistry — named counters, gauges, and log-bucketed latency
-// histograms for the running system (tentpole of the observability layer).
+// MetricsRegistry — named counters, gauges, and log-bucketed histograms,
+// assembled on read.
 //
-// Design constraints, in order:
-//  * Near-zero hot-path cost. A metric handle is a raw pointer resolved
-//    once at attach time; an update is one relaxed atomic load (the family
-//    enable flag) plus, when enabled, one relaxed RMW. Components that were
-//    never attached skip even that via a null-pointer check.
-//  * Mergeable. Registries from independent partitions/threads combine
-//    exactly (counters add, histograms add bucket-wise), which is what lets
-//    multi-controller benches report fleet-wide percentiles.
-//  * Disablement is per *family* — the prefix before the first '.' of the
-//    metric name ("flow_table.lookups" belongs to family "flow_table") —
-//    so a whole subsystem's instrumentation is switched with one flag.
+// Every number the system reports is counted exactly once, in the plain
+// stats struct of the layer that owns it (net::FlowTableStats,
+// net::NetworkCounters, openflow::ControlPlaneStats, ctrl::ControllerStats,
+// ...). An exporter — core::Pleroma::snapshotMetrics — builds a registry
+// from those structs when somebody asks for metrics, and the registry
+// renders them as JSON or text. Nothing here sits on a counting path, so
+// the types are plain values: no atomics, no locks, no enable switches.
+//
+// Histogram is the exception that layers do hold directly (per-delivery
+// latency, per-op flow-mod volume); record() is a few plain stores.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
-// registry's lifetime. Registration is mutex-guarded; updates are lock-free.
+// registry's lifetime (map nodes never move).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "obs/json.hpp"
 
 namespace pleroma::obs {
 
-class MetricsRegistry;
-
 /// Monotonic counter.
 class Counter {
  public:
-  void inc(std::uint64_t by = 1) noexcept {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.fetch_add(by, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  void inc(std::uint64_t by = 1) noexcept { value_ += by; }
+  std::uint64_t value() const noexcept { return value_; }
 
  private:
-  friend class MetricsRegistry;
-  explicit Counter(const std::atomic<bool>* enabled) noexcept : enabled_(enabled) {}
-  std::atomic<std::uint64_t> value_{0};
-  const std::atomic<bool>* enabled_;
+  std::uint64_t value_ = 0;
 };
 
-/// Last-write-wins instantaneous value (queue depths, ratios, snapshots).
+/// Instantaneous value (queue depths, ratios, snapshots).
 class Gauge {
  public:
-  void set(double v) noexcept {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.store(v, std::memory_order_relaxed);
-  }
-  void add(double by) noexcept {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + by,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  double value() const noexcept { return value_.load(std::memory_order_relaxed); }
+  void set(double v) noexcept { value_ = v; }
+  double value() const noexcept { return value_; }
 
  private:
-  friend class MetricsRegistry;
-  explicit Gauge(const std::atomic<bool>* enabled) noexcept : enabled_(enabled) {}
-  std::atomic<double> value_{0.0};
-  const std::atomic<bool>* enabled_;
+  double value_ = 0.0;
 };
 
 /// Log-bucketed histogram: geometric buckets with kSubBuckets linear
@@ -85,23 +58,19 @@ class Histogram {
 
   void record(double v) noexcept;
 
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const noexcept { return count_; }
+  double sum() const noexcept { return sum_; }
   double mean() const noexcept {
-    const std::uint64_t n = count();
-    return n == 0 ? 0.0 : sum() / static_cast<double>(n);
+    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
   /// 0.0 when empty.
-  double min() const noexcept;
-  double max() const noexcept;
+  double min() const noexcept { return count_ == 0 ? 0.0 : min_; }
+  double max() const noexcept { return count_ == 0 ? 0.0 : max_; }
   /// Nearest-rank percentile estimate, q in [0, 1]; 0.0 when empty.
   double percentile(double q) const;
 
   std::uint64_t bucketValue(int index) const {
-    return buckets_[static_cast<std::size_t>(index)].load(
-        std::memory_order_relaxed);
+    return buckets_[static_cast<std::size_t>(index)];
   }
 
   /// Bucket geometry, exposed for tests: index 0 covers [0, 1); index
@@ -111,66 +80,32 @@ class Histogram {
   static double bucketLowerBound(int index) noexcept;
   static double bucketUpperBound(int index) noexcept;
 
-  void merge(const Histogram& other) noexcept;
-
  private:
-  friend class MetricsRegistry;
-  explicit Histogram(const std::atomic<bool>* enabled) noexcept
-      : enabled_(enabled) {}
-  void reset() noexcept;
-
-  std::array<std::atomic<std::uint64_t>, kBucketCount> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};  // valid only when count_ > 0
-  std::atomic<double> max_{0.0};
-  const std::atomic<bool>* enabled_;
+  std::array<std::uint64_t, kBucketCount> buckets_{};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;  // valid only when count_ > 0
+  double max_ = 0.0;
 };
 
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Gets or creates; names are "family.metric" (family = prefix before
-  /// the first '.', or the whole name when there is none).
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
-
-  void setFamilyEnabled(const std::string& family, bool enabled);
-  void setAllFamiliesEnabled(bool enabled);
-  bool familyEnabled(const std::string& family) const;
-  static std::string familyOf(const std::string& name);
-
-  /// The family's enable flag itself (created on demand, stable for the
-  /// registry's lifetime). Hot paths that update several metrics per event
-  /// gate the whole block on one relaxed load of this flag instead of
-  /// paying the per-metric check on each handle.
-  const std::atomic<bool>* familyEnabledFlag(const std::string& family);
-
-  /// Adds every metric of `other` into this registry (creating missing
-  /// ones). A name registered as a different metric kind throws.
-  void merge(const MetricsRegistry& other);
-
-  /// Zeroes all values; registrations and enable flags are kept.
-  void reset();
+  /// Gets or creates.
+  Counter& counter(const std::string& name) { return counters_[name]; }
+  Gauge& gauge(const std::string& name) { return gauges_[name]; }
+  Histogram& histogram(const std::string& name) { return histograms_[name]; }
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {name: {count,
   /// sum, mean, min, max, p50, p90, p99}}}; zero-count metrics included.
   JsonValue toJson() const;
-  /// One line per metric, sorted by name.
+  /// One line per metric: counters, then gauges, then histograms, each
+  /// sorted by name.
   std::string toText() const;
 
  private:
-  std::atomic<bool>* familyFlag(const std::string& family);
-
-  mutable std::mutex mu_;  // guards the maps (registration), not the values
-  std::map<std::string, std::unique_ptr<std::atomic<bool>>> families_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace pleroma::obs

@@ -63,7 +63,6 @@ void ControlChannel::setSwitchConnected(net::NodeId switchNode, bool connected) 
 
 void ControlChannel::countSent(const FlowMod& mod) {
   ++stats_.flowModsSent;
-  if (obsModsSent_ != nullptr) obsModsSent_->inc();
   modeledInstallTime_ += flowModLatency_;
   switch (mod.type) {
     case FlowModType::kAdd:
@@ -92,14 +91,10 @@ bool ControlChannel::send(const FlowMod& mod) {
     if (!switchConnected(mod.switchNode) || rng_.chance(faults_.dropProbability)) {
       ++stats_.flowModsDropped;
       ++stats_.flowModsAbandoned;
-      if (obsModsDropped_ != nullptr) {
-        obsModsDropped_->inc();
-        obsModsAbandoned_->inc();
-      }
       result = "dropped";
     } else {
       ok = applyNow(mod);
-      if (obsModsAcked_ != nullptr && ok) obsModsAcked_->inc();
+      if (ok) ++stats_.flowModsAcked;
       if (faults_.duplicateProbability > 0.0 &&
           rng_.chance(faults_.duplicateProbability)) {
         ++stats_.flowModsDuplicated;
@@ -179,13 +174,9 @@ std::size_t ControlChannel::sendBatchToSwitch(net::NodeId sw,
     if (!switchConnected(sw) || rng_.chance(faults_.dropProbability)) {
       stats_.flowModsDropped += mods.size();
       stats_.flowModsAbandoned += mods.size();
-      if (obsModsDropped_ != nullptr) {
-        obsModsDropped_->inc(mods.size());
-        obsModsAbandoned_->inc(mods.size());
-      }
     } else {
       for (const FlowMod& mod : mods) ok += applyNow(mod) ? 1 : 0;
-      if (obsModsAcked_ != nullptr) obsModsAcked_->inc(ok);
+      stats_.flowModsAcked += ok;
       if (faults_.duplicateProbability > 0.0 &&
           rng_.chance(faults_.duplicateProbability)) {
         ++stats_.flowModsDuplicated;
@@ -236,7 +227,6 @@ void ControlChannel::transmitAttempt(std::uint64_t xid, bool isRetransmit) {
   net::SimTime deliveryBasis = network_.simulator().now();
   if (lost) {
     stats_.flowModsDropped += modCount;
-    if (obsModsDropped_ != nullptr) obsModsDropped_->inc(modCount);
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant(tracer_->traceIdOf(it->second.span), it->second.span,
                        "flow_mod.drop", deliveryBasis, mod.switchNode);
@@ -250,7 +240,6 @@ void ControlChannel::transmitAttempt(std::uint64_t xid, bool isRetransmit) {
   } else if (lost) {
     // Fire-and-forget: a lost mod is abandoned immediately.
     stats_.flowModsAbandoned += modCount;
-    if (obsModsAbandoned_ != nullptr) obsModsAbandoned_->inc(modCount);
     resolve(xid, false);
   }
 }
@@ -307,12 +296,10 @@ void ControlChannel::deliverBatch(std::uint64_t xid,
   const net::NodeId sw = mods.front().switchNode;
   if (!switchConnected(sw)) {
     stats_.flowModsDropped += mods.size();
-    if (obsModsDropped_ != nullptr) obsModsDropped_->inc(mods.size());
     const auto lost = pending_.find(xid);
     if (lost != pending_.end() && !lost->second.resolved &&
         retry_.maxRetries == 0) {
       stats_.flowModsAbandoned += mods.size();
-      if (obsModsAbandoned_ != nullptr) obsModsAbandoned_->inc(mods.size());
       resolve(xid, false);
     }
     return;
@@ -333,12 +320,10 @@ void ControlChannel::deliver(std::uint64_t xid, const FlowMod& mod) {
   // mod pending; fire-and-forget mods are abandoned here.
   if (!switchConnected(mod.switchNode)) {
     ++stats_.flowModsDropped;
-    if (obsModsDropped_ != nullptr) obsModsDropped_->inc();
     const auto lost = pending_.find(xid);
     if (lost != pending_.end() && !lost->second.resolved &&
         retry_.maxRetries == 0) {
       ++stats_.flowModsAbandoned;
-      if (obsModsAbandoned_ != nullptr) obsModsAbandoned_->inc();
       resolve(xid, false);
     }
     return;
@@ -361,12 +346,10 @@ void ControlChannel::armRetryTimer(std::uint64_t xid, net::SimTime basis) {
     if (p->second.attempts > retry_.maxRetries) {
       const std::size_t modCount = 1 + p->second.rest.size();
       stats_.flowModsAbandoned += modCount;
-      if (obsModsAbandoned_ != nullptr) obsModsAbandoned_->inc(modCount);
       resolve(xid, false);
       return;
     }
     ++stats_.flowModsRetried;
-    if (obsModsRetried_ != nullptr) obsModsRetried_->inc();
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant(tracer_->traceIdOf(p->second.span), p->second.span,
                        "flow_mod.retry", network_.simulator().now(),
@@ -384,7 +367,7 @@ void ControlChannel::resolve(std::uint64_t xid, bool ok) {
   it->second.resolved = true;
   it->second.ok = ok;
   const net::NodeId sw = it->second.mod.switchNode;
-  if (ok && obsModsAcked_ != nullptr) obsModsAcked_->inc();
+  if (ok) ++stats_.flowModsAcked;
   if (it->second.span != obs::kNoSpan && tracer_ != nullptr) {
     tracer_->annotate(it->second.span, "ok", ok ? "true" : "false");
     tracer_->end(it->second.span, network_.simulator().now());
@@ -421,7 +404,6 @@ std::uint64_t ControlChannel::sendBarrier(net::NodeId switchNode,
     return nextXid_++;
   }
   ++stats_.barrierRequests;
-  if (obsBarrierRequests_ != nullptr) obsBarrierRequests_->inc();
   const std::uint64_t xid = nextXid_++;
   const auto out = outstanding_.find(switchNode);
   if (!async_ || out == outstanding_.end() || out->second.empty()) {
@@ -465,14 +447,12 @@ FlowStatsReply ControlChannel::readFlowStats(net::NodeId switchNode) {
 
 FlowStatsReply ControlChannel::requestFlowStats(net::NodeId switchNode) {
   ++stats_.flowStatsRequests;
-  if (obsFlowStatsRequests_ != nullptr) obsFlowStatsRequests_->inc();
   return readFlowStats(switchNode);
 }
 
 std::vector<FlowStatsReply> ControlChannel::requestFlowStatsBatch(
     std::span<const net::NodeId> switches) {
   ++stats_.flowStatsBatches;
-  if (obsFlowStatsRequests_ != nullptr) obsFlowStatsRequests_->inc();
   std::vector<FlowStatsReply> replies;
   replies.reserve(switches.size());
   for (const net::NodeId sw : switches) replies.push_back(readFlowStats(sw));
@@ -503,18 +483,6 @@ bool ControlChannel::sendRoleRequest(net::NodeId switchNode,
   roles_[switchNode] = role;
   ++stats_.roleReplies;
   return true;
-}
-
-void ControlChannel::attachObservability(obs::MetricsRegistry& reg,
-                                         obs::Tracer* tracer) {
-  tracer_ = tracer;
-  obsModsSent_ = &reg.counter("ctrl_channel.mods_sent");
-  obsModsAcked_ = &reg.counter("ctrl_channel.mods_acked");
-  obsModsDropped_ = &reg.counter("ctrl_channel.mods_dropped");
-  obsModsRetried_ = &reg.counter("ctrl_channel.mods_retried");
-  obsModsAbandoned_ = &reg.counter("ctrl_channel.mods_abandoned");
-  obsBarrierRequests_ = &reg.counter("ctrl_channel.barrier_requests");
-  obsFlowStatsRequests_ = &reg.counter("ctrl_channel.flow_stats_requests");
 }
 
 void ControlChannel::sendPacketOut(const PacketOut& out) {

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "openflow/messages.hpp"
 #include "util/rng.hpp"
@@ -205,11 +204,9 @@ class ControlChannel {
     return it == roles_.end() ? ControllerRole::kEqual : it->second;
   }
 
-  /// Resolves metric handles under "ctrl_channel.*" and (when `tracer` is
-  /// non-null) records per-flow-mod trace spans parented by the tracer's
-  /// current controller-op context.
-  void attachObservability(obs::MetricsRegistry& reg,
-                           obs::Tracer* tracer = nullptr);
+  /// Records per-flow-mod trace spans into `tracer` (nullptr detaches),
+  /// parented by the tracer's current controller-op context.
+  void setTracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
   /// Deferred applies that failed at the switch (satellite of the fault
@@ -292,13 +289,6 @@ class ControlChannel {
   std::unordered_map<net::NodeId, std::set<std::uint64_t>> outstanding_;
   std::map<std::uint64_t, Barrier> barriers_;
 
-  obs::Counter* obsModsSent_ = nullptr;
-  obs::Counter* obsModsAcked_ = nullptr;
-  obs::Counter* obsModsDropped_ = nullptr;
-  obs::Counter* obsModsRetried_ = nullptr;
-  obs::Counter* obsModsAbandoned_ = nullptr;
-  obs::Counter* obsBarrierRequests_ = nullptr;
-  obs::Counter* obsFlowStatsRequests_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -85,6 +85,9 @@ struct ControlPlaneStats {
   std::uint64_t flowModsDuplicated = 0;
   /// Retransmission attempts issued by the reliability layer.
   std::uint64_t flowModsRetried = 0;
+  /// Successful acknowledgements: one per mod applied synchronously, one
+  /// per async message resolved ok (an async batch acks once).
+  std::uint64_t flowModsAcked = 0;
   /// Mods given up on after the retry budget was exhausted (or dropped with
   /// retries disabled). These are exactly what reconciliation must repair.
   std::uint64_t flowModsAbandoned = 0;

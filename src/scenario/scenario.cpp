@@ -52,6 +52,21 @@ constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 /// Largest `*_us` value whose SimTime (nanoseconds) does not overflow.
 constexpr std::int64_t kMaxMicros = kInt64Max / net::kMicrosecond;
 
+/// Converts a `*_ms` double to SimTime. Fails when the nanosecond value
+/// does not fit in int64 (where the cast is undefined) or is NaN.
+bool millisToSimTime(double ms, net::SimTime* out, const std::string& path,
+                     std::string* error) {
+  const double ns = ms * static_cast<double>(net::kMillisecond);
+  // 2^63 is the first double past INT64_MAX.
+  if (!(ns < 0x1p63)) {
+    return fail(error, path,
+                "expected a number < 9223372036854.775 (nanoseconds must "
+                "fit in int64)");
+  }
+  *out = static_cast<net::SimTime>(ns);
+  return true;
+}
+
 /// Optional integer within [minValue, maxValue]; leaves *out untouched when
 /// absent. `maxValue` is the limit of the field's destination, so the
 /// caller's cast or unit conversion never narrows or overflows.
@@ -283,8 +298,9 @@ bool parseFault(const JsonValue& v, const std::string& path, FaultSpec* fs,
   if (at == nullptr || !at->isNumber() || at->asDouble() < 0) {
     return fail(error, join(path, "at_ms"), "expected a number >= 0");
   }
-  fs->at = static_cast<net::SimTime>(at->asDouble() *
-                                     static_cast<double>(net::kMillisecond));
+  if (!millisToSimTime(at->asDouble(), &fs->at, join(path, "at_ms"), error)) {
+    return false;
+  }
   std::string action;
   if (!readString(v, "action", path, &action, error)) return false;
   if (action.empty()) {
@@ -610,8 +626,15 @@ std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,
       fail(error, "failover.heartbeat_ms", "expected a number > 0");
       return std::nullopt;
     }
-    s.failover.heartbeatInterval =
-        static_cast<net::SimTime>(hb * static_cast<double>(net::kMillisecond));
+    if (!millisToSimTime(hb, &s.failover.heartbeatInterval,
+                         "failover.heartbeat_ms", error)) {
+      return std::nullopt;
+    }
+    if (s.failover.heartbeatInterval == 0) {
+      fail(error, "failover.heartbeat_ms",
+           "expected a number >= 0.000001 (one nanosecond)");
+      return std::nullopt;
+    }
     i = s.failover.missThreshold;
     if (!readIntRange(*f, "miss_threshold", "failover",
                       1, kIntMax, &i, error)) {

@@ -1,8 +1,5 @@
 #include "util/stats.hpp"
 
-#include <cmath>
-#include <numeric>
-
 namespace pleroma::util {
 
 void RunningStat::merge(const RunningStat& other) noexcept {
@@ -20,23 +17,6 @@ void RunningStat::merge(const RunningStat& other) noexcept {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   n_ += other.n_;
-}
-
-double Samples::mean() const noexcept {
-  if (values_.empty()) return 0.0;
-  return std::accumulate(values_.begin(), values_.end(), 0.0) /
-         static_cast<double>(values_.size());
-}
-
-double Samples::percentile(double q) const {
-  if (values_.empty()) return 0.0;
-  std::vector<double> sorted = values_;
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(clamped * static_cast<double>(sorted.size())));
-  const std::size_t idx = rank == 0 ? 0 : rank - 1;
-  return sorted[idx];
 }
 
 }  // namespace pleroma::util

@@ -1,14 +1,9 @@
-// Small statistics helpers used by the benchmark harnesses: streaming
-// mean/variance (Welford), reservoir-free percentile estimation over stored
-// samples, and simple named counters.
+// Streaming mean/variance (Welford) for the benchmark harnesses, which
+// aggregate repetitions with it.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace pleroma::util {
 
@@ -41,38 +36,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Stores samples and answers percentile queries. Intended for the modest
-/// sample counts of the reproduction harnesses (<= a few million).
-class Samples {
- public:
-  void add(double x) { values_.push_back(x); }
-  std::size_t count() const noexcept { return values_.size(); }
-  double mean() const noexcept;
-  /// q in [0, 1]; nearest-rank percentile. Returns 0 for an empty set.
-  double percentile(double q) const;
-  void clear() noexcept { values_.clear(); }
-
- private:
-  std::vector<double> values_;
-};
-
-/// Named monotonically increasing counters (control messages, flow-mods,
-/// false positives, ...). Cheap and deterministic; no atomics needed in the
-/// single-threaded simulator.
-class Counters {
- public:
-  void inc(const std::string& name, std::uint64_t by = 1) { map_[name] += by; }
-  std::uint64_t get(const std::string& name) const {
-    const auto it = map_.find(name);
-    return it == map_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, std::uint64_t>& all() const noexcept { return map_; }
-  void clear() noexcept { map_.clear(); }
-
- private:
-  std::map<std::string, std::uint64_t> map_;
 };
 
 }  // namespace pleroma::util

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "controller/reconciler.hpp"
 
 namespace pleroma::core {
 namespace {
@@ -68,15 +71,19 @@ TEST_F(PleromaFixture, FalsePositiveAccounting) {
 }
 
 TEST_F(PleromaFixture, LatencyRecorded) {
+  std::vector<net::SimTime> latencies;
+  middleware.setDeliveryCallback(
+      [&](const DeliveryRecord& r) { latencies.push_back(r.latency); });
   middleware.advertise(hosts[0], rect(0, 1023, 0, 1023));
   middleware.subscribe(hosts[5], rect(0, 1023, 0, 1023));
   middleware.publish(hosts[0], {1, 1});
   middleware.settle();
-  ASSERT_EQ(middleware.latencySamples().size(), 1u);
-  EXPECT_GT(middleware.latencySamples()[0], 0);
+  ASSERT_EQ(latencies.size(), 1u);
+  EXPECT_GT(latencies[0], 0);
   EXPECT_GT(middleware.deliveryStats().meanLatencyUs(), 0.0);
-  middleware.clearLatencySamples();
-  EXPECT_TRUE(middleware.latencySamples().empty());
+  middleware.resetDeliveryStats();
+  EXPECT_EQ(middleware.deliveryStats().delivered, 0u);
+  EXPECT_EQ(middleware.deliveryStats().meanLatencyUs(), 0.0);
 }
 
 TEST_F(PleromaFixture, UnsubscribeViaFacade) {
@@ -220,6 +227,80 @@ TEST_F(PleromaFixture, ThroughputSaturationWithSlowHosts) {
   p.settle();
   EXPECT_LT(p.deliveryStats().delivered, 200u);
   EXPECT_GT(p.network().counters().dropped(net::DropReason::kHostQueue), 0u);
+}
+
+// snapshotMetrics() is the one exporter: each counter it reports is read
+// from the stats struct of the layer that counted it.
+TEST(PleromaMetrics, SnapshotCountersEqualLayerStats) {
+  PleromaOptions o;
+  o.numAttributes = 2;
+  o.network.linkQueueCapacity = 2;
+  o.asyncFlowInstall = true;
+  Pleroma p(net::Topology::testbedFatTree(), o);
+  openflow::ControlChannel& channel = p.controller().channel();
+  channel.setFaultModel({.dropProbability = 0.5});
+  channel.setRetryPolicy({.maxRetries = 1});
+  const auto hosts = p.topology().hosts();
+  p.advertise(hosts[0], rect(0, 1023, 0, 1023));
+  p.advertise(hosts[3], rect(0, 511, 0, 1023));
+  p.subscribe(hosts[5], rect(0, 511, 0, 1023));
+  p.subscribe(hosts[7], rect(256, 1023, 0, 511));
+  p.subscribe(hosts[1], rect(0, 1023, 512, 1023));
+  p.settle();
+  ctrl::Reconciler(p.controller()).runToConvergence();
+  for (int i = 0; i < 60; ++i) {
+    const auto v = static_cast<dz::AttributeValue>(i);
+    p.publish(hosts[i % 2 == 0 ? 0 : 3], {(v * 37) % 512, (v * 101) % 1024});
+  }
+  p.settle();
+
+  const obs::JsonValue doc = p.snapshotMetrics().toJson();
+  auto counter = [&](const std::string& name) -> std::uint64_t {
+    const obs::JsonValue* v = doc.get("counters")->get(name);
+    EXPECT_NE(v, nullptr) << name;
+    return v == nullptr ? ~0ull : static_cast<std::uint64_t>(v->asInt());
+  };
+
+  net::FlowTableStats tables;
+  for (const net::NodeId sw : p.topology().switches()) {
+    const net::FlowTableStats& t = p.network().flowTable(sw).stats();
+    tables.lookups += t.lookups;
+    tables.hits += t.hits;
+    tables.misses += t.misses;
+    tables.probes += t.probes;
+  }
+  ASSERT_GT(tables.lookups, 0u);
+  EXPECT_EQ(counter("flow_table.lookups"), tables.lookups);
+  EXPECT_EQ(counter("flow_table.hits"), tables.hits);
+  EXPECT_EQ(counter("flow_table.misses"), tables.misses);
+  EXPECT_DOUBLE_EQ(
+      doc.get("gauges")->get("flow_table.probes_per_lookup")->asDouble(),
+      static_cast<double>(tables.probes) / static_cast<double>(tables.lookups));
+
+  const openflow::ControlPlaneStats& cs = p.controller().controlStats();
+  // The channel really was lossy, and every counter took a distinct value.
+  EXPECT_GT(cs.flowModsRetried, 0u);
+  EXPECT_GT(cs.flowModsAbandoned, 0u);
+  EXPECT_GT(cs.flowStatsRequests, 0u);
+  EXPECT_EQ(counter("ctrl_channel.mods_sent"), cs.flowModsSent);
+  EXPECT_EQ(counter("ctrl_channel.mods_acked"), cs.flowModsAcked);
+  EXPECT_EQ(counter("ctrl_channel.mods_dropped"), cs.flowModsDropped);
+  EXPECT_EQ(counter("ctrl_channel.mods_retried"), cs.flowModsRetried);
+  EXPECT_EQ(counter("ctrl_channel.mods_abandoned"), cs.flowModsAbandoned);
+  EXPECT_EQ(counter("ctrl_channel.barrier_requests"), cs.barrierRequests);
+  EXPECT_EQ(counter("ctrl_channel.flow_stats_requests"),
+            cs.flowStatsRequests + cs.flowStatsBatches);
+
+  const DeliveryStats& ds = p.deliveryStats();
+  ASSERT_GT(ds.delivered, 0u);
+  EXPECT_EQ(counter("core.deliveries"), ds.delivered);
+  EXPECT_EQ(counter("core.false_positive_deliveries"), ds.falsePositives);
+  EXPECT_EQ(counter("core.publishes"), 60u);
+  EXPECT_EQ(static_cast<std::uint64_t>(doc.get("histograms")
+                                           ->get("core.delivery_latency_ns")
+                                           ->get("count")
+                                           ->asInt()),
+            ds.delivered);
 }
 
 }  // namespace

@@ -162,6 +162,95 @@ TEST_F(RunnerFixture, StatsMetricsDumpsRegistry) {
   EXPECT_NE(lastLine().find("metrics"), std::string::npos);
 }
 
+// Pins every line `stats metrics` prints for a fixed script, except the
+// two wall-clock gauges.
+TEST_F(RunnerFixture, StatsMetricsGoldenLines) {
+  runner.executeScript(
+      "adv h1 0:1023 0:1023\n"
+      "adv h3 0:511 0:1023\n"
+      "sub h6 0:511 0:1023\n"
+      "sub h8 256:1023 0:511\n"
+      "sub h2 0:1023 512:1023\n"
+      "pub h1 100 100\n"
+      "pub h1 300 700\n"
+      "pub h3 400 200\n"
+      "pub h1 900 900\n"
+      "pub h3 10 1000\n"
+      "run\n");
+  output.clear();
+  runner.executeLine("stats metrics");
+  std::vector<std::string> lines;
+  for (const std::string& line : output) {
+    // Wall-clock gauges differ from run to run.
+    if (line.starts_with("  sim.wall_time_ns ") ||
+        line.starts_with("  sim.virtual_wall_ratio ")) {
+      continue;
+    }
+    lines.push_back(line);
+  }
+  const std::vector<std::string> expected = {
+      "  controller.ops 5",
+      "  controller.reindexes 0",
+      "  controller.tree_merges 0",
+      "  controller.tree_rebuilds 0",
+      "  controller.tree_reroots 0",
+      "  controller.trees_created 1",
+      "  controller.trees_joined 1",
+      "  core.deliveries 8",
+      "  core.false_positive_deliveries 0",
+      "  core.publishes 5",
+      "  ctrl_channel.barrier_requests 0",
+      "  ctrl_channel.flow_stats_requests 0",
+      "  ctrl_channel.mods_abandoned 0",
+      "  ctrl_channel.mods_acked 19",
+      "  ctrl_channel.mods_dropped 0",
+      "  ctrl_channel.mods_retried 0",
+      "  ctrl_channel.mods_sent 19",
+      "  flow_installer.case1_fresh_add 15",
+      "  flow_installer.case2_covered 13",
+      "  flow_installer.case3_subsumed_delete 0",
+      "  flow_installer.case4_extend 4",
+      "  flow_installer.case5_shadow_modify 0",
+      "  flow_installer.coarsen_passes 0",
+      "  flow_installer.reconcile_passes 0",
+      "  flow_table.hits 25",
+      "  flow_table.lookups 25",
+      "  flow_table.misses 0",
+      "  flow_table.probes_per_lookup 1.68",
+      "  net.bp_parked 0",
+      "  net.bp_retries 0",
+      "  net.drops_backpressure 0",
+      "  net.drops_hop_limit 0",
+      "  net.drops_host_queue 0",
+      "  net.drops_link_down 0",
+      "  net.drops_link_queue 0",
+      "  net.drops_miss_buffer 0",
+      "  net.drops_no_egress 0",
+      "  net.drops_no_match 0",
+      "  net.drops_node_down 0",
+      "  net.drops_total 0",
+      "  net.link_bytes_total 1650",
+      "  net.miss_buffered 0",
+      "  net.miss_replayed 0",
+      "  net.packets_delivered 8",
+      "  net.packets_forwarded 28",
+      "  net.packets_punted 0",
+      "  net.peak_link_queue_depth 0",
+      "  net.queued_hosts 0",
+      "  net.queued_links 0",
+      "  sim.events_executed 58",
+      "  sim.virtual_time_ns 350000",
+      "  controller.flow_mods_per_op count=5 mean=3.8 min=0 p50=4.5 p90=8 "
+      "p99=8 max=8",
+      "  controller.op_install_time_ns count=5 mean=3.8e+06 min=0 "
+      "p50=4.1943e+06 p90=8e+06 p99=8e+06 max=8e+06",
+      "  core.delivery_latency_ns count=8 mean=290000 min=110000 "
+      "p50=350000 p90=350000 p99=350000 max=350000",
+      "ok: 56 metrics",
+  };
+  EXPECT_EQ(lines, expected);
+}
+
 TEST_F(RunnerFixture, StatsJsonIsParseableSnapshot) {
   runner.executeScript(
       "adv h1 0:1023 0:1023\n"

@@ -54,7 +54,9 @@ HotspotResult runHotspot(bool rebalance, bool backpressure) {
   p.subscribe(hosts[6], right);
   p.settle();
   p.resetDeliveryStats();
-  p.clearLatencySamples();
+  std::vector<net::SimTime> latencies;
+  p.setDeliveryCallback(
+      [&](const core::DeliveryRecord& d) { latencies.push_back(d.latency); });
 
   net::CongestionMonitor congestion(
       p.network(),
@@ -85,7 +87,7 @@ HotspotResult runHotspot(bool rebalance, bool backpressure) {
 
   HotspotResult r;
   r.delivered = p.deliveryStats().delivered;
-  r.p99 = p99Of(p.latencySamples());
+  r.p99 = p99Of(std::move(latencies));
   r.queueDrops = p.network().counters().dropped(net::DropReason::kLinkQueue);
   r.bpDrops = p.network().counters().dropped(net::DropReason::kBackpressure);
   r.rebalances = monitor.rebalances();

@@ -107,12 +107,15 @@ TEST(EndToEnd, PleromaDelayBelowBrokerBaseline) {
   PleromaOptions opts;
   opts.numAttributes = 2;
   Pleroma p(topo, opts);
+  std::vector<net::SimTime> latencies;
+  p.setDeliveryCallback(
+      [&](const core::DeliveryRecord& r) { latencies.push_back(r.latency); });
   p.advertise(hosts[0], p.controller().space().wholeSpace());
   p.subscribe(hosts[7], dz::Rectangle{{dz::Range{0, 1023}, dz::Range{0, 1023}}});
   p.publish(hosts[0], {5, 5});
   p.settle();
-  ASSERT_EQ(p.latencySamples().size(), 1u);
-  const net::SimTime pleromaDelay = p.latencySamples()[0];
+  ASSERT_EQ(latencies.size(), 1u);
+  const net::SimTime pleromaDelay = latencies[0];
 
   baseline::BrokerOverlay overlay(topo);
   for (int i = 0; i < 100; ++i) {

@@ -167,27 +167,6 @@ TEST(FlowTable, ModifyPreservesCounters) {
   EXPECT_EQ(t.find(dz::dzToPrefix(dz("0")))->matchedPackets, 1u);
 }
 
-TEST(FlowTable, AttachedMetricsMirrorStats) {
-  FlowTable t;
-  obs::MetricsRegistry reg;
-  t.attachMetrics(reg);
-  ASSERT_TRUE(t.insert(entry("0", {1})));
-  t.lookup(dz::dzToAddress(dz("00")));  // hit
-  t.lookup(dz::dzToAddress(dz("10")));  // miss
-  EXPECT_EQ(reg.counter("flow_table.lookups").value(), 2u);
-  EXPECT_EQ(reg.counter("flow_table.hits").value(), 1u);
-  EXPECT_EQ(reg.counter("flow_table.misses").value(), 1u);
-  EXPECT_EQ(reg.histogram("flow_table.probes_per_lookup").count(), 2u);
-
-  // Disabling the family stops the registry updates; the plain stats
-  // counters (and per-flow matchedPackets) keep working.
-  reg.setFamilyEnabled("flow_table", false);
-  t.lookup(dz::dzToAddress(dz("01")));
-  EXPECT_EQ(reg.counter("flow_table.lookups").value(), 2u);
-  EXPECT_EQ(t.stats().lookups, 3u);
-  EXPECT_EQ(t.find(dz::dzToPrefix(dz("0")))->matchedPackets, 2u);
-}
-
 TEST(FlowTable, CountersExcludedFromIdentity) {
   FlowEntry a = entry("0", {1});
   FlowEntry b = entry("0", {1});

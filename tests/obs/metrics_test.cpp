@@ -89,36 +89,7 @@ TEST(Histogram, SingleValuePercentilesClampToObservation) {
   EXPECT_EQ(h.percentile(1.0), 42.0);
 }
 
-TEST(Histogram, MergeAddsBucketwise) {
-  MetricsRegistry a, b;
-  Histogram& ha = a.histogram("t.h");
-  Histogram& hb = b.histogram("t.h");
-  for (double v : {1.0, 2.0, 3.0}) ha.record(v);
-  for (double v : {100.0, 200.0}) hb.record(v);
-  ha.merge(hb);
-  EXPECT_EQ(ha.count(), 5u);
-  EXPECT_DOUBLE_EQ(ha.sum(), 306.0);
-  EXPECT_EQ(ha.min(), 1.0);
-  EXPECT_EQ(ha.max(), 200.0);
-}
-
-TEST(Histogram, MergeWithEmptySidePreservesExtrema) {
-  MetricsRegistry a, b;
-  Histogram& full = a.histogram("t.h");
-  full.record(5.0);
-  full.record(9.0);
-  full.merge(b.histogram("t.h"));  // empty other: no-op
-  EXPECT_EQ(full.count(), 2u);
-  EXPECT_EQ(full.min(), 5.0);
-  EXPECT_EQ(full.max(), 9.0);
-
-  Histogram& empty = b.histogram("t.h2");
-  empty.merge(full);  // empty self adopts other's extrema
-  EXPECT_EQ(empty.min(), 5.0);
-  EXPECT_EQ(empty.max(), 9.0);
-}
-
-// ---- Counters / gauges / family gating ------------------------------------
+// ---- Counters / gauges ----------------------------------------------------
 
 TEST(MetricsRegistry, CounterHandlesAreStableAndAccumulate) {
   MetricsRegistry reg;
@@ -129,97 +100,7 @@ TEST(MetricsRegistry, CounterHandlesAreStableAndAccumulate) {
   EXPECT_EQ(&reg.counter("ctrl.flow_mods"), &c);
 }
 
-TEST(MetricsRegistry, FamilyDisableStopsAllUpdatesInFamily) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("flow_table.lookups");
-  Gauge& g = reg.gauge("flow_table.size");
-  Histogram& h = reg.histogram("flow_table.probes");
-  reg.setFamilyEnabled("flow_table", false);
-  c.inc();
-  g.set(7.0);
-  h.record(3.0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_FALSE(reg.familyEnabled("flow_table"));
-
-  reg.setFamilyEnabled("flow_table", true);
-  c.inc();
-  g.add(2.5);
-  h.record(3.0);
-  EXPECT_EQ(c.value(), 1u);
-  EXPECT_EQ(g.value(), 2.5);
-  EXPECT_EQ(h.count(), 1u);
-}
-
-TEST(MetricsRegistry, FamilyOfSplitsAtFirstDot) {
-  EXPECT_EQ(MetricsRegistry::familyOf("flow_table.lookups"), "flow_table");
-  EXPECT_EQ(MetricsRegistry::familyOf("a.b.c"), "a");
-  EXPECT_EQ(MetricsRegistry::familyOf("bare"), "bare");
-}
-
-TEST(MetricsRegistry, FamilyEnabledFlagMirrorsSetFamilyEnabled) {
-  MetricsRegistry reg;
-  const std::atomic<bool>* flag = reg.familyEnabledFlag("sim");
-  ASSERT_NE(flag, nullptr);
-  EXPECT_TRUE(flag->load());
-  reg.setFamilyEnabled("sim", false);
-  EXPECT_FALSE(flag->load());
-  // Same flag instance shared with metrics registered later in the family.
-  EXPECT_EQ(reg.familyEnabledFlag("sim"), flag);
-  Counter& c = reg.counter("sim.events");
-  c.inc();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(MetricsRegistry, SetAllFamiliesEnabled) {
-  MetricsRegistry reg;
-  Counter& a = reg.counter("x.n");
-  Counter& b = reg.counter("y.n");
-  reg.setAllFamiliesEnabled(false);
-  a.inc();
-  b.inc();
-  EXPECT_EQ(a.value(), 0u);
-  EXPECT_EQ(b.value(), 0u);
-  reg.setAllFamiliesEnabled(true);
-  a.inc();
-  b.inc();
-  EXPECT_EQ(a.value(), 1u);
-  EXPECT_EQ(b.value(), 1u);
-}
-
-// ---- Registry merge / snapshot --------------------------------------------
-
-TEST(MetricsRegistry, MergeCombinesAllKinds) {
-  MetricsRegistry a, b;
-  a.counter("c.n").inc(2);
-  b.counter("c.n").inc(3);
-  b.counter("c.only_b").inc(7);
-  a.gauge("g.v").set(1.5);
-  b.gauge("g.v").set(2.0);
-  a.histogram("h.lat").record(10.0);
-  b.histogram("h.lat").record(30.0);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter("c.n").value(), 5u);
-  EXPECT_EQ(a.counter("c.only_b").value(), 7u);  // created on demand
-  EXPECT_DOUBLE_EQ(a.gauge("g.v").value(), 3.5);  // gauges add on merge
-  EXPECT_EQ(a.histogram("h.lat").count(), 2u);
-  EXPECT_EQ(a.histogram("h.lat").min(), 10.0);
-  EXPECT_EQ(a.histogram("h.lat").max(), 30.0);
-}
-
-TEST(MetricsRegistry, ResetZeroesValuesKeepsRegistrations) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("r.n");
-  c.inc(9);
-  reg.histogram("r.h").record(4.0);
-  reg.setFamilyEnabled("r", true);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(reg.histogram("r.h").count(), 0u);
-  EXPECT_EQ(&reg.counter("r.n"), &c);  // handle survived
-}
+// ---- Rendering ------------------------------------------------------------
 
 TEST(MetricsRegistry, ToJsonShape) {
   MetricsRegistry reg;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -186,6 +187,70 @@ TEST(Tracer, PublishProducesConnectedSpanTree) {
         << r.name << " has unknown parent " << r.parent;
   }
   EXPECT_GT(ids.size(), 2u);  // root + at least one hop + delivery
+}
+
+// Every drop ends a span: with 1-packet link queues, no backpressure and a
+// 2-packet host queue, each published event's span tree ends only in
+// "app_deliver" or "drop.<reason>" leaves, and the leaves of each reason
+// add up to the network's drop counter for it.
+TEST(Tracer, EveryEventSpanEndsInDeliveryOrDropLeaf) {
+  core::PleromaOptions o;
+  o.numAttributes = 2;
+  o.network.linkQueueCapacity = 1;
+  o.network.hostServiceTime = 200 * net::kMicrosecond;
+  o.network.hostQueueCapacity = 2;
+  core::Pleroma p(
+      net::Topology::fatTree(2, 2, 2, 2, 50 * net::kMicrosecond, 8.0e6), o);
+  const auto hosts = p.topology().hosts();
+  const dz::Rectangle all{{dz::Range{0, 1023}, dz::Range{0, 1023}}};
+  p.advertise(hosts[0], all);
+  p.advertise(hosts[2], all);
+  for (std::size_t h = 3; h < hosts.size(); ++h) p.subscribe(hosts[h], all);
+  p.settle();
+
+  p.tracer().setEnabled(true);  // data-plane records only
+  // One event per publisher every 60us: each access link (49us per packet
+  // at 8 Mbps) keeps up, the shared core uplinks and the subscribers' host
+  // queues do not.
+  std::set<std::uint64_t> published;
+  net::SimTime cursor = p.simulator().now();
+  for (int i = 0; i < 40; ++i) {
+    const auto v = static_cast<dz::AttributeValue>(i);
+    published.insert(p.publish(hosts[0], {(v * 7) % 1024, (v * 13) % 1024}));
+    published.insert(p.publish(hosts[2], {(v * 11) % 1024, (v * 3) % 1024}));
+    cursor += 60 * net::kMicrosecond;
+    p.settleUntil(cursor);
+  }
+  p.settle();
+  ASSERT_EQ(p.tracer().droppedRecords(), 0u);
+
+  std::unordered_set<SpanId> parents;
+  std::set<std::uint64_t> traced;
+  for (const TraceRecord& r : p.tracer().records()) {
+    if (r.parent != kNoSpan) parents.insert(r.parent);
+    traced.insert(r.traceId);
+  }
+  EXPECT_EQ(traced, published);
+  std::map<std::string, std::uint64_t> dropLeaves;
+  std::uint64_t deliveries = 0;
+  for (const TraceRecord& r : p.tracer().records()) {
+    if (parents.contains(r.id)) continue;  // not a leaf
+    if (r.name.starts_with("drop.")) {
+      ++dropLeaves[r.name.substr(5)];
+    } else {
+      EXPECT_EQ(r.name, "app_deliver") << "event " << r.traceId;
+      ++deliveries;
+    }
+  }
+  EXPECT_EQ(deliveries, p.deliveryStats().delivered);
+  const net::NetworkCounters& nc = p.network().counters();
+  EXPECT_GT(nc.dropped(net::DropReason::kLinkQueue), 0u);
+  EXPECT_GT(nc.dropped(net::DropReason::kHostQueue), 0u);
+  for (std::size_t i = 0; i < net::kDropReasonCount; ++i) {
+    const char* reason = net::dropReasonName(static_cast<net::DropReason>(i));
+    EXPECT_EQ(dropLeaves[reason], nc.dropped(static_cast<net::DropReason>(i)))
+        << reason;
+  }
 }
 
 }  // namespace

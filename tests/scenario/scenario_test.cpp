@@ -230,6 +230,40 @@ TEST(ScenarioParse, LargestMicrosecondFieldAccepted) {
   EXPECT_EQ(s->phases[0].eventInterval, 9223372036854775 * net::kMicrosecond);
 }
 
+TEST(ScenarioParse, MillisecondFieldOverflowReportsPath) {
+  // 9.3e12 ms is 9.3e18 ns, just past INT64_MAX; 1e300 is far past it.
+  for (const char* at : {"9.3e12", "1e300"}) {
+    const std::string error = parseError(minimalWith(
+        std::string("  \"faults\": [ { \"at_ms\": ") + at +
+        ", \"action\": \"link-down\", \"target\": 0 } ],\n"));
+    EXPECT_NE(error.find("faults[0].at_ms"), std::string::npos) << error;
+    EXPECT_NE(error.find("expected a number <"), std::string::npos) << error;
+  }
+  const std::string error = parseError(
+      minimalWith("  \"failover\": { \"heartbeat_ms\": 1e300 },\n"));
+  EXPECT_NE(error.find("failover.heartbeat_ms"), std::string::npos) << error;
+  EXPECT_NE(error.find("expected a number <"), std::string::npos) << error;
+}
+
+TEST(ScenarioParse, HeartbeatRoundingToZeroNanosecondsRejected) {
+  const std::string error = parseError(
+      minimalWith("  \"failover\": { \"heartbeat_ms\": 1e-7 },\n"));
+  EXPECT_NE(error.find("failover.heartbeat_ms"), std::string::npos) << error;
+}
+
+TEST(ScenarioParse, LargestMillisecondFieldAccepted) {
+  // The double nearest 9223372036854.774 ms times 10^6 stays below 2^63;
+  // 9223372036854.775 rounds to exactly 2^63 ns and is rejected above.
+  auto s = parseOk(minimalWith(
+      "  \"faults\": [ { \"at_ms\": 9223372036854.774,"
+      " \"action\": \"link-down\", \"target\": 0 } ],\n"
+      "  \"failover\": { \"heartbeat_ms\": 0.000001 },\n"));
+  ASSERT_TRUE(s.has_value());
+  ASSERT_EQ(s->faults.size(), 1u);
+  EXPECT_EQ(s->faults[0].at, 9223372036854773760);
+  EXPECT_EQ(s->failover.heartbeatInterval, 1);
+}
+
 TEST(ScenarioValidate, FaultTargetOutOfRange) {
   auto s = parseOk(minimalWith(
       "  \"faults\": [ { \"at_ms\": 1.0, \"action\": \"link-down\","

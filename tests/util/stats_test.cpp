@@ -88,38 +88,5 @@ TEST(RunningStat, MergeWithEmptyPreservesExtrema) {
   EXPECT_EQ(target.count(), 2u);
 }
 
-TEST(Samples, Percentiles) {
-  Samples s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_EQ(s.percentile(0.5), 50.0);
-  EXPECT_EQ(s.percentile(0.99), 99.0);
-  EXPECT_EQ(s.percentile(1.0), 100.0);
-  EXPECT_EQ(s.percentile(0.0), 1.0);
-}
-
-TEST(Samples, MeanAndClear) {
-  Samples s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  s.clear();
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.percentile(0.5), 0.0);
-}
-
-TEST(Counters, IncrementAndRead) {
-  Counters c;
-  EXPECT_EQ(c.get("x"), 0u);
-  c.inc("x");
-  c.inc("x", 4);
-  c.inc("y");
-  EXPECT_EQ(c.get("x"), 5u);
-  EXPECT_EQ(c.get("y"), 1u);
-  EXPECT_EQ(c.all().size(), 2u);
-  c.clear();
-  EXPECT_EQ(c.get("x"), 0u);
-}
-
 }  // namespace
 }  // namespace pleroma::util
