@@ -1,18 +1,20 @@
 # Determinism gate, run as a CTest:
 #
 #   cmake -DFIG7A=<bin> -DFIG7F=<bin> -DSCALE_AGG=<bin> -DHOTSPOT=<bin>
-#         -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir> -P determinism_check.cmake
+#         -DCHURN=<bin> -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir>
+#         -P determinism_check.cmake
 #
-# Runs the fig7a, fig7f, scale_aggregation and hotspot_rebalance smoke
-# benches twice each, in separate processes with identical arguments, and
-# asserts:
-#   * the TSV stdout of fig7a, scale_aggregation and hotspot_rebalance is
-#     byte-identical (every cell is simulated-time derived or accounted
-#     state, so a same-seed replay must not move by a single byte);
+# Runs the fig7a, fig7f, scale_aggregation, hotspot_rebalance and
+# churn_reconfig smoke benches twice each, in separate processes with
+# identical arguments, and asserts:
+#   * the TSV stdout of fig7a, scale_aggregation, hotspot_rebalance and
+#     churn_reconfig is byte-identical (every cell is simulated-time
+#     derived or accounted state, so a same-seed replay must not move by a
+#     single byte);
 #   * every bench's BENCH_*.json series are cell-identical via
 #     `schema_check --compare-series`, ignoring only fig7f's wall-clock
 #     columns (controller_wall_us, subs_per_sec), which vary run to run.
-foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT SCHEMA_CHECK WORK_DIR)
+foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT CHURN SCHEMA_CHECK WORK_DIR)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "determinism_check.cmake: -D${v}=... is required")
   endif()
@@ -38,6 +40,7 @@ foreach(run 1 2)
   run_bench("${FIG7F}" ${run} "${WORK_DIR}/fig7f_run${run}.tsv")
   run_bench("${SCALE_AGG}" ${run} "${WORK_DIR}/scale_agg_run${run}.tsv")
   run_bench("${HOTSPOT}" ${run} "${WORK_DIR}/hotspot_run${run}.tsv")
+  run_bench("${CHURN}" ${run} "${WORK_DIR}/churn_run${run}.tsv")
 endforeach()
 
 # Byte-compares one bench's two TSV outputs.
@@ -78,5 +81,10 @@ require_same_series(scale_aggregation)
 # derive from virtual time, so the congested run too must be byte-stable.
 require_same_tsv(hotspot hotspot_rebalance)
 require_same_series(hotspot_rebalance)
+# churn_reconfig: every tick unsubscribes and resubscribes the whole fleet,
+# so flow-mod counts and false-positive rates exercise the controller's
+# unsubscribe path end to end.
+require_same_tsv(churn churn_reconfig)
+require_same_series(churn_reconfig)
 
 message(STATUS "determinism check passed: two same-seed runs byte-identical")

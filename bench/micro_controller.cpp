@@ -14,14 +14,20 @@ namespace {
 using namespace pleroma;
 
 struct Harness {
-  explicit Harness(std::size_t preDeployed, std::uint64_t seed = 11)
+  /// `advertisers` whole-space publishers (host i mod host count), then
+  /// `preDeployed` subscriptions spread over every host but the first.
+  explicit Harness(std::size_t preDeployed, std::uint64_t seed = 11,
+                   std::size_t advertisers = 1)
       : topo(net::Topology::testbedFatTree()),
         network(topo, sim, {}),
         controller(dz::EventSpace(4, 10), network,
                    ctrl::Scope::wholeTopology(topo), config()),
         gen(workloadConfig(seed)) {
     hosts = topo.hosts();
-    controller.advertise(hosts[0], controller.space().wholeSpace());
+    for (std::size_t i = 0; i < advertisers; ++i) {
+      controller.advertise(hosts[i % hosts.size()],
+                           controller.space().wholeSpace());
+    }
     for (std::size_t i = 0; i < preDeployed; ++i) {
       controller.subscribe(hosts[1 + i % (hosts.size() - 1)],
                            gen.makeSubscription());
@@ -69,6 +75,21 @@ void BM_SubscribeUnsubscribeCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubscribeUnsubscribeCycle);
+
+/// The same cycle with 1 or 16 whole-space advertisers: every subscription
+/// embeds one path per publisher, so the switches near the tree root carry
+/// thousands of paths and the unsubscribe's flow recompute must not scale
+/// with them.
+void BM_UnsubscribeFanIn(benchmark::State& state) {
+  const auto advertisers = static_cast<std::size_t>(state.range(0));
+  Harness h(500, 11, advertisers);
+  for (auto _ : state) {
+    const auto id = h.controller.subscribe(h.hosts[3], h.gen.makeSubscription());
+    h.controller.unsubscribe(id);
+  }
+  state.SetLabel(std::to_string(advertisers) + " advertisers");
+}
+BENCHMARK(BM_UnsubscribeFanIn)->Arg(1)->Arg(16);
 
 void BM_Advertise(benchmark::State& state) {
   Harness h(static_cast<std::size_t>(state.range(0)));

@@ -121,9 +121,9 @@ SubscriptionId Controller::subscribeEndpoint(const Endpoint& endpoint,
   return id;
 }
 
-void Controller::unsubscribe(SubscriptionId id) {
+bool Controller::unsubscribe(SubscriptionId id) {
   const auto it = subscriptions_.find(id);
-  if (it == subscriptions_.end()) return;
+  if (it == subscriptions_.end()) return false;
   OpStats snapshot = beginOp("op.unsubscribe");
   if (config_.aggregateSubscriptions) {
     EndpointAggregate& agg = *subAggregate_.at(id);
@@ -155,11 +155,12 @@ void Controller::unsubscribe(SubscriptionId id) {
     cmd.id = id;
     logIntent(std::move(cmd));
   }
+  return true;
 }
 
-void Controller::unadvertise(PublisherId id) {
+bool Controller::unadvertise(PublisherId id) {
   const auto it = advertisements_.find(id);
-  if (it == advertisements_.end()) return;
+  if (it == advertisements_.end()) return false;
   OpStats snapshot = beginOp("op.unadvertise");
   {
     FlowInstaller::BatchScope batchScope(installer_);
@@ -182,6 +183,7 @@ void Controller::unadvertise(PublisherId id) {
     cmd.id = id;
     logIntent(std::move(cmd));
   }
+  return true;
 }
 
 // ---- Algorithm 1 -------------------------------------------------------

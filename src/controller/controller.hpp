@@ -81,12 +81,16 @@ class Controller {
   PublisherId advertiseEndpoint(const Endpoint& endpoint, const dz::DzSet& dzSet,
                                 std::optional<dz::Rectangle> rect = std::nullopt);
 
-  void unadvertise(PublisherId id);
+  /// Withdraws an advertisement and its paths. Returns false, changing
+  /// nothing, when `id` is not a live publisher.
+  bool unadvertise(PublisherId id);
 
   SubscriptionId subscribe(net::NodeId host, const dz::Rectangle& rect);
   SubscriptionId subscribeEndpoint(const Endpoint& endpoint, const dz::DzSet& dzSet,
                                    std::optional<dz::Rectangle> rect = std::nullopt);
-  void unsubscribe(SubscriptionId id);
+  /// Withdraws a subscription and its flows. Returns false, changing
+  /// nothing, when `id` is not a live subscription.
+  bool unsubscribe(SubscriptionId id);
 
   // ---- event stamping -------------------------------------------------
 

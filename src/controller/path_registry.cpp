@@ -13,10 +13,42 @@ const InstalledPath* PathRegistry::findPath(PathId id) const {
   return &byTree_.at(ti->second).at(id);
 }
 
+std::size_t PathRegistry::ContributionHash::operator()(
+    const Contribution& c) const noexcept {
+  const std::uint64_t salt =
+      (static_cast<std::uint64_t>(c.dz.length()) << 32) ^
+      static_cast<std::uint32_t>(c.port);
+  std::size_t h = dz::u128Hash(c.dz.bits(), salt);
+  if (c.rewrite) h ^= dz::u128Hash(c.rewrite->value, h);
+  return h;
+}
+
+void PathRegistry::countContributions(const std::vector<RouteHop>& hops,
+                                      const dz::DzSet& dz, int delta) {
+  for (const RouteHop& hop : hops) {
+    const auto si = delta > 0 ? contributions_.try_emplace(hop.switchNode).first
+                              : contributions_.find(hop.switchNode);
+    assert(si != contributions_.end());
+    SwitchContributions& contribs = si->second;
+    for (const dz::DzExpression& d : dz) {
+      const Contribution c{d, hop.outPort, hop.rewrite};
+      if (delta > 0) {
+        ++contribs[c];
+        continue;
+      }
+      const auto ci = contribs.find(c);
+      assert(ci != contribs.end() && ci->second > 0);
+      if (--ci->second == 0) contribs.erase(ci);
+    }
+    if (contribs.empty()) contributions_.erase(si);
+  }
+}
+
 PathId PathRegistry::add(InstalledPath path) {
+  assert(!path.dz.empty());
   const PathId id = next_++;
   path.id = id;
-  for (const RouteHop& hop : path.hops) bySwitch_[hop.switchNode].insert(id);
+  countContributions(path.hops, path.dz, +1);
   bySubscription_[path.subscription].insert(id);
   byPublisher_[path.publisher].insert(id);
   treeOf_.emplace(id, path.treeId);
@@ -32,13 +64,7 @@ void PathRegistry::remove(PathId id) {
   const auto it = si->second.find(id);
   assert(it != si->second.end());
   const InstalledPath& p = it->second;
-  for (const RouteHop& hop : p.hops) {
-    const auto bi = bySwitch_.find(hop.switchNode);
-    if (bi != bySwitch_.end()) {
-      bi->second.erase(id);
-      if (bi->second.empty()) bySwitch_.erase(bi);
-    }
-  }
+  countContributions(p.hops, p.dz, -1);
   auto dropFrom = [id](auto& index, std::int64_t key) {
     const auto ii = index.find(key);
     if (ii != index.end()) {
@@ -54,9 +80,13 @@ void PathRegistry::remove(PathId id) {
 }
 
 void PathRegistry::setDz(PathId id, dz::DzSet dz) {
+  assert(!dz.empty());
   const auto ti = treeOf_.find(id);
   assert(ti != treeOf_.end());
-  byTree_.at(ti->second).at(id).dz = std::move(dz);
+  InstalledPath& path = byTree_.at(ti->second).at(id);
+  countContributions(path.hops, path.dz, -1);
+  path.dz = std::move(dz);
+  countContributions(path.hops, path.dz, +1);
 }
 
 std::size_t PathRegistry::stateBytes() const noexcept {
@@ -74,7 +104,7 @@ std::size_t PathRegistry::stateBytes() const noexcept {
 void PathRegistry::clear() {
   byTree_.clear();
   treeOf_.clear();
-  bySwitch_.clear();
+  contributions_.clear();
   bySubscription_.clear();
   byPublisher_.clear();
 }
@@ -134,79 +164,100 @@ bool PathRegistry::alreadyCovered(PublisherId p, SubscriptionId s, int treeId,
 }
 
 std::vector<net::FlowEntry> PathRegistry::requiredFlows(net::NodeId sw) const {
-  // 1. Contributions: for each dz forwarded through this switch, the set of
-  //    (out-port, rewrite) actions that need its traffic.
-  std::map<dz::DzExpression, std::map<net::PortId, std::optional<dz::Ipv6Address>>>
-      contrib;
-  const auto bi = bySwitch_.find(sw);
-  if (bi == bySwitch_.end()) return {};
-  for (const PathId id : bi->second) {
-    const InstalledPath& path = *findPath(id);
-    for (const RouteHop& hop : path.hops) {
-      if (hop.switchNode != sw) continue;
-      for (const dz::DzExpression& d : path.dz) {
-        auto& actions = contrib[d];
-        auto [it, inserted] = actions.emplace(hop.outPort, hop.rewrite);
-        if (!inserted && hop.rewrite) it->second = hop.rewrite;
+  const auto si = contributions_.find(sw);
+  if (si == contributions_.end()) return {};
+
+  // 1. The switch's contributions in trie order (prefixes before what they
+  //    cover), then by port, then by rewrite with none first.
+  std::vector<const Contribution*> sorted;
+  sorted.reserve(si->second.size());
+  for (const auto& [c, n] : si->second) sorted.push_back(&c);
+  std::sort(sorted.begin(), sorted.end(),
+            [](const Contribution* a, const Contribution* b) { return *a < *b; });
+#ifndef NDEBUG
+  // One (switch, port) leads to one host, so it carries at most one
+  // rewrite; otherwise which rewrite wins below would be arbitrary.
+  std::unordered_map<net::PortId, dz::Ipv6Address> rewriteOfPort;
+  for (const Contribution* c : sorted) {
+    if (!c->rewrite) continue;
+    const auto [it, fresh] = rewriteOfPort.emplace(c->port, *c->rewrite);
+    assert(fresh || it->second == *c->rewrite);
+  }
+#endif
+
+  // 2. Walk the dz groups, maintaining the chain of contributed prefixes of
+  //    the current dz as a stack. Each level's cumulative action set (its
+  //    own actions plus everything it inherits) is a port-sorted run of
+  //    `chain`, starting at the level's `begin`; popping a level truncates.
+  struct Level {
+    dz::DzExpression d;
+    std::size_t begin;
+  };
+  std::vector<net::FlowAction> own;
+  std::vector<net::FlowAction> chain;
+  std::vector<Level> stack;
+  std::vector<net::FlowEntry> out;
+
+  for (std::size_t i = 0; i < sorted.size();) {
+    const dz::DzExpression d = sorted[i]->dz;
+    // This dz's own actions, one per port. Within a port the rewrites sort
+    // none-first, so a set rewrite overrides an unset one.
+    own.clear();
+    for (; i < sorted.size() && sorted[i]->dz == d; ++i) {
+      const Contribution& c = *sorted[i];
+      if (own.empty() || own.back().port != c.port) {
+        own.push_back(net::FlowAction{c.port, c.rewrite});
+      } else if (c.rewrite) {
+        own.back().setDestination = c.rewrite;
       }
     }
-  }
 
-  // 2. Walk contributions in trie order (prefixes before what they cover),
-  //    maintaining the chain of contributed prefixes of the current dz as a
-  //    stack whose top carries the cumulative inherited action set.
-  std::vector<net::FlowEntry> out;
-  struct StackItem {
-    dz::DzExpression d;
-    std::map<net::PortId, std::optional<dz::Ipv6Address>> cumulative;
-  };
-  std::vector<StackItem> stack;
-
-  for (const auto& [d, actions] : contrib) {
-    while (!stack.empty() && !stack.back().d.covers(d)) stack.pop_back();
-
-    const auto* inherited = stack.empty() ? nullptr : &stack.back().cumulative;
+    while (!stack.empty() && !stack.back().d.covers(d)) {
+      chain.resize(stack.back().begin);
+      stack.pop_back();
+    }
+    const std::size_t inheritedBegin = stack.empty() ? chain.size()
+                                                     : stack.back().begin;
+    const std::size_t inheritedEnd = chain.size();
 
     // The flow for d is unnecessary iff every one of its actions is already
     // served by coarser contributed flows — then events in d are handled by
     // the prefix flow (the "downgrade" of Sec 3.3.3 falls out of this).
-    bool redundant = inherited != nullptr;
-    if (redundant) {
-      for (const auto& [port, rewrite] : actions) {
-        const auto it = inherited->find(port);
-        if (it == inherited->end() || it->second != rewrite) {
-          redundant = false;
-          break;
-        }
+    // Both runs are port-sorted, so one merge pass decides redundancy and
+    // builds d's cumulative run at the end of `chain`.
+    bool redundant = !stack.empty();
+    std::size_t j = inheritedBegin;
+    for (const net::FlowAction& a : own) {
+      while (j < inheritedEnd && chain[j].port < a.port) chain.push_back(chain[j++]);
+      if (j < inheritedEnd && chain[j].port == a.port) {
+        const net::FlowAction inherited = chain[j++];
+        if (a.setDestination != inherited.setDestination) redundant = false;
+        chain.push_back(a.setDestination ? a : inherited);
+      } else {
+        redundant = false;
+        chain.push_back(a);
       }
     }
-
-    std::map<net::PortId, std::optional<dz::Ipv6Address>> cumulative =
-        inherited ? *inherited
-                  : std::map<net::PortId, std::optional<dz::Ipv6Address>>{};
-    for (const auto& [port, rewrite] : actions) {
-      auto [it, inserted] = cumulative.emplace(port, rewrite);
-      if (!inserted && rewrite) it->second = rewrite;
-    }
+    while (j < inheritedEnd) chain.push_back(chain[j++]);
 
     if (!redundant) {
       net::FlowEntry entry;
       entry.match = dz::dzToPrefix(d);
       entry.priority = d.length();
-      for (const auto& [port, rewrite] : cumulative) {
-        entry.actions.push_back(net::FlowAction{port, rewrite});
+      for (std::size_t k = inheritedEnd; k < chain.size(); ++k) {
+        entry.actions.push_back(chain[k]);
       }
       out.push_back(std::move(entry));
     }
-    stack.push_back(StackItem{d, std::move(cumulative)});
+    stack.push_back(Level{d, inheritedEnd});
   }
   return out;
 }
 
 std::vector<net::NodeId> PathRegistry::allSwitches() const {
   std::vector<net::NodeId> out;
-  out.reserve(bySwitch_.size());
-  for (const auto& [sw, ids] : bySwitch_) out.push_back(sw);
+  out.reserve(contributions_.size());
+  for (const auto& [sw, contribs] : contributions_) out.push_back(sw);
   std::sort(out.begin(), out.end());
   return out;
 }

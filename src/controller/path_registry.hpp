@@ -15,11 +15,18 @@
 // Storage is split by tree id: each tree's paths live in their own map, so
 // pathsOfTree — where every tree rebuild, merge and re-index starts — reads
 // one map instead of scanning every path. The cross-tree indexes (by
-// switch / subscription / publisher) are maintained alongside.
+// subscription / publisher) are maintained alongside.
+//
+// The per-switch index counts, for each switch, how many registered
+// (path hop, dz member) pairs contribute each distinct (dz, out-port,
+// rewrite) action — a refcount kept by add, remove, setDz and clear with
+// one hashed update per (hop, dz member). requiredFlows reads only that
+// switch's contributions, so its cost follows the switch's distinct
+// actions, not the number of paths crossing it (at a tree root, nearly
+// every path).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -45,6 +52,7 @@ struct InstalledPath {
 
 class PathRegistry {
  public:
+  /// Registers a path; its dz must be non-empty.
   PathId add(InstalledPath path);
   void remove(PathId id);
   bool contains(PathId id) const { return treeOf_.contains(id); }
@@ -54,14 +62,14 @@ class PathRegistry {
   std::size_t size() const noexcept { return treeOf_.size(); }
   void clear();
 
-  /// Replaces the dz set a path forwards (its hops are unchanged, so no
-  /// index maintenance is needed). Used by aggregated-mode uncover to
-  /// shrink a path in place instead of remove + re-add.
+  /// Replaces the (non-empty) dz set a path forwards, re-counting its
+  /// contributions at every hop. Used by aggregated-mode uncover to shrink
+  /// a path in place instead of remove + re-add.
   void setDz(PathId id, dz::DzSet dz);
 
   /// Deterministic byte accounting of the registry's element payload
-  /// (paths, hops, dz members — no container overhead or capacity), for
-  /// the bench memory series.
+  /// (paths, hops, dz members — no container overhead, capacity or
+  /// per-switch index), for the bench memory series.
   std::size_t stateBytes() const noexcept;
 
   std::vector<PathId> pathsOfSubscription(SubscriptionId s) const;
@@ -84,6 +92,29 @@ class PathRegistry {
   std::vector<net::NodeId> allSwitches() const;
 
  private:
+  /// One action a path hop asks of its switch for one dz member. The
+  /// defaulted order is (dz in trie order, port, rewrite with none first).
+  struct Contribution {
+    dz::DzExpression dz;
+    net::PortId port = net::kInvalidPort;
+    std::optional<dz::Ipv6Address> rewrite;
+
+    friend bool operator==(const Contribution&, const Contribution&) = default;
+    friend auto operator<=>(const Contribution&, const Contribution&) = default;
+  };
+  struct ContributionHash {
+    std::size_t operator()(const Contribution& c) const noexcept;
+  };
+  /// Live contributions of one switch and how many (hop, dz member) pairs
+  /// give each; an entry is erased when its count drops to zero.
+  using SwitchContributions =
+      std::unordered_map<Contribution, std::uint32_t, ContributionHash>;
+
+  /// Adds `delta` (+1 or -1) to the count of every (hop, dz member) pair
+  /// of a path.
+  void countContributions(const std::vector<RouteHop>& hops,
+                          const dz::DzSet& dz, int delta);
+
   static std::vector<PathId> sortedIds(
       const std::unordered_map<std::int64_t, std::unordered_set<PathId>>& index,
       std::int64_t key);
@@ -94,7 +125,7 @@ class PathRegistry {
   /// Per-tree path maps (see file comment); treeOf_ routes id lookups.
   std::unordered_map<int, std::unordered_map<PathId, InstalledPath>> byTree_;
   std::unordered_map<PathId, int> treeOf_;
-  std::unordered_map<net::NodeId, std::unordered_set<PathId>> bySwitch_;
+  std::unordered_map<net::NodeId, SwitchContributions> contributions_;
   std::unordered_map<std::int64_t, std::unordered_set<PathId>> bySubscription_;
   std::unordered_map<std::int64_t, std::unordered_set<PathId>> byPublisher_;
   PathId next_ = 0;

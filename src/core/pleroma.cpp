@@ -35,7 +35,9 @@ ctrl::PublisherId Pleroma::advertise(net::NodeId host, const dz::Rectangle& rect
   return controller().advertise(host, rect);
 }
 
-void Pleroma::unadvertise(ctrl::PublisherId id) { controller().unadvertise(id); }
+bool Pleroma::unadvertise(ctrl::PublisherId id) {
+  return controller().unadvertise(id);
+}
 
 ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
                                         const dz::Rectangle& rect) {
@@ -47,14 +49,15 @@ ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
   return id;
 }
 
-void Pleroma::unsubscribe(ctrl::SubscriptionId id) {
-  controller().unsubscribe(id);
+bool Pleroma::unsubscribe(ctrl::SubscriptionId id) {
+  const bool live = controller().unsubscribe(id);
   const auto it = subs_.find(id);
   if (it != subs_.end()) {
     auto& list = subsByHost_[static_cast<std::size_t>(it->second.first)];
     std::erase_if(list, [id](const HostSub& s) { return s.id == id; });
     subs_.erase(it);
   }
+  return live;
 }
 
 net::EventId Pleroma::publish(net::NodeId host, const dz::Event& event,

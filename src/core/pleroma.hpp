@@ -89,9 +89,11 @@ class Pleroma {
   // ---- pub/sub operations ---------------------------------------------
 
   ctrl::PublisherId advertise(net::NodeId host, const dz::Rectangle& rect);
-  void unadvertise(ctrl::PublisherId id);
+  /// Returns whether `id` was a live publisher.
+  bool unadvertise(ctrl::PublisherId id);
   ctrl::SubscriptionId subscribe(net::NodeId host, const dz::Rectangle& rect);
-  void unsubscribe(ctrl::SubscriptionId id);
+  /// Returns whether `id` was a live subscription.
+  bool unsubscribe(ctrl::SubscriptionId id);
 
   /// Publishes one event from `host` into the data plane. Assigns the
   /// event id automatically when `id` is 0.

@@ -128,10 +128,12 @@ bool ScriptRunner::executeLine(const std::string& line) {
       emit("error: expected an id");
       return true;
     }
-    if (cmd == "unadv") {
-      middleware_->unadvertise(id);
-    } else {
-      middleware_->unsubscribe(id);
+    const bool live = cmd == "unadv" ? middleware_->unadvertise(id)
+                                     : middleware_->unsubscribe(id);
+    if (!live) {
+      emitf("error: unknown %s %lld",
+            cmd == "unadv" ? "publisher" : "subscription", id);
+      return true;
     }
     emit("ok");
   } else if (cmd == "pub") {

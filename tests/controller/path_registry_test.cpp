@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <string>
 
 #include "net/packet.hpp"
+#include "util/rng.hpp"
 
 namespace pleroma::ctrl {
 namespace {
@@ -185,6 +189,221 @@ TEST(PathRegistry, ClearEmptiesEverything) {
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.allSwitches().empty());
   EXPECT_TRUE(reg.requiredFlows(5).empty());
+}
+
+TEST(PathRegistry, SharedContributionSurvivesOneRemoval) {
+  // Two paths ask switch 5 for the same (dz, port): the flow stays until
+  // the last of them is gone, and so does the switch.
+  PathRegistry reg;
+  const PathId a = reg.add(makePath(1, 10, 0, "10", {{5, 1}, {6, 2}}));
+  const PathId b = reg.add(makePath(2, 11, 0, "10", {{5, 1}}));
+  reg.remove(a);
+  const auto flows = reg.requiredFlows(5);
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].match, dz::dzToPrefix(dz("10")));
+  EXPECT_EQ(flows[0].outPorts(), std::vector<net::PortId>{1});
+  EXPECT_TRUE(reg.requiredFlows(6).empty());
+  EXPECT_EQ(reg.allSwitches(), std::vector<net::NodeId>{5});
+  reg.remove(b);
+  EXPECT_TRUE(reg.requiredFlows(5).empty());
+  EXPECT_TRUE(reg.allSwitches().empty());
+}
+
+TEST(PathRegistry, SetDzMovesContributionsAtEveryHop) {
+  // Shrinking a path in place must move what it asks of every hop, while
+  // another path's identical contribution at switch 6 stays.
+  PathRegistry reg;
+  const auto rewrite = net::hostAddress(42);
+  const PathId a = reg.add(makePath(1, 10, 0, "0,10", {{5, 1}, {6, 2}, {7, 3}},
+                                    rewrite));
+  reg.add(makePath(2, 11, 0, "10", {{6, 2}}));
+  reg.setDz(a, set("0"));
+  for (const net::NodeId sw : {5, 7}) {
+    const auto flows = reg.requiredFlows(sw);
+    ASSERT_EQ(flows.size(), 1u) << "switch " << sw;
+    EXPECT_EQ(flows[0].match, dz::dzToPrefix(dz("0")));
+  }
+  ASSERT_TRUE(reg.requiredFlows(7)[0].actions[0].setDestination.has_value());
+  const auto flows6 = reg.requiredFlows(6);
+  ASSERT_EQ(flows6.size(), 2u);
+  EXPECT_NE(findFlow(flows6, "0"), nullptr);
+  EXPECT_NE(findFlow(flows6, "10"), nullptr);
+
+  reg.setDz(a, set("110"));
+  for (const net::NodeId sw : {5, 6, 7}) {
+    const auto flows = reg.requiredFlows(sw);
+    EXPECT_EQ(findFlow(flows, "0"), nullptr) << "switch " << sw;
+    EXPECT_NE(findFlow(flows, "110"), nullptr) << "switch " << sw;
+  }
+  EXPECT_NE(findFlow(reg.requiredFlows(6), "10"), nullptr);
+}
+
+// ---- differential test against a path-scanning oracle ---------------------
+
+using Actions = std::map<net::PortId, std::optional<dz::Ipv6Address>>;
+
+/// The required flow set of `sw`, derived by scanning every live path: the
+/// reference the registry's per-switch index must match.
+std::vector<net::FlowEntry> scanRequiredFlows(
+    const std::map<PathId, InstalledPath>& live, net::NodeId sw) {
+  std::map<dz::DzExpression, Actions> contrib;
+  for (const auto& [id, path] : live) {
+    for (const RouteHop& hop : path.hops) {
+      if (hop.switchNode != sw) continue;
+      for (const dz::DzExpression& d : path.dz) {
+        auto [it, inserted] = contrib[d].emplace(hop.outPort, hop.rewrite);
+        if (!inserted && hop.rewrite) it->second = hop.rewrite;
+      }
+    }
+  }
+  std::vector<net::FlowEntry> out;
+  std::vector<std::pair<dz::DzExpression, Actions>> stack;
+  for (const auto& [d, actions] : contrib) {
+    while (!stack.empty() && !stack.back().first.covers(d)) stack.pop_back();
+    const Actions* inherited = stack.empty() ? nullptr : &stack.back().second;
+    bool redundant = inherited != nullptr;
+    if (redundant) {
+      for (const auto& [port, rewrite] : actions) {
+        const auto it = inherited->find(port);
+        if (it == inherited->end() || it->second != rewrite) {
+          redundant = false;
+          break;
+        }
+      }
+    }
+    Actions cumulative = inherited ? *inherited : Actions{};
+    for (const auto& [port, rewrite] : actions) {
+      auto [it, inserted] = cumulative.emplace(port, rewrite);
+      if (!inserted && rewrite) it->second = rewrite;
+    }
+    if (!redundant) {
+      net::FlowEntry entry;
+      entry.match = dz::dzToPrefix(d);
+      entry.priority = d.length();
+      for (const auto& [port, rewrite] : cumulative) {
+        entry.actions.push_back(net::FlowAction{port, rewrite});
+      }
+      out.push_back(std::move(entry));
+    }
+    stack.emplace_back(d, std::move(cumulative));
+  }
+  return out;
+}
+
+std::string render(const std::vector<net::FlowEntry>& flows) {
+  std::string out;
+  for (const net::FlowEntry& f : flows) {
+    out += f.match.toString() + " prio=" + std::to_string(f.priority) + " ->";
+    for (const net::FlowAction& a : f.actions) {
+      out += " " + std::to_string(a.port);
+      if (a.setDestination) out += "=" + a.setDestination->toString();
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+/// A random dz of length 0-6; half the draws come from a small shared pool
+/// so that many paths contribute the same (dz, port).
+dz::DzExpression randomDz(util::Rng& rng,
+                          const std::vector<dz::DzExpression>& pool) {
+  if (rng.chance(0.5)) return pool[rng.uniformInt(0, pool.size() - 1)];
+  std::string bits;
+  const auto length = rng.uniformInt(0, 6);
+  for (std::uint64_t i = 0; i < length; ++i) bits += rng.chance(0.5) ? '1' : '0';
+  return dz(bits);
+}
+
+dz::DzSet randomDzSet(util::Rng& rng, const std::vector<dz::DzExpression>& pool) {
+  dz::DzSet out;
+  const auto members = rng.uniformInt(1, 3);
+  for (std::uint64_t i = 0; i < members; ++i) out.insert(randomDz(rng, pool));
+  return out;
+}
+
+TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
+  constexpr net::NodeId kSwitches = 6;
+  constexpr net::PortId kPorts = 4;
+  util::Rng rng(20260415);
+  std::vector<dz::DzExpression> pool;
+  for (int i = 0; i < 8; ++i) {
+    std::string bits;
+    for (int b = 0; b <= i % 4; ++b) bits += rng.chance(0.5) ? '1' : '0';
+    pool.push_back(dz(bits));
+  }
+
+  PathRegistry reg;
+  std::map<PathId, InstalledPath> live;
+  auto pickLive = [&]() {
+    auto it = live.begin();
+    std::advance(it, static_cast<long>(rng.uniformInt(0, live.size() - 1)));
+    return it->first;
+  };
+
+  std::size_t adds = 0, removes = 0, setDzs = 0, clears = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const double op = rng.uniformReal();
+    if (live.empty() || op < 0.45) {
+      InstalledPath path;
+      path.publisher = static_cast<PublisherId>(rng.uniformInt(0, 3));
+      path.subscription = static_cast<SubscriptionId>(rng.uniformInt(0, 20));
+      path.treeId = static_cast<int>(rng.uniformInt(0, 2));
+      path.dz = randomDzSet(rng, pool);
+      const auto hopCount = rng.uniformInt(1, 4);
+      for (std::uint64_t h = 0; h < hopCount; ++h) {
+        const auto sw = static_cast<net::NodeId>(rng.uniformInt(0, kSwitches - 1));
+        const auto port = static_cast<net::PortId>(rng.uniformInt(1, kPorts));
+        // A terminal hop towards a real host rewrites to that host's
+        // address, which one (switch, port) always identifies.
+        std::optional<dz::Ipv6Address> rewrite;
+        if (h + 1 == hopCount && rng.chance(0.5)) {
+          rewrite = net::hostAddress(100 + sw * kPorts + port);
+        }
+        path.hops.push_back(RouteHop{sw, port, rewrite});
+      }
+      InstalledPath copy = path;
+      const PathId id = reg.add(std::move(path));
+      copy.id = id;
+      live.emplace(id, std::move(copy));
+      ++adds;
+    } else if (op < 0.75) {
+      const PathId id = pickLive();
+      reg.remove(id);
+      live.erase(id);
+      ++removes;
+    } else if (op < 0.995) {
+      const PathId id = pickLive();
+      dz::DzSet next = randomDzSet(rng, pool);
+      live.at(id).dz = next;
+      reg.setDz(id, std::move(next));
+      ++setDzs;
+    } else {
+      reg.clear();
+      live.clear();
+      ++clears;
+    }
+
+    for (net::NodeId sw = 0; sw < kSwitches; ++sw) {
+      const auto expected = scanRequiredFlows(live, sw);
+      const auto actual = reg.requiredFlows(sw);
+      ASSERT_TRUE(actual == expected)
+          << "step " << step << " switch " << sw << "\nexpected:\n"
+          << render(expected) << "actual:\n" << render(actual);
+    }
+    std::set<net::NodeId> switches;
+    for (const auto& [id, path] : live) {
+      for (const RouteHop& hop : path.hops) switches.insert(hop.switchNode);
+    }
+    ASSERT_EQ(reg.allSwitches(),
+              std::vector<net::NodeId>(switches.begin(), switches.end()))
+        << "step " << step;
+    ASSERT_EQ(reg.size(), live.size()) << "step " << step;
+  }
+  // Every operation kind ran often enough to matter.
+  EXPECT_GT(adds, 1000u);
+  EXPECT_GT(removes, 500u);
+  EXPECT_GT(setDzs, 500u);
+  EXPECT_GT(clears, 3u);
 }
 
 }  // namespace

@@ -94,6 +94,26 @@ TEST_F(RunnerFixture, UnsubscribeViaScript) {
   EXPECT_TRUE(outputContains("ok: 0 deliveries"));
 }
 
+TEST_F(RunnerFixture, UnsubscribeAndUnadvertiseRejectIdsThatAreNotLive) {
+  runner.executeScript(
+      "attrs 2\n"
+      "sub h1 0:100 0:100\n"
+      "unsub 0\n"
+      "unsub 0\n"
+      "unsub 999\n"
+      "unsub -5\n"
+      "unadv 7\n");
+  ASSERT_GE(output.size(), 5u);
+  const std::vector<std::string> tail(output.end() - 5, output.end());
+  EXPECT_EQ(tail, (std::vector<std::string>{
+                      "ok",
+                      "error: unknown subscription 0",
+                      "error: unknown subscription 999",
+                      "error: unknown subscription -5",
+                      "error: unknown publisher 7",
+                  }));
+}
+
 TEST_F(RunnerFixture, TreesAndStats) {
   runner.executeScript(
       "adv h1 0:511 0:1023\n"
