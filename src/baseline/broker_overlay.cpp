@@ -69,13 +69,6 @@ void BrokerOverlay::propagateSubscription(SubscriptionId id,
   }
 }
 
-void BrokerOverlay::unsubscribe(SubscriptionId id) {
-  for (auto& [broker, table] : tables_) {
-    std::erase_if(table, [&](const Entry& e) { return e.id == id; });
-  }
-  subscriberHost_.erase(id);
-}
-
 BrokerOverlay::PublishResult BrokerOverlay::publish(net::NodeId host,
                                                     const dz::Event& event,
                                                     int packetBytes) const {

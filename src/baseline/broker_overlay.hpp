@@ -38,7 +38,6 @@ class BrokerOverlay {
   explicit BrokerOverlay(net::Topology topology, BrokerConfig config = {});
 
   SubscriptionId subscribe(net::NodeId host, dz::Rectangle rect);
-  void unsubscribe(SubscriptionId id);
 
   struct Delivery {
     net::NodeId host = net::kInvalidNode;

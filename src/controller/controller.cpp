@@ -679,12 +679,6 @@ net::NodeId Controller::pickActiveRoot(const SpanningTree& tree) const {
   return tree.root();  // no active switch left: keep the old root
 }
 
-void Controller::rebuildTree(int treeId) {
-  const auto it = findTree(trees_, treeId);
-  if (it == trees_.end()) return;
-  rebuildTreeAt(treeId, (*it)->root());
-}
-
 void Controller::rebuildTreeAt(int treeId, net::NodeId root) {
   rebuildTrees({{treeId, root}});
 }

@@ -334,10 +334,9 @@ class Controller {
   bool interestActive(std::int64_t sid) const;
   void mergeTreesIfNeeded();
   void mergeTreePair(std::size_t idxA, std::size_t idxB);
-  /// Rebuilds a tree in place (same root, DZ and publishers) over the
-  /// currently active links, re-deriving its routes from the registered
+  /// Rebuilds a tree at `root` (same DZ and publishers) over the currently
+  /// active links, re-deriving its routes from the registered
   /// subscriptions. Heals paths dropped during outages.
-  void rebuildTree(int treeId);
   void rebuildTreeAt(int treeId, net::NodeId root);
   /// Rebuilds several trees at given roots, one after another in list
   /// order, as one mutation batch.

@@ -2,28 +2,29 @@
 
 #include <vector>
 
+#include "openflow/control_channel.hpp"
+
 namespace pleroma::ctrl {
+
+namespace {
+/// Seed the promoted controller's channel fault Rng is reset to, so a
+/// promotion's repair sequence does not depend on the dead primary's Rng
+/// position.
+constexpr std::uint64_t kPromotedChannelSeed = 0x9E0C0DE5ULL;
+/// Round budget of the post-promotion reconciliation loop.
+constexpr std::size_t kRepairRoundLimit = 16;
+}  // namespace
 
 FailoverManager::FailoverManager(Controller& primary,
                                  StandbyController& standby,
                                  FailoverConfig config)
-    : primary_(primary),
-      standby_(standby),
-      config_(config),
-      hbChannel_(primary.network()) {
-  openflow::ControlFaultModel faults;
-  faults.dropProbability = config_.heartbeatDropProbability;
-  hbChannel_.setFaultModel(faults);
-  hbChannel_.reseedFaults(config_.heartbeatSeed);
-}
+    : primary_(primary), standby_(standby), config_(config) {}
 
 void FailoverManager::start() {
   if (running_) return;
   running_ = true;
   armTick();
 }
-
-void FailoverManager::stop() { running_ = false; }
 
 void FailoverManager::killPrimary() {
   if (!primaryAlive_) return;
@@ -33,7 +34,7 @@ void FailoverManager::killPrimary() {
   // Switches notice the dead control session through their own echo
   // timeout; modelled as immediate, they enter fail-soft: keep forwarding
   // on the installed TCAM entries, park misses for post-repair replay.
-  if (config_.failSoft) network.setFailSoft(true);
+  network.setFailSoft(true);
   const net::NetworkCounters& c = network.counters();
   bufferedAtKill_ = c.packetsBufferedOnMiss;
   droppedAtKill_ = c.dropped(net::DropReason::kMissBuffer);
@@ -46,11 +47,11 @@ void FailoverManager::armTick() {
 }
 
 void FailoverManager::onTick() {
-  // A stopped manager or a completed promotion ends the schedule — the
-  // tick must not re-arm, or nested convergence loops would never drain.
-  if (!running_ || promotedCtrl_ != nullptr) return;
+  // A completed promotion ends the schedule — the tick must not re-arm, or
+  // nested convergence loops would never drain.
+  if (promotedCtrl_ != nullptr) return;
   ++stats_.heartbeatsSent;
-  if (hbChannel_.sendEcho(primaryAlive_)) {
+  if (primaryAlive_) {  // a live primary answers the echo
     consecutiveMisses_ = 0;
     armTick();
     return;
@@ -61,17 +62,12 @@ void FailoverManager::onTick() {
     return;
   }
   stats_.detectedAt = primary_.network().simulator().now();
-  if (primaryAlive_) {
-    // The channel ate missThreshold echoes in a row from a live primary.
-    ++stats_.spuriousDetections;
-  }
   promote();
 }
 
 void FailoverManager::forcePromotion() {
   if (promotedCtrl_ != nullptr) return;
   stats_.detectedAt = primary_.network().simulator().now();
-  if (primaryAlive_) ++stats_.spuriousDetections;
   promote();
 }
 
@@ -91,7 +87,7 @@ void FailoverManager::promote() {
   channel.enableBatching(old.batchingEnabled());
   channel.setFaultModel(old.faultModel());
   channel.setRetryPolicy(old.retryPolicy());
-  channel.reseedFaults(config_.promotedChannelSeed);
+  channel.reseedFaults(kPromotedChannelSeed);
 
   // 2. Claim mastership and snapshot every reachable TCAM in one batched
   // stats sweep.
@@ -113,7 +109,7 @@ void FailoverManager::promote() {
   // 3. Anti-entropy repair: only the delta between mirrored intent and the
   // audited tables moves — surviving entries are never reinstalled.
   Reconciler reconciler(*promotedCtrl_);
-  stats_.repairRounds = reconciler.runToConvergence(config_.repairRoundLimit);
+  stats_.repairRounds = reconciler.runToConvergence(kRepairRoundLimit);
   stats_.repairFlowMods = reconciler.totalRepairMods();
 
   net::Network& network = promotedCtrl_->network();
@@ -121,11 +117,9 @@ void FailoverManager::promote() {
 
   // 4. Leave fail-soft *before* replaying the parked misses: anything still
   // unmatched after the repair is a genuine no-route drop, not re-parked.
-  if (config_.failSoft) {
-    network.setFailSoft(false);
-    network.releaseMissBuffers();
-    network.simulator().run();  // drain the replayed packets' deliveries
-  }
+  network.setFailSoft(false);
+  network.releaseMissBuffers();
+  network.simulator().run();  // drain the replayed packets' deliveries
   const net::NetworkCounters& c = network.counters();
   stats_.eventsBuffered = c.packetsBufferedOnMiss - bufferedAtKill_;
   stats_.eventsDroppedBufferFull = c.dropped(net::DropReason::kMissBuffer) - droppedAtKill_;

@@ -1,8 +1,8 @@
 // Controller failure detection and standby promotion (the tentpole of the
 // high-availability layer). The manager heartbeats the primary controller
-// over its own ControlChannel (OpenFlow echo round trips, exposed to the
-// channel's seeded fault model); a configurable run of consecutive missed
-// echoes declares the primary dead and promotes the StandbyController:
+// with OpenFlow-style echo round trips, which only a dead primary leaves
+// unanswered; a configurable run of consecutive missed echoes declares the
+// primary dead and promotes the StandbyController:
 //
 //   1. The standby replays its replicated command log against a fresh
 //      Controller with a muted channel — rebuilding the authoritative
@@ -29,7 +29,6 @@
 #include "controller/controller.hpp"
 #include "controller/reconciler.hpp"
 #include "controller/standby.hpp"
-#include "openflow/control_channel.hpp"
 
 namespace pleroma::ctrl {
 
@@ -38,27 +37,10 @@ struct FailoverConfig {
   net::SimTime heartbeatInterval = 10 * net::kMillisecond;
   /// Consecutive missed echoes before the primary is declared dead.
   int missThreshold = 3;
-  /// Engage data-plane fail-soft mode for the failover window (park TCAM
-  /// misses instead of dropping them; replay after repair).
-  bool failSoft = true;
-  /// Drop probability of the heartbeat channel (a lossy control network
-  /// can miss echoes from a live primary — spurious detection).
-  double heartbeatDropProbability = 0.0;
-  /// Seed of the heartbeat channel's fault Rng.
-  std::uint64_t heartbeatSeed = 0x48B5EA7ULL;
-  /// Seed the promoted controller's channel fault Rng is reset to, so a
-  /// promotion's repair sequence does not depend on the dead primary's
-  /// Rng position.
-  std::uint64_t promotedChannelSeed = 0x9E0C0DE5ULL;
-  /// Round budget of the post-promotion reconciliation loop.
-  std::size_t repairRoundLimit = 16;
 };
 
 struct FailoverStats {
   std::uint64_t promotions = 0;
-  /// Detections declared while the primary was actually alive (heartbeats
-  /// lost to the channel, not to a death).
-  std::uint64_t spuriousDetections = 0;
   std::uint64_t heartbeatsSent = 0;
   std::uint64_t heartbeatsMissed = 0;
 
@@ -100,13 +82,11 @@ class FailoverManager {
   /// inside the heartbeat tick, which never drains while a self-rearming
   /// tick is live.
   void start();
-  /// Disarms the heartbeat (no further ticks fire).
-  void stop();
   bool running() const noexcept { return running_; }
 
   /// Fault injection: kills the primary controller process. Echoes stop
   /// being answered; detection and promotion follow from the heartbeat
-  /// schedule. When configured, the data plane enters fail-soft mode now —
+  /// schedule. The data plane enters fail-soft mode now —
   /// switches notice the dead control session via their own (local) echo
   /// timeout, modelled as immediate.
   void killPrimary();
@@ -130,7 +110,6 @@ class FailoverManager {
   }
   const FailoverStats& stats() const noexcept { return stats_; }
   const FailoverConfig& config() const noexcept { return config_; }
-  openflow::ControlChannel& heartbeatChannel() noexcept { return hbChannel_; }
 
  private:
   void armTick();
@@ -140,9 +119,6 @@ class FailoverManager {
   Controller& primary_;
   StandbyController& standby_;
   FailoverConfig config_;
-  /// The manager's own control network towards the primary (heartbeats
-  /// never share fault draws with the data-plane channel).
-  openflow::ControlChannel hbChannel_;
   std::unique_ptr<Controller> promotedCtrl_;
   std::function<void(Controller&)> onPromoted_;
 

@@ -27,7 +27,6 @@ Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
         *controller_, *standby_, options.failover.config);
     failover_->setPromotionCallback(
         [this](ctrl::Controller& promoted) { promoted.setTracer(&tracer_); });
-    if (options.failover.autoStart) failover_->start();
   }
 }
 
@@ -143,7 +142,6 @@ obs::MetricsRegistry Pleroma::snapshotMetrics() {
   reg.counter("ctrl_channel.mods_dropped").inc(cs.flowModsDropped);
   reg.counter("ctrl_channel.mods_retried").inc(cs.flowModsRetried);
   reg.counter("ctrl_channel.mods_abandoned").inc(cs.flowModsAbandoned);
-  reg.counter("ctrl_channel.barrier_requests").inc(cs.barrierRequests);
   reg.counter("ctrl_channel.flow_stats_requests")
       .inc(cs.flowStatsRequests + cs.flowStatsBatches);
 
@@ -171,7 +169,6 @@ obs::MetricsRegistry Pleroma::snapshotMetrics() {
   if (failover_) {
     const ctrl::FailoverStats& fs = failover_->stats();
     reg.counter("failover.promotions").inc(fs.promotions);
-    reg.counter("failover.spurious_detections").inc(fs.spuriousDetections);
     reg.counter("failover.heartbeats_sent").inc(fs.heartbeatsSent);
     reg.counter("failover.heartbeats_missed").inc(fs.heartbeatsMissed);
     reg.counter("failover.repair_mods").inc(fs.repairFlowMods);

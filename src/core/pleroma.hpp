@@ -29,14 +29,12 @@ namespace pleroma::core {
 
 /// Controller high-availability options (DESIGN.md §11). When enabled, the
 /// instance constructs a hot-standby replica that mirrors the controller's
-/// command stream plus a FailoverManager that heartbeats it; on detection
-/// of a controller death the standby is promoted and reconciles the
-/// switches' surviving TCAM state against the mirrored intent.
+/// command stream plus a FailoverManager that heartbeats it once
+/// failover()->start() arms it; on detection of a controller death the
+/// standby is promoted and reconciles the switches' surviving TCAM state
+/// against the mirrored intent.
 struct FailoverOptions {
   bool enableStandby = false;
-  /// Arm the heartbeat at construction (otherwise call
-  /// failover()->start() explicitly).
-  bool autoStart = true;
   ctrl::FailoverConfig config;
 };
 

@@ -43,17 +43,22 @@ net::NodeId ScriptRunner::switchByName(const std::string& name) const {
   return net::kInvalidNode;
 }
 
+dz::AttributeValue ScriptRunner::domainMax() const {
+  return middleware_->controller().space().domainMax();
+}
+
 bool ScriptRunner::parseRanges(std::istream& in, dz::Rectangle& rect) const {
   std::string token;
   while (in >> token) {
     const auto colon = token.find(':');
     if (colon == std::string::npos) return false;
     try {
-      const auto lo =
-          static_cast<dz::AttributeValue>(std::stoul(token.substr(0, colon)));
-      const auto hi =
-          static_cast<dz::AttributeValue>(std::stoul(token.substr(colon + 1)));
-      rect.ranges.push_back(dz::Range{lo, hi});
+      // Bounds are checked before narrowing: stoul wraps "-1" to ULONG_MAX.
+      const unsigned long lo = std::stoul(token.substr(0, colon));
+      const unsigned long hi = std::stoul(token.substr(colon + 1));
+      if (lo > hi || hi > domainMax()) return false;
+      rect.ranges.push_back(dz::Range{static_cast<dz::AttributeValue>(lo),
+                                      static_cast<dz::AttributeValue>(hi)});
     } catch (const std::exception&) {
       return false;
     }
@@ -76,12 +81,22 @@ bool ScriptRunner::executeLine(const std::string& line) {
     } else if (kind == "ring" || kind == "line") {
       int n = 6;
       in >> n;
+      const int minSwitches = kind == "ring" ? 3 : 1;
+      if (n < minSwitches) {
+        emitf("error: %s: switch count must be >= %d", kind.c_str(),
+              minSwitches);
+        return true;
+      }
       reset(kind == "ring" ? net::Topology::ring(n) : net::Topology::line(n),
             attrs_, 10);
     } else if (kind == "random") {
       int n = 8, extra = 3;
       std::uint64_t seed = 1;
       in >> n >> extra >> seed;
+      if (n < 1) {
+        emit("error: random: switch count must be >= 1");
+        return true;
+      }
       reset(net::Topology::randomConnected(n, extra, seed), attrs_, 10);
     } else {
       emitf("error: unknown topology '%s'", kind.c_str());
@@ -110,7 +125,8 @@ bool ScriptRunner::executeLine(const std::string& line) {
     }
     dz::Rectangle rect;
     if (!parseRanges(in, rect)) {
-      emitf("error: expected %d lo:hi ranges", attrs_);
+      emitf("error: expected %d lo:hi ranges with lo <= hi <= %u", attrs_,
+            domainMax());
       return true;
     }
     if (cmd == "adv") {
@@ -146,9 +162,13 @@ bool ScriptRunner::executeLine(const std::string& line) {
     }
     dz::Event e;
     unsigned long v = 0;
-    while (in >> v) e.push_back(static_cast<dz::AttributeValue>(v));
-    if (e.size() != static_cast<std::size_t>(attrs_)) {
-      emitf("error: expected %d attribute values", attrs_);
+    bool inDomain = true;
+    while (in >> v) {
+      inDomain = inDomain && v <= domainMax();
+      e.push_back(static_cast<dz::AttributeValue>(v));
+    }
+    if (e.size() != static_cast<std::size_t>(attrs_) || !inDomain) {
+      emitf("error: expected %d attribute values <= %u", attrs_, domainMax());
       return true;
     }
     const auto id = middleware_->publish(host, e);
@@ -203,6 +223,10 @@ bool ScriptRunner::executeLine(const std::string& line) {
   } else if (cmd == "dimsel") {
     double threshold = 0.9;
     in >> threshold;
+    if (!(threshold > 0.0 && threshold <= 1.0)) {
+      emit("error: dimsel THRESHOLD must be in (0, 1]");
+      return true;
+    }
     const auto dims = middleware_->runDimensionSelection(threshold);
     std::string out = "ok: indexing dimensions";
     for (const int d : dims) out += " " + std::to_string(d);

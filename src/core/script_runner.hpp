@@ -3,6 +3,7 @@
 // reports. One command per line; '#' starts a comment.
 //
 //   topo fat-tree | topo ring N | topo line N | topo random N EXTRA SEED
+//                               (a ring needs N >= 3, line and random N >= 1)
 //   attrs K [BITS]              reset middleware with K attributes
 //   adv  HOST lo:hi [lo:hi...]  advertise a rectangle (prints publisher id)
 //   sub  HOST lo:hi [lo:hi...]  subscribe (prints subscription id)
@@ -15,6 +16,7 @@
 //   stats metrics               metrics registry, one line per metric
 //   stats json                  metrics snapshot as single-line JSON
 //   dimsel [THRESHOLD]          run dimension selection and re-index
+//                               (0 < THRESHOLD <= 1, default 0.9)
 //   scenario FILE.json          load a pleroma-scenario-v1 file: reset to
 //                               its topology/schema and deploy every
 //                               phase's workload (single-partition only;
@@ -53,6 +55,9 @@ class ScriptRunner {
              std::optional<ctrl::ControllerConfig> controller = std::nullopt);
   net::NodeId hostByName(const std::string& name) const;
   net::NodeId switchByName(const std::string& name) const;
+  /// Largest attribute value of the current schema.
+  dz::AttributeValue domainMax() const;
+  /// Reads one lo:hi range per attribute, each 0 <= lo <= hi <= domainMax().
   bool parseRanges(std::istream& in, dz::Rectangle& rect) const;
   void emit(const std::string& line) { sink_(line); }
   template <typename... Args>

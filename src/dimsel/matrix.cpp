@@ -1,7 +1,5 @@
 #include "dimsel/matrix.hpp"
 
-#include <cmath>
-
 namespace pleroma::dimsel {
 
 Matrix Matrix::transposed() const {
@@ -23,17 +21,6 @@ Matrix Matrix::operator*(const Matrix& other) const {
         out.at(r, c) += v * other.at(k, c);
       }
     }
-  }
-  return out;
-}
-
-Matrix Matrix::centeredColumns() const {
-  Matrix out = *this;
-  for (std::size_t c = 0; c < cols_; ++c) {
-    double mean = 0.0;
-    for (std::size_t r = 0; r < rows_; ++r) mean += at(r, c);
-    mean /= static_cast<double>(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) out.at(r, c) -= mean;
   }
   return out;
 }
@@ -62,16 +49,6 @@ Matrix Matrix::rowCovariance() const {
     }
   }
   return out;
-}
-
-bool Matrix::isSymmetric(double tolerance) const noexcept {
-  if (rows_ != cols_) return false;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = i + 1; j < cols_; ++j) {
-      if (std::fabs(at(i, j) - at(j, i)) > tolerance) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace pleroma::dimsel

@@ -29,18 +29,12 @@ class Matrix {
   Matrix transposed() const;
   Matrix operator*(const Matrix& other) const;
 
-  /// Subtracts from every column its own mean (per-column centering), i.e.
-  /// removes the mean event profile — the centering step of Sec 5.
-  Matrix centeredColumns() const;
-
   /// Subtracts from every row its own mean.
   Matrix centeredRows() const;
 
   /// C = M * M^T scaled by 1/(cols-1): the covariance across rows
   /// (dimensions) treating columns as observations. Requires cols >= 2.
   Matrix rowCovariance() const;
-
-  bool isSymmetric(double tolerance = 1e-9) const noexcept;
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 

@@ -168,29 +168,6 @@ DzSet EventSpace::rectangleToDz(const Rectangle& rect, int maxLength,
   return out;
 }
 
-double EventSpace::rectangleVolume(const Rectangle& rect) const {
-  assert(rect.ranges.size() == static_cast<std::size_t>(numAttributes_));
-  const double domain = static_cast<double>(domainMax()) + 1.0;
-  double volume = 1.0;
-  // Only indexed dimensions participate: the dz decomposition cannot see
-  // the others, so volumes are compared within the indexed subspace.
-  for (const int dim : indexed_) {
-    const Range& r = rect.ranges[static_cast<std::size_t>(dim)];
-    volume *= (static_cast<double>(r.hi) - static_cast<double>(r.lo) + 1.0) / domain;
-  }
-  return volume;
-}
-
-double EventSpace::estimatedFalsePositiveRate(const Rectangle& rect,
-                                              int maxLength,
-                                              std::size_t maxCells) const {
-  const DzSet dzs = rectangleToDz(rect, maxLength, maxCells);
-  const double cover = dzs.volume();
-  if (cover <= 0.0) return 0.0;
-  const double exact = rectangleVolume(rect);
-  return std::max(0.0, 1.0 - exact / cover);
-}
-
 Rectangle EventSpace::wholeSpace() const {
   Rectangle r;
   r.ranges.assign(static_cast<std::size_t>(numAttributes_), Range{0, domainMax()});

@@ -92,16 +92,6 @@ class EventSpace {
   /// A rectangle spanning the entire space.
   Rectangle wholeSpace() const;
 
-  /// Fraction of the event space a rectangle occupies, in (0, 1].
-  double rectangleVolume(const Rectangle& rect) const;
-
-  /// Analytic false-positive-rate estimate for one subscription under
-  /// uniform event traffic: the fraction of the enclosing DZ decomposition
-  /// not actually inside the rectangle, 1 - vol(rect)/vol(DZ). The
-  /// measured FPR of a single-subscriber deployment converges to this.
-  double estimatedFalsePositiveRate(const Rectangle& rect, int maxLength,
-                                    std::size_t maxCells = 16) const;
-
  private:
   int numAttributes_;
   int bitsPerDim_;

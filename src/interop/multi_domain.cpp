@@ -93,12 +93,6 @@ void MultiDomain::unsubscribe(GlobalSubscriptionId id) {
   settle();
 }
 
-void MultiDomain::unadvertise(GlobalPublisherId id) {
-  if (id.partition < 0) return;
-  controller(id.partition).unadvertise(id.local);
-  settle();
-}
-
 void MultiDomain::publish(net::NodeId host, const dz::Event& event,
                           net::EventId id) {
   Partition& part = *partitions_.at(static_cast<std::size_t>(partitionOfHost(host)));

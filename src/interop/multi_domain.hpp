@@ -88,11 +88,6 @@ class MultiDomain {
   /// no matching flow, costing bandwidth but never false deliveries.
   void unsubscribe(GlobalSubscriptionId id);
 
-  /// Removes an advertisement in its home partition. Virtual-host replicas
-  /// in remote partitions are retained conservatively (see unsubscribe);
-  /// the retired publisher simply stops emitting events.
-  void unadvertise(GlobalPublisherId id);
-
   /// Publishes an event from `host` into the data plane. Delivery happens
   /// as the simulator runs (`settle()` or manual stepping).
   void publish(net::NodeId host, const dz::Event& event, net::EventId id = 0);

@@ -15,7 +15,7 @@ double CongestionMonitor::sampleOnce() {
   const auto links = static_cast<std::size_t>(network_.topology().linkCount());
   // Parks are network-wide (per-direction buffers are internal state), so
   // attribute this window's parks to the links that also lost packets to
-  // their queues this window — weighting them in via the same dropWeight.
+  // their queues this window — weighting them in via the same kDropWeight.
   const std::uint64_t parkedNow =
       network_.counters().packetsParkedOnBackpressure;
   const std::uint64_t parkDelta = parkedNow - prevParked_;
@@ -33,15 +33,15 @@ double CongestionMonitor::sampleOnce() {
   const double alpha = config_.ewmaAlpha;
   for (std::size_t l = 0; l < links; ++l) {
     const auto depth = network_.linkQueueDepth(static_cast<LinkId>(l));
-    double raw = config_.queueWeight * static_cast<double>(depth) +
-                 config_.dropWeight * static_cast<double>(dropDelta[l]);
+    double raw = kQueueWeight * static_cast<double>(depth) +
+                 kDropWeight * static_cast<double>(dropDelta[l]);
     // Spread this window's backpressure parks across the links whose
     // queues overflowed (a park is recorded against the overflowing
     // direction's link via queueDrops only when the park buffer itself
     // overflows, so the drop distribution is the best per-link signal of
     // where the parks concentrated).
     if (dropDelta[l] > 0 && parkDelta > 0) {
-      raw += config_.dropWeight * static_cast<double>(parkDelta) *
+      raw += kDropWeight * static_cast<double>(parkDelta) *
              (static_cast<double>(dropDelta[l]) /
               static_cast<double>(dropDeltaTotal));
     }

@@ -20,20 +20,21 @@ struct CongestionConfig {
   SimTime sampleInterval = kMillisecond;
   /// EWMA weight of the newest window (0 < alpha <= 1).
   double ewmaAlpha = 0.3;
-  /// Score contribution per packet sitting in the link's queues at the
-  /// sample instant.
-  double queueWeight = 1.0;
-  /// Score contribution per packet lost to the link's full queue (or
-  /// parked on backpressure) during the window — losses signal harder
-  /// overload than standing occupancy.
-  double dropWeight = 10.0;
 };
 
 /// Per-link EWMA congestion scores over queue depth, queue-loss rate and
 /// backpressure parking. score() == 0 for an uncongested link; anything
-/// above ~queueWeight means a standing queue.
+/// above ~kQueueWeight means a standing queue.
 class CongestionMonitor {
  public:
+  /// Score contribution per packet sitting in the link's queues at the
+  /// sample instant.
+  static constexpr double kQueueWeight = 1.0;
+  /// Score contribution per packet lost to the link's full queue (or
+  /// parked on backpressure) during the window — losses signal harder
+  /// overload than standing occupancy.
+  static constexpr double kDropWeight = 10.0;
+
   explicit CongestionMonitor(Network& network, CongestionConfig config = {});
 
   /// Takes one sample window ending now. Returns the hottest link's score.

@@ -17,19 +17,6 @@ void FlowEntry::addOutPort(PortId port, std::optional<dz::Ipv6Address> rewrite) 
   actions.push_back(FlowAction{port, rewrite});
 }
 
-bool FlowEntry::removeOutPort(PortId port) {
-  const auto it = std::find_if(actions.begin(), actions.end(),
-                               [&](const FlowAction& a) { return a.port == port; });
-  if (it == actions.end()) return false;
-  actions.erase(it);
-  return true;
-}
-
-bool FlowEntry::hasOutPort(PortId port) const noexcept {
-  return std::any_of(actions.begin(), actions.end(),
-                     [&](const FlowAction& a) { return a.port == port; });
-}
-
 std::vector<PortId> FlowEntry::outPorts() const {
   std::vector<PortId> out;
   out.reserve(actions.size());
@@ -242,10 +229,6 @@ const FlowEntry* FlowTable::find(const dz::Ipv6Prefix& match) const noexcept {
   const Bucket& b = buckets_[static_cast<std::size_t>(bi)];
   const std::size_t idx = findIn(b, keyOf(match));
   return idx == kNpos ? nullptr : &syncedSlot(b.recs[idx].slot);
-}
-
-FlowEntry* FlowTable::findMutable(const dz::Ipv6Prefix& match) noexcept {
-  return const_cast<FlowEntry*>(std::as_const(*this).find(match));
 }
 
 const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {

@@ -52,7 +52,7 @@ struct FlowAction {
 /// forward+rewrite) is stored inline in the FlowEntry — no heap pointer to
 /// chase on the forwarding path — and only wider fan-out entries spill to a
 /// heap block. Vector-compatible surface for the operations the codebase
-/// uses: push_back, erase, iteration, indexing, assignment from
+/// uses: push_back, iteration, indexing, assignment from
 /// vector/initializer_list, equality.
 class ActionList {
  public:
@@ -126,14 +126,6 @@ class ActionList {
     data()[size_++] = a;
   }
 
-  iterator erase(const_iterator pos) {
-    FlowAction* p = data() + (pos - data());
-    std::memmove(p, p + 1,
-                 static_cast<std::size_t>(end() - p - 1) * sizeof(FlowAction));
-    --size_;
-    return p;
-  }
-
   void clear() noexcept { size_ = 0; }
 
   friend bool operator==(const ActionList& a, const ActionList& b) {
@@ -203,8 +195,6 @@ struct FlowEntry {
   /// Adds `port` to the action list if absent; when present and `rewrite`
   /// is set, updates the rewrite.
   void addOutPort(PortId port, std::optional<dz::Ipv6Address> rewrite = std::nullopt);
-  bool removeOutPort(PortId port);
-  bool hasOutPort(PortId port) const noexcept;
   std::vector<PortId> outPorts() const;
 
   std::string toString() const;
@@ -255,7 +245,6 @@ class FlowTable {
 
   /// Finds the entry with exactly this match prefix (nullptr when absent).
   const FlowEntry* find(const dz::Ipv6Prefix& match) const noexcept;
-  FlowEntry* findMutable(const dz::Ipv6Prefix& match) noexcept;
 
   /// TCAM lookup: the matching entry with the highest priority (ties broken
   /// by longer prefix). nullptr on miss. Counted in stats. The returned

@@ -6,6 +6,16 @@
 
 namespace pleroma::net {
 
+namespace {
+/// Per-switch miss-buffer budget (packets) while fail-soft mode is engaged;
+/// misses beyond the budget fall back to counted drops.
+constexpr std::size_t kMissBufferCapacity = 128;
+/// First retry delay after a full-queue backpressure park; doubles per idle
+/// retry up to kBackpressureBackoffCap.
+constexpr SimTime kBackpressureBackoff = 10 * kMicrosecond;
+constexpr SimTime kBackpressureBackoffCap = 160 * kMicrosecond;
+}  // namespace
+
 const char* dropReasonName(DropReason reason) noexcept {
   switch (reason) {
     case DropReason::kNoMatch: return "no_match";
@@ -145,7 +155,7 @@ void Network::switchPipeline(NodeId switchNode, PortId inPort,
       // Fail-soft: park the miss for replay after the failover repair
       // instead of dropping.
       auto& buffer = missBuffers_[static_cast<std::size_t>(switchNode)];
-      if (buffer.size() < config_.missBufferCapacity) {
+      if (buffer.size() < kMissBufferCapacity) {
         ++counters_.packetsBufferedOnMiss;
         if (tracing) {
           tracer_->instant(packet.eventId(), packet.traceSpan,
@@ -338,9 +348,9 @@ void Network::armRetry(LinkDirState& dir, NodeId fromNode, PortId outPort) {
   if (dir.retryPending) return;
   dir.retryPending = true;
   if (dir.backoff == 0) {
-    dir.backoff = config_.backpressureBackoff;
+    dir.backoff = kBackpressureBackoff;
   } else {
-    dir.backoff = std::min(dir.backoff * 2, config_.backpressureBackoffCap);
+    dir.backoff = std::min(dir.backoff * 2, kBackpressureBackoffCap);
   }
   // The timer event carries an empty Packet; its (node, port) names the
   // direction.

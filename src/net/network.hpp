@@ -64,9 +64,6 @@ struct NetworkConfig {
   std::size_t hostQueueCapacity = 1024;
   /// TCAM capacity per switch; 0 = unlimited.
   std::size_t flowTableCapacity = 0;
-  /// Per-switch miss-buffer budget (packets) while fail-soft mode is
-  /// engaged; misses beyond the budget fall back to counted drops.
-  std::size_t missBufferCapacity = 128;
   // ---- congestion model (DESIGN.md §15) --------------------------------
   /// Finite FIFO transmit queue per link *direction* (packets, including
   /// the one on the wire). 0 = legacy contention-free links: every
@@ -79,10 +76,6 @@ struct NetworkConfig {
   /// Bounded park buffer per link direction while backpressure is on;
   /// packets beyond it are dropped (DropReason::kBackpressure).
   std::size_t backpressureBufferCapacity = 64;
-  /// First retry delay after a full-queue park; doubles per idle retry up
-  /// to backpressureBackoffCap.
-  SimTime backpressureBackoff = 10 * kMicrosecond;
-  SimTime backpressureBackoffCap = 160 * kMicrosecond;
 };
 
 /// Network-wide counters.
@@ -202,11 +195,11 @@ class Network : public PacketSink {
 
   /// Fail-soft mode (controller failover): while enabled, a switch keeps
   /// forwarding on its existing TCAM entries but a miss no longer drops
-  /// the packet — it is parked in the switch's finite miss buffer
-  /// (NetworkConfig::missBufferCapacity per switch) for replay once the
-  /// promoted controller has repaired the tables; misses beyond the budget
-  /// are dropped and counted. This replaces the implicit fail-open
-  /// behaviour (drop every miss) for the duration of a failover window.
+  /// the packet — it is parked in the switch's finite miss buffer (128
+  /// packets per switch) for replay once the promoted controller has
+  /// repaired the tables; misses beyond the budget are dropped and counted.
+  /// This replaces the implicit fail-open behaviour (drop every miss) for
+  /// the duration of a failover window.
   void setFailSoft(bool on) noexcept { failSoft_ = on; }
   bool failSoft() const noexcept { return failSoft_; }
 

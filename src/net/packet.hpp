@@ -1,7 +1,7 @@
 // The unit of data-plane traffic. An event publication is a small UDP-like
 // packet whose destination address carries the event's dz (Sec 3.3.2);
-// control traffic (advertisements/subscriptions, controller-to-controller
-// messages) is addressed to the reserved IP_mid and punted by switches.
+// control traffic (the interop layer's controller-to-controller messages)
+// is addressed to the reserved IP_mid and punted by switches.
 //
 // Fast-path layout: a Packet is a small by-value header (addresses, size,
 // hop limit, trace span) plus an immutable, reference-counted EventPayload

@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "obs/metrics.hpp"
-
 #ifndef PLEROMA_GIT_DESCRIBE
 #define PLEROMA_GIT_DESCRIBE "unknown"
 #endif
@@ -58,10 +56,6 @@ void BenchReporter::row(std::vector<Cell> cells) {
   s.rows.push_back(std::move(cells));
 }
 
-void BenchReporter::attachMetrics(const MetricsRegistry& reg) {
-  metrics_ = reg.toJson();
-}
-
 JsonValue BenchReporter::toJson() const {
   JsonValue doc = JsonValue::object();
   doc.set("schema", kBenchSchema);
@@ -89,7 +83,6 @@ JsonValue BenchReporter::toJson() const {
     series.push_back(std::move(entry));
   }
   doc.set("series", std::move(series));
-  if (!metrics_.isNull()) doc.set("metrics", metrics_);
   return doc;
 }
 

@@ -10,7 +10,7 @@
 //     "series": [ { "name": "...",
 //                   "columns": [ {"name": "...", "unit": "..."}, ... ],
 //                   "rows": [ [ ... ], ... ] }, ... ],
-//     "metrics": { ... }                  // optional registry snapshot
+//     "metrics": { ... }                  // optional object, checked by validate()
 //   }
 //
 // The six metadata keys above are required by validate(); "git_describe",
@@ -30,8 +30,6 @@
 #include "obs/json.hpp"
 
 namespace pleroma::obs {
-
-class MetricsRegistry;
 
 inline constexpr const char* kBenchSchema = "pleroma-bench-v1";
 
@@ -79,9 +77,6 @@ class BenchReporter {
   /// series' column count (mismatches throw std::logic_error).
   void row(std::vector<Cell> cells);
 
-  /// Snapshots a metrics registry into the report's "metrics" member.
-  void attachMetrics(const MetricsRegistry& reg);
-
   JsonValue toJson() const;
 
   /// $PLEROMA_BENCH_DIR/BENCH_<name>.json ("." when the env var is unset).
@@ -103,7 +98,6 @@ class BenchReporter {
   std::string name_;
   JsonValue metadata_ = JsonValue::object();
   std::vector<Series> series_;
-  JsonValue metrics_;  // null until attachMetrics
   bool finished_ = false;
 };
 

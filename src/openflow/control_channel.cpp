@@ -379,44 +379,7 @@ void ControlChannel::resolve(std::uint64_t xid, bool ok) {
     if (out->second.empty()) outstanding_.erase(out);
   }
 
-  std::vector<std::uint64_t> fired;
-  for (auto& [bid, barrier] : barriers_) {
-    if (barrier.switchNode != sw) continue;
-    barrier.waitingOn.erase(xid);
-    barrier.ok = barrier.ok && ok;
-    if (barrier.waitingOn.empty()) fired.push_back(bid);
-  }
-  for (const std::uint64_t bid : fired) {
-    Barrier barrier = std::move(barriers_.at(bid));
-    barriers_.erase(bid);
-    ++stats_.barrierReplies;
-    if (barrier.callback) barrier.callback(barrier.ok);
-  }
-
   pending_.erase(xid);
-}
-
-std::uint64_t ControlChannel::sendBarrier(net::NodeId switchNode,
-                                          BarrierCallback onReply) {
-  if (muted_) {
-    // Nothing can be outstanding on a muted channel; reply immediately.
-    if (onReply) onReply(true);
-    return nextXid_++;
-  }
-  ++stats_.barrierRequests;
-  const std::uint64_t xid = nextXid_++;
-  const auto out = outstanding_.find(switchNode);
-  if (!async_ || out == outstanding_.end() || out->second.empty()) {
-    ++stats_.barrierReplies;
-    if (onReply) onReply(true);
-    return xid;
-  }
-  Barrier barrier;
-  barrier.switchNode = switchNode;
-  barrier.waitingOn = out->second;
-  barrier.callback = std::move(onReply);
-  barriers_.emplace(xid, std::move(barrier));
-  return xid;
 }
 
 std::size_t ControlChannel::outstandingMods(net::NodeId switchNode) const {
@@ -459,23 +422,6 @@ std::vector<FlowStatsReply> ControlChannel::requestFlowStatsBatch(
   return replies;
 }
 
-bool ControlChannel::sendEcho(bool peerResponds) {
-  ++stats_.echoRequests;
-  // Request direction: one drop draw.
-  if (faults_.dropProbability > 0.0 && rng_.chance(faults_.dropProbability)) {
-    ++stats_.echoesDropped;
-    return false;
-  }
-  if (!peerResponds) return false;  // the peer is dead: no reply exists
-  // Reply direction: a second independent draw.
-  if (faults_.dropProbability > 0.0 && rng_.chance(faults_.dropProbability)) {
-    ++stats_.echoesDropped;
-    return false;
-  }
-  ++stats_.echoReplies;
-  return true;
-}
-
 bool ControlChannel::sendRoleRequest(net::NodeId switchNode,
                                      ControllerRole role) {
   ++stats_.roleRequests;
@@ -483,16 +429,6 @@ bool ControlChannel::sendRoleRequest(net::NodeId switchNode,
   roles_[switchNode] = role;
   ++stats_.roleReplies;
   return true;
-}
-
-void ControlChannel::sendPacketOut(const PacketOut& out) {
-  if (muted_) return;
-  ++stats_.packetOuts;
-  if (!switchConnected(out.switchNode) || rng_.chance(faults_.dropProbability)) {
-    ++stats_.packetOutsDropped;
-    return;
-  }
-  network_.sendOutPort(out.switchNode, out.outPort, out.packet);
 }
 
 }  // namespace pleroma::openflow

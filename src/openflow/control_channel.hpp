@@ -13,21 +13,18 @@
 //    eliminate. Used by the activation-delay bench and consistency tests.
 //
 // Fault model (control-plane robustness extension): the channel can lose,
-// duplicate, or delay flow-mods and packet-outs — per-attempt faults drawn
-// from the seeded util::Rng — and individual switches can be disconnected
-// (node failure / control-session loss). On top of the lossy channel sits
-// an OpenFlow-style reliability layer: every mod carries an xid, applied
-// mods are acknowledged, unacknowledged mods are retransmitted with capped
-// exponential backoff under the simulator clock, and barrier requests
-// complete once every earlier mod to that switch is resolved. Mods that
-// exhaust the retry budget are *abandoned* (counted in the stats); the
-// controller's anti-entropy pass (ctrl::Reconciler) repairs the resulting
-// mirror/switch divergence.
+// duplicate, or delay flow-mods — per-attempt faults drawn from the seeded
+// util::Rng — and individual switches can be disconnected (node failure /
+// control-session loss). On top of the lossy channel sits an OpenFlow-style
+// reliability layer: every mod carries an xid, applied mods are
+// acknowledged, and unacknowledged mods are retransmitted with capped
+// exponential backoff under the simulator clock. Mods that exhaust the
+// retry budget are *abandoned* (counted in the stats); the controller's
+// anti-entropy pass (ctrl::Reconciler) repairs the resulting mirror/switch
+// divergence.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -44,7 +41,7 @@ namespace pleroma::openflow {
 /// Per-attempt fault probabilities of the control channel. All faults are
 /// drawn from the channel's seeded Rng, so runs are reproducible.
 struct ControlFaultModel {
-  /// Probability that one transmission attempt (mod or packet-out) is lost.
+  /// Probability that one transmission attempt of a mod is lost.
   double dropProbability = 0.0;
   /// Probability that a delivered mod is applied a second time.
   double duplicateProbability = 0.0;
@@ -69,10 +66,6 @@ struct RetryPolicy {
 
 class ControlChannel {
  public:
-  /// Invoked when a barrier reply arrives: `ok` is false when any mod the
-  /// barrier waited on failed or was abandoned.
-  using BarrierCallback = std::function<void(bool ok)>;
-
   /// `flowModLatency` models the switch-side installation cost of one
   /// flow-mod (dominated by TCAM write; ~1 ms on 2014 hardware).
   explicit ControlChannel(net::Network& network,
@@ -129,24 +122,11 @@ class ControlChannel {
 
   /// Sends a group of flow-mods, coalescing them (when batching is
   /// enabled) into one message per destination switch: the batch shares a
-  /// single xid, a single drop/duplicate draw, and a single ack — a
-  /// barrier after a batched install therefore waits on one xid per
-  /// switch. Mod order is preserved within each switch's batch. With
-  /// batching disabled this degenerates to send() per mod, byte-identical
-  /// to the unbatched path. Returns the number of mods applied (sync) or
-  /// queued (async).
+  /// single xid, a single drop/duplicate draw, and a single ack. Mod order
+  /// is preserved within each switch's batch. With batching disabled this
+  /// degenerates to send() per mod, byte-identical to the unbatched path.
+  /// Returns the number of mods applied (sync) or queued (async).
   std::size_t sendBatch(std::span<const FlowMod> mods);
-
-  /// Controller-initiated transmission out of a specific switch port.
-  /// Subject to the fault model's drop probability.
-  void sendPacketOut(const PacketOut& out);
-
-  /// OpenFlow barrier request towards `switchNode`: `onReply` fires once
-  /// every flow-mod sent to that switch before the barrier is resolved
-  /// (acked, failed, or abandoned), with ok = all succeeded. Returns the
-  /// barrier's xid. In synchronous mode (or with nothing outstanding) the
-  /// reply fires immediately.
-  std::uint64_t sendBarrier(net::NodeId switchNode, BarrierCallback onReply);
 
   // ---- introspection ---------------------------------------------------
 
@@ -181,15 +161,7 @@ class ControlChannel {
   std::vector<FlowStatsReply> requestFlowStatsBatch(
       std::span<const net::NodeId> switches);
 
-  // ---- liveness & role (failover support) ------------------------------
-
-  /// One echo round trip over the control network (OFPT_ECHO_REQUEST /
-  /// REPLY) — the failover layer's heartbeat towards the primary
-  /// controller. Each direction is exposed to one drop draw of the fault
-  /// model; `peerResponds` is false when the probed peer is dead (its
-  /// reply then never enters the channel). Returns true when the reply
-  /// arrives.
-  bool sendEcho(bool peerResponds = true);
+  // ---- role (failover support) -----------------------------------------
 
   /// Claims `role` towards a switch (OFPT_ROLE_REQUEST). Role messages are
   /// control-session RPCs: they fail only when the session is down (no
@@ -236,12 +208,6 @@ class ControlChannel {
     bool ok = false;
     obs::SpanId span = obs::kNoSpan;  // open trace span, closed on resolve
   };
-  struct Barrier {
-    net::NodeId switchNode = net::kInvalidNode;
-    std::set<std::uint64_t> waitingOn;
-    BarrierCallback callback;
-    bool ok = true;
-  };
 
   bool applyNow(const FlowMod& mod);
   /// One switch's share of a flow-stats read, without counting a request
@@ -287,7 +253,6 @@ class ControlChannel {
   std::uint64_t nextXid_ = 1;
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::unordered_map<net::NodeId, std::set<std::uint64_t>> outstanding_;
-  std::map<std::uint64_t, Barrier> barriers_;
 
   obs::Tracer* tracer_ = nullptr;
 };

@@ -55,12 +55,4 @@ std::vector<DiscoveryResult> discoverPartitions(
   return results;
 }
 
-DiscoveryResult discoverPartition(const net::Topology& topology,
-                                  const std::vector<PartitionId>& partitionOf,
-                                  PartitionId partition) {
-  auto all = discoverPartitions(topology, partitionOf);
-  assert(partition >= 0 && partition < static_cast<PartitionId>(all.size()));
-  return std::move(all[static_cast<std::size_t>(partition)]);
-}
-
 }  // namespace pleroma::openflow

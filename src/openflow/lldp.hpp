@@ -42,9 +42,4 @@ struct DiscoveryResult {
 std::vector<DiscoveryResult> discoverPartitions(
     const net::Topology& topology, const std::vector<PartitionId>& partitionOf);
 
-/// Convenience: the discovery result for a single partition.
-DiscoveryResult discoverPartition(const net::Topology& topology,
-                                  const std::vector<PartitionId>& partitionOf,
-                                  PartitionId partition);
-
 }  // namespace pleroma::openflow

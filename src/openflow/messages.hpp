@@ -1,7 +1,6 @@
 // Control-plane message types exchanged between a controller and its
 // switches, modelled on the OpenFlow protocol surface PLEROMA uses:
-// flow-mod (add / modify / delete), packet-in (punt to controller) and
-// packet-out (controller-initiated transmission).
+// flow-mod (add / modify / delete) and flow-stats reads.
 #pragma once
 
 #include <cstdint>
@@ -23,21 +22,9 @@ struct FlowMod {
   FlowModType type = FlowModType::kAdd;
   net::NodeId switchNode = net::kInvalidNode;
   net::FlowEntry entry;  // for kDelete only entry.match is meaningful
-  /// Transaction id, assigned by the control channel at send time. Acks,
-  /// retransmissions and barriers are tracked per xid (OpenFlow header.xid).
+  /// Transaction id, assigned by the control channel at send time. Acks
+  /// and retransmissions are tracked per xid (OpenFlow header.xid).
   std::uint64_t xid = 0;
-};
-
-struct PacketIn {
-  net::NodeId switchNode = net::kInvalidNode;
-  net::PortId inPort = net::kInvalidPort;
-  net::Packet packet;
-};
-
-struct PacketOut {
-  net::NodeId switchNode = net::kInvalidNode;
-  net::PortId outPort = net::kInvalidPort;  // explicit output action
-  net::Packet packet;
 };
 
 /// Flow-stats read request (OFPT_STATS_REQUEST / OFPST_FLOW): asks a
@@ -65,8 +52,6 @@ struct ControlPlaneStats {
   std::uint64_t flowAdds = 0;
   std::uint64_t flowModifies = 0;
   std::uint64_t flowDeletes = 0;
-  std::uint64_t packetIns = 0;
-  std::uint64_t packetOuts = 0;
   // ---- batching --------------------------------------------------------
   /// Batch messages sent (each carries >= 1 mods towards one switch).
   std::uint64_t flowModBatches = 0;
@@ -95,9 +80,6 @@ struct ControlPlaneStats {
   /// a missing entry or an add rejected by a full TCAM. Idempotent
   /// re-deliveries of an already-applied mod are not failures.
   std::uint64_t asyncApplyFailures = 0;
-  std::uint64_t packetOutsDropped = 0;
-  std::uint64_t barrierRequests = 0;
-  std::uint64_t barrierReplies = 0;
   /// Flow-stats reads (the Reconciler's data-plane audit channel).
   std::uint64_t flowStatsRequests = 0;
   std::uint64_t flowStatsReplies = 0;
@@ -105,15 +87,7 @@ struct ControlPlaneStats {
   /// switches — the promotion audit's read pattern). The per-switch
   /// replies count into flowStatsReplies; the sweep itself is one request.
   std::uint64_t flowStatsBatches = 0;
-  // ---- liveness / failover ---------------------------------------------
-  /// Echo round trips attempted (OFPT_ECHO_REQUEST; the failover layer's
-  /// heartbeat probe).
-  std::uint64_t echoRequests = 0;
-  /// Echo replies that actually arrived.
-  std::uint64_t echoReplies = 0;
-  /// Echo requests or replies lost to the fault model (a dead peer's
-  /// missing replies are not counted here — only channel loss is).
-  std::uint64_t echoesDropped = 0;
+  // ---- failover --------------------------------------------------------
   /// Controller-role claims sent (OFPT_ROLE_REQUEST) and their replies.
   std::uint64_t roleRequests = 0;
   std::uint64_t roleReplies = 0;

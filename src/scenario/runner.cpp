@@ -73,7 +73,6 @@ class SingleBackend final : public Backend {
       // live self-rearming tick would keep settle() from ever draining
       // (see ctrl::FailoverManager::start).
       opts.failover.enableStandby = true;
-      opts.failover.autoStart = false;
       opts.failover.config.heartbeatInterval = s.failover.heartbeatInterval;
       opts.failover.config.missThreshold = s.failover.missThreshold;
     }

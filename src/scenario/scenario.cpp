@@ -325,69 +325,6 @@ bool parseFault(const JsonValue& v, const std::string& path, FaultSpec* fs,
   return true;
 }
 
-JsonValue topologyToJson(const TopologySpec& t) {
-  JsonValue o = JsonValue::object();
-  o.set("kind", toString(t.kind));
-  switch (t.kind) {
-    case TopologyKind::kTestbedFatTree:
-      break;
-    case TopologyKind::kFatTree:
-      o.set("core", t.core);
-      o.set("aggregation", t.aggregation);
-      o.set("edge_per_agg", t.edgePerAgg);
-      o.set("hosts_per_edge", t.hostsPerEdge);
-      break;
-    case TopologyKind::kKAryFatTree:
-      o.set("k", t.k);
-      break;
-    case TopologyKind::kRing:
-    case TopologyKind::kLine:
-      o.set("switches", t.switches);
-      break;
-    case TopologyKind::kRandom:
-      o.set("switches", t.switches);
-      o.set("extra_links", t.extraLinks);
-      o.set("topo_seed", t.topoSeed);
-      break;
-  }
-  o.set("link_latency_us", t.linkLatency / net::kMicrosecond);
-  if (t.linkBandwidthBps > 0) {
-    o.set("link_bandwidth_mbps", t.linkBandwidthBps / 1e6);
-  }
-  return o;
-}
-
-JsonValue phaseToJson(const PhaseSpec& ph) {
-  JsonValue o = JsonValue::object();
-  o.set("name", ph.name);
-  o.set("family", toString(ph.family));
-  o.set("advertisements", static_cast<std::uint64_t>(ph.advertisements));
-  o.set("subscriptions", static_cast<std::uint64_t>(ph.subscriptions));
-  o.set("events", static_cast<std::uint64_t>(ph.events));
-  if (ph.family == Family::kChurn) {
-    o.set("churn_moves", static_cast<std::uint64_t>(ph.churnMoves));
-  }
-  o.set("event_interval_us", ph.eventInterval / net::kMicrosecond);
-  if (ph.selectivity.has_value()) o.set("selectivity", *ph.selectivity);
-  if (ph.hotspots.has_value()) o.set("hotspots", *ph.hotspots);
-  if (ph.zipfAlpha.has_value()) o.set("zipf_alpha", *ph.zipfAlpha);
-  if (ph.hotspotRadius.has_value()) o.set("hotspot_radius", *ph.hotspotRadius);
-  if (ph.family == Family::kFlashCrowd) {
-    if (!ph.crowdCentre.empty()) {
-      JsonValue centre = JsonValue::array();
-      for (const double c : ph.crowdCentre) centre.push_back(c);
-      o.set("crowd_centre", std::move(centre));
-    }
-    o.set("crowd_radius", ph.crowdRadius);
-  }
-  if (!ph.uninformativeDims.empty()) {
-    JsonValue dims = JsonValue::array();
-    for (const int d : ph.uninformativeDims) dims.push_back(d);
-    o.set("uninformative_dims", std::move(dims));
-  }
-  return o;
-}
-
 }  // namespace
 
 const char* toString(Family family) noexcept {
@@ -410,97 +347,6 @@ const char* toString(FaultAction action) noexcept {
     case FaultAction::kControllerKill: return "controller-kill";
   }
   return "?";
-}
-
-const char* toString(TopologyKind kind) noexcept {
-  switch (kind) {
-    case TopologyKind::kTestbedFatTree: return "testbed-fat-tree";
-    case TopologyKind::kFatTree: return "fat-tree";
-    case TopologyKind::kKAryFatTree: return "k-ary-fat-tree";
-    case TopologyKind::kRing: return "ring";
-    case TopologyKind::kLine: return "line";
-    case TopologyKind::kRandom: return "random";
-  }
-  return "?";
-}
-
-obs::JsonValue Scenario::toJson() const {
-  JsonValue o = JsonValue::object();
-  o.set("schema", kScenarioSchema);
-  o.set("name", name);
-  if (!description.empty()) o.set("description", description);
-  o.set("seed", seed);
-  o.set("topology", topologyToJson(topology));
-  JsonValue attrs = JsonValue::object();
-  attrs.set("count", numAttributes);
-  attrs.set("bits", bitsPerDim);
-  o.set("attributes", std::move(attrs));
-  o.set("partitions", partitions);
-  if (maxDzLength.has_value() || maxCellsPerRequest.has_value() ||
-      aggregateSubscriptions.has_value() || tcamBudget.has_value()) {
-    JsonValue c = JsonValue::object();
-    if (maxDzLength.has_value()) c.set("max_dz_length", *maxDzLength);
-    if (maxCellsPerRequest.has_value()) {
-      c.set("max_cells_per_request", static_cast<std::uint64_t>(*maxCellsPerRequest));
-    }
-    if (aggregateSubscriptions.has_value()) {
-      c.set("aggregate_subscriptions", *aggregateSubscriptions);
-    }
-    if (tcamBudget.has_value()) {
-      c.set("tcam_budget", static_cast<std::uint64_t>(*tcamBudget));
-    }
-    o.set("controller", std::move(c));
-  }
-  if (failover.enabled) {
-    JsonValue f = JsonValue::object();
-    f.set("heartbeat_ms", static_cast<double>(failover.heartbeatInterval) /
-                              static_cast<double>(net::kMillisecond));
-    f.set("miss_threshold", failover.missThreshold);
-    o.set("failover", std::move(f));
-  }
-  if (network.linkQueueCapacity > 0 || network.backpressure) {
-    JsonValue n = JsonValue::object();
-    n.set("link_queue_capacity",
-          static_cast<std::uint64_t>(network.linkQueueCapacity));
-    n.set("backpressure", network.backpressure);
-    o.set("network", std::move(n));
-  }
-  if (rebalance.enabled) {
-    JsonValue r = JsonValue::object();
-    r.set("interval_us", rebalance.interval / net::kMicrosecond);
-    r.set("hot_threshold", rebalance.hotThreshold);
-    r.set("congestion_factor", rebalance.congestionFactor);
-    o.set("rebalance", std::move(r));
-  }
-  JsonValue w = JsonValue::object();
-  w.set("selectivity", workload.selectivity);
-  w.set("advertisement_width_factor", workload.advertisementWidthFactor);
-  w.set("hotspots", workload.hotspots);
-  w.set("zipf_alpha", workload.zipfAlpha);
-  w.set("hotspot_radius", workload.hotspotRadius);
-  o.set("workload", std::move(w));
-  JsonValue phs = JsonValue::array();
-  for (const PhaseSpec& ph : phases) phs.push_back(phaseToJson(ph));
-  o.set("phases", std::move(phs));
-  if (!faults.empty()) {
-    JsonValue fs = JsonValue::array();
-    for (const FaultSpec& f : faults) {
-      JsonValue fo = JsonValue::object();
-      fo.set("at_ms", static_cast<double>(f.at) /
-                          static_cast<double>(net::kMillisecond));
-      fo.set("action", toString(f.action));
-      if (f.action != FaultAction::kControllerKill) fo.set("target", f.target);
-      fs.push_back(std::move(fo));
-    }
-    o.set("faults", std::move(fs));
-  }
-  JsonValue sm = JsonValue::object();
-  sm.set("max_advertisements", static_cast<std::uint64_t>(smoke.maxAdvertisements));
-  sm.set("max_subscriptions", static_cast<std::uint64_t>(smoke.maxSubscriptions));
-  sm.set("max_events", static_cast<std::uint64_t>(smoke.maxEvents));
-  sm.set("max_churn_moves", static_cast<std::uint64_t>(smoke.maxChurnMoves));
-  o.set("smoke", std::move(sm));
-  return o;
 }
 
 std::optional<Scenario> Scenario::fromJson(const obs::JsonValue& doc,

@@ -184,10 +184,6 @@ struct Scenario {
   std::vector<FaultSpec> faults;
   SmokeSpec smoke;
 
-  /// Serializes every field explicitly (defaults included), so
-  /// parse -> toJson -> parse is the identity on the document model.
-  obs::JsonValue toJson() const;
-
   /// Builds a scenario from a parsed document. On failure returns nullopt
   /// and names the offending field path in *error.
   static std::optional<Scenario> fromJson(const obs::JsonValue& doc,
@@ -222,7 +218,6 @@ struct Scenario {
 
 const char* toString(Family family) noexcept;
 const char* toString(FaultAction action) noexcept;
-const char* toString(TopologyKind kind) noexcept;
 
 /// The fully materialized work of one phase, in deterministic generation
 /// order: advertisements, then subscriptions, then churn moves, then

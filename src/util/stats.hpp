@@ -28,8 +28,6 @@ class RunningStat {
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
 
-  void merge(const RunningStat& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -129,13 +129,6 @@ std::vector<dz::Rectangle> WorkloadGenerator::makeSubscriptions(std::size_t n) {
   return out;
 }
 
-std::vector<dz::Rectangle> WorkloadGenerator::makeAdvertisements(std::size_t n) {
-  std::vector<dz::Rectangle> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(makeAdvertisement());
-  return out;
-}
-
 std::vector<ChurnStep> WorkloadGenerator::makeChurnSteps(std::size_t numSubs,
                                                          std::size_t numMoves,
                                                          std::size_t numHostSlots) {

@@ -97,7 +97,6 @@ class WorkloadGenerator {
   dz::Event makeEvent();
 
   std::vector<dz::Rectangle> makeSubscriptions(std::size_t n);
-  std::vector<dz::Rectangle> makeAdvertisements(std::size_t n);
   std::vector<dz::Event> makeEvents(std::size_t n);
 
   /// A deterministic churn/mobility plan: `numMoves` timed unsub+resub

@@ -76,14 +76,6 @@ TEST_F(OverlayFixture, MoreFiltersMeanMoreDelay) {
   EXPECT_GT(dAfter, dBefore);  // software matching cost grows with state
 }
 
-TEST_F(OverlayFixture, UnsubscribeStopsDelivery) {
-  const SubscriptionId s = overlay.subscribe(hosts[5], rect(0, 1023, 0, 1023));
-  ASSERT_FALSE(overlay.publish(hosts[0], {1, 1}).deliveries.empty());
-  overlay.unsubscribe(s);
-  EXPECT_TRUE(overlay.publish(hosts[0], {1, 1}).deliveries.empty());
-  EXPECT_EQ(overlay.totalRoutingEntries(), 0u);
-}
-
 TEST_F(OverlayFixture, CoveringSuppressesPropagation) {
   overlay.subscribe(hosts[5], rect(0, 1023, 0, 1023));
   const auto msgsBefore = overlay.subscriptionMessages();

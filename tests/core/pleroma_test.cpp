@@ -287,7 +287,6 @@ TEST(PleromaMetrics, SnapshotCountersEqualLayerStats) {
   EXPECT_EQ(counter("ctrl_channel.mods_dropped"), cs.flowModsDropped);
   EXPECT_EQ(counter("ctrl_channel.mods_retried"), cs.flowModsRetried);
   EXPECT_EQ(counter("ctrl_channel.mods_abandoned"), cs.flowModsAbandoned);
-  EXPECT_EQ(counter("ctrl_channel.barrier_requests"), cs.barrierRequests);
   EXPECT_EQ(counter("ctrl_channel.flow_stats_requests"),
             cs.flowStatsRequests + cs.flowStatsBatches);
 

@@ -151,39 +151,6 @@ TEST_P(DzPropertyTest, FullLengthDecompositionExactOnDyadicBoxes) {
   }
 }
 
-TEST_P(DzPropertyTest, AnalyticFprMatchesSampledFpr) {
-  // estimatedFalsePositiveRate (an exact volume computation) must agree
-  // with the empirically sampled FPR of the decomposition: the fraction of
-  // uniform events inside the DZ cover but outside the exact rectangle.
-  util::Rng rng(GetParam() + 404);
-  EventSpace space(2, 8);
-  for (int iter = 0; iter < 10; ++iter) {
-    Rectangle rect;
-    for (int d = 0; d < 2; ++d) {
-      const auto x = static_cast<AttributeValue>(rng.uniformInt(0, 200));
-      const auto w = static_cast<AttributeValue>(rng.uniformInt(20, 55));
-      rect.ranges.push_back(Range{x, x + w});
-    }
-    const int maxLen = 10;
-    const DzSet dzs = space.rectangleToDz(rect, maxLen, 32);
-    const double estimate = space.estimatedFalsePositiveRate(rect, maxLen, 32);
-
-    std::uint64_t covered = 0, falsePositive = 0;
-    for (int i = 0; i < 20000; ++i) {
-      const Event e{static_cast<AttributeValue>(rng.uniformInt(0, 255)),
-                    static_cast<AttributeValue>(rng.uniformInt(0, 255))};
-      if (!dzs.covers(space.eventToDz(e, maxLen))) continue;
-      ++covered;
-      if (!rect.contains(e)) ++falsePositive;
-    }
-    ASSERT_GT(covered, 100u);
-    const double sampled =
-        static_cast<double>(falsePositive) / static_cast<double>(covered);
-    EXPECT_NEAR(sampled, estimate, 0.06)
-        << "iter " << iter << " cover=" << dzs.toString();
-  }
-}
-
 TEST_P(DzPropertyTest, VolumeMatchesSampledCoverage) {
   util::Rng rng(GetParam() + 808);
   EventSpace space(2, 8);

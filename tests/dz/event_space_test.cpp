@@ -181,32 +181,6 @@ TEST(EventSpace, OneBitDomain) {
   EXPECT_EQ(dzs, DzSet{dz("1")});
 }
 
-TEST(EventSpace, RectangleVolume) {
-  EventSpace space(2, 10);
-  EXPECT_DOUBLE_EQ(space.rectangleVolume(space.wholeSpace()), 1.0);
-  const Rectangle half{{Range{0, 511}, Range{0, 1023}}};
-  EXPECT_DOUBLE_EQ(space.rectangleVolume(half), 0.5);
-  // Unindexed dimensions do not contribute.
-  EventSpace partial(2, 10);
-  partial.setIndexedDimensions({1});
-  EXPECT_DOUBLE_EQ(partial.rectangleVolume(half), 1.0);
-}
-
-TEST(EventSpace, EstimatedFprZeroForDyadicBox) {
-  EventSpace space(1, 4);
-  const Rectangle cell{{Range{4, 7}}};  // exactly dz "01"
-  EXPECT_DOUBLE_EQ(space.estimatedFalsePositiveRate(cell, 4), 0.0);
-}
-
-TEST(EventSpace, EstimatedFprGrowsAsLengthShrinks) {
-  EventSpace space(2, 10);
-  const Rectangle rect{{Range{100, 180}, Range{300, 420}}};
-  const double fine = space.estimatedFalsePositiveRate(rect, 16, 64);
-  const double coarse = space.estimatedFalsePositiveRate(rect, 4, 64);
-  EXPECT_LT(fine, coarse);
-  EXPECT_GT(coarse, 0.5);
-}
-
 TEST(EventSpace, WholeSpaceRectangle) {
   EventSpace space(2, 10);
   const DzSet dzs = space.rectangleToDz(space.wholeSpace(), 20, 16);

@@ -182,14 +182,6 @@ TEST_F(ThreeDomainFixture, UnsubscribeKeepsOtherRemoteSubscriber) {
             (std::set<net::NodeId>{hosts[4]}));
 }
 
-TEST_F(ThreeDomainFixture, UnadvertiseStopsLocalTreeOnly) {
-  const GlobalPublisherId p = domain->advertise(hosts[0], rect(0, 1023, 0, 1023));
-  domain->subscribe(hosts[5], rect(0, 511, 0, 1023));
-  domain->unadvertise(p);
-  // The retired publisher's events find no flows at its access switch.
-  EXPECT_TRUE(publishAndCollect(hosts[0], {100, 100}).empty());
-}
-
 TEST(MultiDomain, SinglePartitionBehavesLikePlainController) {
   net::Topology topo = net::Topology::testbedFatTree();
   std::vector<PartitionId> partitionOf(

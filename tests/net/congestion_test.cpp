@@ -245,8 +245,8 @@ TEST_F(CongestionMonitorTest, DropsWeighHeavierThanDepth) {
   burst(6);  // 5 overflow drops
   sim.run();
   const double hot = monitor.sampleOnce();
-  // dropWeight (10) * 5 drops dominates any depth contribution.
-  EXPECT_GE(hot, monitor.config().dropWeight * 5 * monitor.config().ewmaAlpha);
+  // kDropWeight (10) * 5 drops dominates any depth contribution.
+  EXPECT_GE(hot, CongestionMonitor::kDropWeight * 5 * monitor.config().ewmaAlpha);
 }
 
 TEST_F(CongestionMonitorTest, PeriodicSamplingIsPausableAndCounted) {

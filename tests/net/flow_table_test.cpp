@@ -24,8 +24,6 @@ TEST(FlowEntry, AddOutPortDeduplicates) {
   e.addOutPort(2);
   e.addOutPort(3);
   EXPECT_EQ(e.outPorts(), (std::vector<PortId>{2, 3}));
-  EXPECT_TRUE(e.hasOutPort(2));
-  EXPECT_FALSE(e.hasOutPort(4));
 }
 
 TEST(FlowEntry, AddOutPortUpdatesRewrite) {
@@ -34,13 +32,6 @@ TEST(FlowEntry, AddOutPortUpdatesRewrite) {
   e.addOutPort(2, addr);
   ASSERT_EQ(e.actions.size(), 1u);
   EXPECT_EQ(e.actions[0].setDestination, addr);
-}
-
-TEST(FlowEntry, RemoveOutPort) {
-  FlowEntry e = entry("10", {2, 3});
-  EXPECT_TRUE(e.removeOutPort(2));
-  EXPECT_FALSE(e.removeOutPort(2));
-  EXPECT_EQ(e.outPorts(), (std::vector<PortId>{3}));
 }
 
 TEST(FlowTable, InsertAndLookup) {

@@ -69,20 +69,6 @@ TEST_F(ChannelFixture, FlowsOfReadsSwitchTable) {
   EXPECT_EQ(channel.flowsOf(sw).size(), 1u);
 }
 
-TEST_F(ChannelFixture, PacketOutTransmits) {
-  net::Packet p;
-  p.dst = dz::kControlAddress;
-  int punted = 0;
-  net_.setPacketInHandler([&](net::NodeId, net::PortId, const net::Packet&) {
-    ++punted;
-  });
-  // Push out of sw's port 1 (towards the other switch); the peer punts it.
-  channel.sendPacketOut({sw, 1, p});
-  sim.run();
-  EXPECT_EQ(punted, 1);
-  EXPECT_EQ(channel.stats().packetOuts, 1u);
-}
-
 TEST_F(ChannelFixture, AsyncInstallAppliesAfterLatency) {
   channel.enableAsyncInstall();
   EXPECT_TRUE(channel.send({FlowModType::kAdd, sw, entry("10", 2)}));
@@ -188,38 +174,18 @@ TEST_F(ChannelFixture, AsyncApplyFailureIsCounted) {
   EXPECT_EQ(channel.asyncApplyFailures(), 1u);
 }
 
-TEST_F(ChannelFixture, BarrierImmediateWhenQuiescent) {
-  int replies = 0;
-  bool okSeen = false;
-  channel.sendBarrier(sw, [&](bool ok) {
-    ++replies;
-    okSeen = ok;
-  });
-  EXPECT_EQ(replies, 1);
-  EXPECT_TRUE(okSeen);
-  EXPECT_EQ(channel.stats().barrierRequests, 1u);
-  EXPECT_EQ(channel.stats().barrierReplies, 1u);
-}
-
-TEST_F(ChannelFixture, BarrierWaitsForOutstandingMods) {
+TEST_F(ChannelFixture, AsyncModsStayOutstandingUntilTheyLand) {
   channel.enableAsyncInstall();
   channel.send({FlowModType::kAdd, sw, entry("10", 2)});
   channel.send({FlowModType::kAdd, sw, entry("11", 2)});
-  int replies = 0;
-  bool okSeen = false;
-  channel.sendBarrier(sw, [&](bool ok) {
-    ++replies;
-    okSeen = ok;
-  });
-  EXPECT_EQ(replies, 0) << "barrier must not fire before the mods land";
   EXPECT_EQ(channel.outstandingMods(sw), 2u);
+  EXPECT_FALSE(channel.quiescent(sw));
   sim.run();
-  EXPECT_EQ(replies, 1);
-  EXPECT_TRUE(okSeen);
   EXPECT_TRUE(channel.quiescent(sw));
+  EXPECT_EQ(channel.stats().flowModsAcked, 2u);
 }
 
-TEST_F(ChannelFixture, BarrierReportsAbandonedMods) {
+TEST_F(ChannelFixture, RetryBudgetExhaustionAbandonsMod) {
   channel.enableAsyncInstall();
   ControlFaultModel faults;
   faults.dropProbability = 1.0;
@@ -229,21 +195,19 @@ TEST_F(ChannelFixture, BarrierReportsAbandonedMods) {
   retry.initialTimeout = net::kMillisecond;
   channel.setRetryPolicy(retry);
   channel.send({FlowModType::kAdd, sw, entry("10", 2)});
-  bool okSeen = true;
-  channel.sendBarrier(sw, [&](bool ok) { okSeen = ok; });
   sim.run();
-  EXPECT_FALSE(okSeen) << "barrier must report the abandoned mod";
   EXPECT_EQ(channel.stats().flowModsAbandoned, 1u);
   EXPECT_EQ(channel.stats().flowModsRetried, 2u);
+  EXPECT_EQ(channel.stats().flowModsAcked, 0u);
+  EXPECT_TRUE(channel.quiescent(sw));
+  EXPECT_TRUE(net_.flowTable(sw).empty());
 }
 
 TEST_F(ChannelFixture, DisconnectedSwitchDropsEverything) {
   channel.setSwitchConnected(sw, false);
   EXPECT_FALSE(channel.switchConnected(sw));
   EXPECT_FALSE(channel.send({FlowModType::kAdd, sw, entry("10", 2)}));
-  channel.sendPacketOut({sw, 1, net::Packet{}});
   EXPECT_EQ(channel.stats().flowModsDropped, 1u);
-  EXPECT_EQ(channel.stats().packetOutsDropped, 1u);
   channel.setSwitchConnected(sw, true);
   EXPECT_TRUE(channel.send({FlowModType::kAdd, sw, entry("10", 2)}));
   EXPECT_EQ(net_.flowTable(sw).size(), 1u);
@@ -360,16 +324,8 @@ TEST_F(ChannelFixture, AsyncBatchUsesOneXidAndAcksOnce) {
   EXPECT_EQ(channel.sendBatch(mods), 2u);
   // One xid tracks the whole batch.
   EXPECT_EQ(channel.outstandingMods(sw), 1u);
-  bool barrierOk = false;
-  bool barrierFired = false;
-  channel.sendBarrier(sw, [&](bool ok) {
-    barrierFired = true;
-    barrierOk = ok;
-  });
-  EXPECT_FALSE(barrierFired);  // waiting on the batch
   sim.run();
-  EXPECT_TRUE(barrierFired);
-  EXPECT_TRUE(barrierOk);
+  EXPECT_EQ(channel.stats().flowModsAcked, 1u);
   EXPECT_EQ(channel.outstandingMods(sw), 0u);
   EXPECT_EQ(net_.flowTable(sw).size(), 2u);
 }

@@ -96,18 +96,5 @@ TEST(Lldp, RingPartitioning) {
   }
 }
 
-TEST(Lldp, DiscoverSinglePartitionConvenience) {
-  const net::Topology topo = net::Topology::line(4);
-  std::vector<PartitionId> partitionOf(static_cast<std::size_t>(topo.nodeCount()), 0);
-  const auto sw = topo.switches();
-  partitionOf[static_cast<std::size_t>(sw[2])] = 1;
-  partitionOf[static_cast<std::size_t>(sw[3])] = 1;
-  const DiscoveryResult r = discoverPartition(topo, partitionOf, 1);
-  EXPECT_EQ(r.partition, 1);
-  EXPECT_EQ(r.switches.size(), 2u);
-  ASSERT_EQ(r.borderPorts.size(), 1u);
-  EXPECT_EQ(r.borderPorts[0].neighborPartition, 0);
-}
-
 }  // namespace
 }  // namespace pleroma::openflow
