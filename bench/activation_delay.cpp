@@ -21,8 +21,8 @@ double measureActivationMs(std::size_t deployed, std::uint64_t seed) {
   opts.numAttributes = 2;
   opts.controller.maxDzLength = 12;
   opts.controller.maxCellsPerRequest = 8;
-  opts.asyncFlowInstall = true;
   core::Pleroma p(net::Topology::testbedFatTree(), opts);
+  p.controller().channel().enableAsyncInstall();
   const auto hosts = p.topology().hosts();
 
   workload::WorkloadConfig wcfg;

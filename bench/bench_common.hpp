@@ -9,11 +9,13 @@
 #include <concepts>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/pleroma.hpp"
+#include "interop/multi_domain.hpp"
 #include "obs/report.hpp"
 #include "workload/workload.hpp"
 
@@ -111,6 +113,38 @@ inline void deploySubscriptions(core::Pleroma& p,
   for (std::size_t i = 0; i < n; ++i) {
     p.subscribe(hosts[i % hosts.size()], gen.makeSubscription());
   }
+}
+
+/// Figs 7g/7h: the 20-switch ring split into `controllers` contiguous
+/// partitions, four advertisers on every fifth host, then `numSubs`
+/// uniform subscriptions on random hosts.
+inline std::unique_ptr<interop::MultiDomain> deployPartitionedRing(
+    int controllers, std::size_t numSubs, std::uint64_t seed) {
+  net::Topology topo = net::Topology::ring(20);
+  std::vector<interop::PartitionId> partitionOf =
+      interop::contiguousPartitions(topo, controllers);
+  ctrl::ControllerConfig ccfg;
+  ccfg.maxDzLength = 10;
+  ccfg.maxCellsPerRequest = 4;
+  auto domain = std::make_unique<interop::MultiDomain>(
+      std::move(topo), std::move(partitionOf), dz::EventSpace(2, 10), ccfg);
+  const auto hosts = domain->network().topology().hosts();
+
+  workload::WorkloadConfig wcfg;
+  wcfg.model = workload::Model::kUniform;
+  wcfg.numAttributes = 2;
+  wcfg.subscriptionSelectivity = 0.15;
+  wcfg.seed = seed;
+  workload::WorkloadGenerator gen(wcfg);
+  for (int i = 0; i < 4; ++i) {
+    domain->advertise(hosts[static_cast<std::size_t>(i * 5)],
+                      gen.makeAdvertisement());
+  }
+  for (std::size_t i = 0; i < numSubs; ++i) {
+    domain->subscribe(hosts[gen.rng().uniformInt(0, hosts.size() - 1)],
+                      gen.makeSubscription());
+  }
+  return domain;
 }
 
 // ---- robustness-bench helpers (shared by control_plane_loss,

@@ -13,65 +13,19 @@
 // suppression of relayed requests).
 #include "bench_common.hpp"
 
-#include "interop/multi_domain.hpp"
-
 namespace {
 
 using namespace pleroma;
 
-/// Ring of 20 switches divided into `k` contiguous partitions.
-interop::MultiDomain makeDomain(int k) {
-  net::Topology topo = net::Topology::ring(20);
-  std::vector<interop::PartitionId> partitionOf(
-      static_cast<std::size_t>(topo.nodeCount()), 0);
-  const auto sw = topo.switches();
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    partitionOf[static_cast<std::size_t>(sw[i])] =
-        static_cast<interop::PartitionId>(static_cast<int>(i) * k / 20);
+/// Requests processed per controller (internal + external).
+double runOnce(int controllers, std::size_t numSubs, std::uint64_t seed) {
+  const auto domain = bench::deployPartitionedRing(controllers, numSubs, seed);
+  std::uint64_t processed = 0;
+  for (std::size_t pid = 0; pid < domain->partitionCount(); ++pid) {
+    processed +=
+        domain->stats(static_cast<interop::PartitionId>(pid)).requestsProcessed();
   }
-  ctrl::ControllerConfig ccfg;
-  ccfg.maxDzLength = 10;
-  ccfg.maxCellsPerRequest = 4;
-  return interop::MultiDomain(std::move(topo), std::move(partitionOf),
-                              dz::EventSpace(2, 10), ccfg);
-}
-
-struct Measured {
-  double avgOverheadPerController;
-  double totalControlTraffic;
-};
-
-Measured runOnce(int controllers, std::size_t numSubs, std::uint64_t seed) {
-  interop::MultiDomain domain = makeDomain(controllers);
-  const auto hosts = domain.network().topology().hosts();
-
-  workload::WorkloadConfig wcfg;
-  wcfg.model = workload::Model::kUniform;
-  wcfg.numAttributes = 2;
-  wcfg.subscriptionSelectivity = 0.15;
-  wcfg.seed = seed;
-  workload::WorkloadGenerator gen(wcfg);
-
-  // A handful of advertisers spread over the ring.
-  for (int i = 0; i < 4; ++i) {
-    domain.advertise(hosts[static_cast<std::size_t>(i * 5)],
-                     gen.makeAdvertisement());
-  }
-  for (std::size_t i = 0; i < numSubs; ++i) {
-    domain.subscribe(hosts[gen.rng().uniformInt(0, hosts.size() - 1)],
-                     gen.makeSubscription());
-  }
-
-  std::uint64_t processed = 0, sent = 0, internal = 0;
-  for (std::size_t pid = 0; pid < domain.partitionCount(); ++pid) {
-    const auto& s = domain.stats(static_cast<interop::PartitionId>(pid));
-    processed += s.requestsProcessed();
-    sent += s.messagesSent;
-    internal += s.internalRequests;
-  }
-  return Measured{
-      static_cast<double>(processed) / static_cast<double>(controllers),
-      static_cast<double>(internal + sent)};
+  return static_cast<double>(processed) / static_cast<double>(controllers);
 }
 
 }  // namespace
@@ -94,10 +48,9 @@ int main() {
   for (int k = 1; k <= kMax; ++k) {
     std::vector<obs::Cell> row{k};
     for (std::size_t si = 0; si < subCounts.size(); ++si) {
-      const Measured m = runOnce(k, subCounts[si], 51 + si);
-      if (k == 1) baselineOverhead[si] = m.avgOverheadPerController;
-      row.push_back(
-          cell(100.0 * m.avgOverheadPerController / baselineOverhead[si], 1));
+      const double overhead = runOnce(k, subCounts[si], 51 + si);
+      if (k == 1) baselineOverhead[si] = overhead;
+      row.push_back(cell(100.0 * overhead / baselineOverhead[si], 1));
     }
     bench.row(std::move(row));
   }

@@ -11,44 +11,14 @@
 // suppression filters a growing share of relays.
 #include "bench_common.hpp"
 
-#include "interop/multi_domain.hpp"
-
 namespace {
 
 using namespace pleroma;
 
 double runOnce(int controllers, std::size_t numSubs, std::uint64_t seed) {
-  net::Topology topo = net::Topology::ring(20);
-  std::vector<interop::PartitionId> partitionOf(
-      static_cast<std::size_t>(topo.nodeCount()), 0);
-  const auto sw = topo.switches();
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    partitionOf[static_cast<std::size_t>(sw[i])] =
-        static_cast<interop::PartitionId>(static_cast<int>(i) * controllers / 20);
-  }
-  ctrl::ControllerConfig ccfg;
-  ccfg.maxDzLength = 10;
-  ccfg.maxCellsPerRequest = 4;
-  interop::MultiDomain domain(std::move(topo), std::move(partitionOf),
-                              dz::EventSpace(2, 10), ccfg);
-  const auto hosts = domain.network().topology().hosts();
-
-  workload::WorkloadConfig wcfg;
-  wcfg.model = workload::Model::kUniform;
-  wcfg.numAttributes = 2;
-  wcfg.subscriptionSelectivity = 0.15;
-  wcfg.seed = seed;
-  workload::WorkloadGenerator gen(wcfg);
-
-  for (int i = 0; i < 4; ++i) {
-    domain.advertise(hosts[static_cast<std::size_t>(i * 5)],
-                     gen.makeAdvertisement());
-  }
-  for (std::size_t i = 0; i < numSubs; ++i) {
-    domain.subscribe(hosts[gen.rng().uniformInt(0, hosts.size() - 1)],
-                     gen.makeSubscription());
-  }
-  return static_cast<double>(domain.totalControlMessages());
+  return static_cast<double>(
+      bench::deployPartitionedRing(controllers, numSubs, seed)
+          ->totalControlMessages());
 }
 
 }  // namespace

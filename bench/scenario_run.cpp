@@ -2,11 +2,11 @@
 //
 //   scenario_run FILE.json [--smoke]
 //
-// Loads and validates the scenario, runs it (single-partition scenarios
-// drive core::Pleroma, multi-partition ones interop::MultiDomain), prints
-// the per-phase TSV table, and writes BENCH_<name>.json — a pleroma-bench-v1
-// report — to $PLEROMA_BENCH_DIR. --smoke (or PLEROMA_BENCH_SMOKE) applies
-// the scenario's smoke caps so the whole catalog executes in seconds.
+// Loads and validates the scenario, runs it on one core::Pleroma with the
+// scenario's partition count, prints the per-phase TSV table, and writes
+// BENCH_<name>.json — a pleroma-bench-v1 report — to $PLEROMA_BENCH_DIR.
+// --smoke (or PLEROMA_BENCH_SMOKE) applies the scenario's smoke caps so the
+// whole catalog executes in seconds.
 #include <cstdio>
 #include <cstring>
 #include <string>

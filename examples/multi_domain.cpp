@@ -14,13 +14,8 @@ using namespace pleroma;
 int main() {
   // Six switches in a line, two per partition; one host per switch.
   net::Topology topo = net::Topology::line(6);
-  std::vector<interop::PartitionId> partitionOf(
-      static_cast<std::size_t>(topo.nodeCount()), 0);
-  const auto sw = topo.switches();
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    partitionOf[static_cast<std::size_t>(sw[i])] =
-        static_cast<interop::PartitionId>(i / 2);
-  }
+  std::vector<interop::PartitionId> partitionOf =
+      interop::contiguousPartitions(topo, 3);
   const auto hosts = topo.hosts();
 
   interop::MultiDomain domain(std::move(topo), std::move(partitionOf),

@@ -1,24 +1,64 @@
 #include "core/pleroma.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+
+#include "scenario/scenario.hpp"
 
 namespace pleroma::core {
 
+PleromaOptions scenarioOptions(const scenario::Scenario& s) {
+  PleromaOptions opts;
+  opts.numAttributes = s.numAttributes;
+  opts.bitsPerDim = s.bitsPerDim;
+  opts.partitions = s.partitions;
+  if (s.maxDzLength.has_value()) opts.controller.maxDzLength = *s.maxDzLength;
+  if (s.maxCellsPerRequest.has_value()) {
+    opts.controller.maxCellsPerRequest = *s.maxCellsPerRequest;
+  }
+  if (s.aggregateSubscriptions.has_value()) {
+    opts.controller.aggregateSubscriptions = *s.aggregateSubscriptions;
+  }
+  if (s.tcamBudget.has_value()) opts.controller.tcamBudget = *s.tcamBudget;
+  opts.network.linkQueueCapacity = s.network.linkQueueCapacity;
+  opts.network.backpressure = s.network.backpressure;
+  if (s.needsFailover()) {
+    opts.failover.enableStandby = true;
+    opts.failover.config.heartbeatInterval = s.failover.heartbeatInterval;
+    opts.failover.config.missThreshold = s.failover.missThreshold;
+  }
+  return opts;
+}
+
 Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
     : dimensionWindow_(options.dimensionWindow) {
+  if (options.partitions > 1 && options.failover.enableStandby) {
+    throw std::invalid_argument("controller failover is single-partition only");
+  }
   network_ = std::make_unique<net::Network>(std::move(topology), sim_,
                                             options.network);
   subsByHost_.resize(
       static_cast<std::size_t>(network_->topology().nodeCount()));
-  controller_ = std::make_unique<ctrl::Controller>(
-      dz::EventSpace(options.numAttributes, options.bitsPerDim), *network_,
-      ctrl::Scope::wholeTopology(network_->topology()), options.controller);
-  if (options.asyncFlowInstall) controller_->channel().enableAsyncInstall();
+  dz::EventSpace space(options.numAttributes, options.bitsPerDim);
+  if (options.partitions > 1) {
+    domain_ = std::make_unique<interop::MultiDomain>(
+        *network_,
+        interop::contiguousPartitions(network_->topology(), options.partitions),
+        std::move(space), options.controller);
+    for (std::size_t p = 0; p < domain_->partitionCount(); ++p) {
+      domain_->controller(static_cast<interop::PartitionId>(p))
+          .setTracer(&tracer_);
+    }
+  } else {
+    controller_ = std::make_unique<ctrl::Controller>(
+        std::move(space), *network_,
+        ctrl::Scope::wholeTopology(network_->topology()), options.controller);
+    controller_->setTracer(&tracer_);
+  }
   network_->setDeliverHandler(
       [this](net::NodeId host, const net::Packet& pkt) { onDeliver(host, pkt); });
-
   network_->setTracer(&tracer_);
-  controller_->setTracer(&tracer_);
+
   if (options.failover.enableStandby) {
     // The standby must attach before any registration (its replay starts
     // from an empty history); constructing it here guarantees that.
@@ -31,6 +71,10 @@ Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
 }
 
 ctrl::PublisherId Pleroma::advertise(net::NodeId host, const dz::Rectangle& rect) {
+  if (domain_) {
+    domain_->advertise(host, rect);
+    return domainPublishers_++;
+  }
   return controller().advertise(host, rect);
 }
 
@@ -40,7 +84,13 @@ bool Pleroma::unadvertise(ctrl::PublisherId id) {
 
 ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
                                         const dz::Rectangle& rect) {
-  const ctrl::SubscriptionId id = controller().subscribe(host, rect);
+  ctrl::SubscriptionId id = 0;
+  if (domain_) {
+    id = static_cast<ctrl::SubscriptionId>(domainSubs_.size());
+    domainSubs_.push_back(domain_->subscribe(host, rect));
+  } else {
+    id = controller().subscribe(host, rect);
+  }
   const auto [it, inserted] = subs_.emplace(id, std::make_pair(host, rect));
   (void)inserted;
   subsByHost_[static_cast<std::size_t>(host)].push_back(
@@ -49,8 +99,13 @@ ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
 }
 
 bool Pleroma::unsubscribe(ctrl::SubscriptionId id) {
-  const bool live = controller().unsubscribe(id);
   const auto it = subs_.find(id);
+  bool live = it != subs_.end();
+  if (!domain_) {
+    live = controller().unsubscribe(id);
+  } else if (live) {
+    domain_->unsubscribe(domainSubs_[static_cast<std::size_t>(id)]);
+  }
   if (it != subs_.end()) {
     auto& list = subsByHost_[static_cast<std::size_t>(it->second.first)];
     std::erase_if(list, [id](const HostSub& s) { return s.id == id; });
@@ -63,7 +118,10 @@ net::EventId Pleroma::publish(net::NodeId host, const dz::Event& event,
                               net::EventId id) {
   if (id == 0) id = nextEventId_++;
   ++publishes_;
-  net::Packet packet = controller().makeEventPacket(host, event, id);
+  ctrl::Controller& stamping =
+      domain_ ? domain_->controller(domain_->partitionOfHost(host))
+              : controller();
+  net::Packet packet = stamping.makeEventPacket(host, event, id);
   if (tracer_.enabled()) {
     // Root of the event's data-plane span tree: traceId = event id.
     const obs::SpanId root = tracer_.instant(id, obs::kNoSpan, "publish",
@@ -135,36 +193,49 @@ obs::MetricsRegistry Pleroma::snapshotMetrics() {
                                : static_cast<double>(tables.probes) /
                                      static_cast<double>(tables.lookups));
 
-  ctrl::Controller& ctl = controller();
-  const openflow::ControlPlaneStats& cs = ctl.controlStats();
-  reg.counter("ctrl_channel.mods_sent").inc(cs.flowModsSent);
-  reg.counter("ctrl_channel.mods_acked").inc(cs.flowModsAcked);
-  reg.counter("ctrl_channel.mods_dropped").inc(cs.flowModsDropped);
-  reg.counter("ctrl_channel.mods_retried").inc(cs.flowModsRetried);
-  reg.counter("ctrl_channel.mods_abandoned").inc(cs.flowModsAbandoned);
-  reg.counter("ctrl_channel.flow_stats_requests")
-      .inc(cs.flowStatsRequests + cs.flowStatsBatches);
+  // The controller layer: the active controller, or every partition's.
+  std::vector<ctrl::Controller*> controllers;
+  if (domain_) {
+    for (std::size_t p = 0; p < domain_->partitionCount(); ++p) {
+      controllers.push_back(
+          &domain_->controller(static_cast<interop::PartitionId>(p)));
+    }
+    reg.counter("interop.control_messages")
+        .inc(domain_->totalControlMessages());
+  } else {
+    controllers.push_back(&controller());
+  }
+  for (ctrl::Controller* ctl : controllers) {
+    const openflow::ControlPlaneStats& cs = ctl->controlStats();
+    reg.counter("ctrl_channel.mods_sent").inc(cs.flowModsSent);
+    reg.counter("ctrl_channel.mods_acked").inc(cs.flowModsAcked);
+    reg.counter("ctrl_channel.mods_dropped").inc(cs.flowModsDropped);
+    reg.counter("ctrl_channel.mods_retried").inc(cs.flowModsRetried);
+    reg.counter("ctrl_channel.mods_abandoned").inc(cs.flowModsAbandoned);
+    reg.counter("ctrl_channel.flow_stats_requests")
+        .inc(cs.flowStatsRequests + cs.flowStatsBatches);
 
-  const ctrl::ControllerStats& ct = ctl.stats();
-  reg.counter("controller.ops").inc(ct.ops);
-  reg.counter("controller.trees_created").inc(ct.treesCreated);
-  reg.counter("controller.trees_joined").inc(ct.treesJoined);
-  reg.counter("controller.tree_merges").inc(ct.treeMerges);
-  reg.counter("controller.tree_reroots").inc(ct.treeReroots);
-  reg.counter("controller.tree_rebuilds").inc(ct.treeRebuilds);
-  reg.counter("controller.reindexes").inc(ct.reindexes);
-  reg.histogram("controller.flow_mods_per_op") = ct.flowModsPerOp;
-  reg.histogram("controller.op_install_time_ns") = ct.opInstallTimeNs;
+    const ctrl::ControllerStats& ct = ctl->stats();
+    reg.counter("controller.ops").inc(ct.ops);
+    reg.counter("controller.trees_created").inc(ct.treesCreated);
+    reg.counter("controller.trees_joined").inc(ct.treesJoined);
+    reg.counter("controller.tree_merges").inc(ct.treeMerges);
+    reg.counter("controller.tree_reroots").inc(ct.treeReroots);
+    reg.counter("controller.tree_rebuilds").inc(ct.treeRebuilds);
+    reg.counter("controller.reindexes").inc(ct.reindexes);
+    reg.histogram("controller.flow_mods_per_op").merge(ct.flowModsPerOp);
+    reg.histogram("controller.op_install_time_ns").merge(ct.opInstallTimeNs);
 
-  const ctrl::FlowInstaller::CaseStats& is = ctl.installer().caseStats();
-  reg.counter("flow_installer.case1_fresh_add").inc(is.freshAdd);
-  reg.counter("flow_installer.case2_covered").inc(is.covered);
-  reg.counter("flow_installer.case3_subsumed_delete").inc(is.subsumedDelete);
-  reg.counter("flow_installer.case4_extend").inc(is.extend);
-  reg.counter("flow_installer.case5_shadow_modify").inc(is.shadowModify);
-  reg.counter("flow_installer.reconcile_passes").inc(is.reconcilePasses);
-  reg.counter("flow_installer.coarsen_passes")
-      .inc(ctl.installer().coarsenStats().events);
+    const ctrl::FlowInstaller::CaseStats& is = ctl->installer().caseStats();
+    reg.counter("flow_installer.case1_fresh_add").inc(is.freshAdd);
+    reg.counter("flow_installer.case2_covered").inc(is.covered);
+    reg.counter("flow_installer.case3_subsumed_delete").inc(is.subsumedDelete);
+    reg.counter("flow_installer.case4_extend").inc(is.extend);
+    reg.counter("flow_installer.case5_shadow_modify").inc(is.shadowModify);
+    reg.counter("flow_installer.reconcile_passes").inc(is.reconcilePasses);
+    reg.counter("flow_installer.coarsen_passes")
+        .inc(ctl->installer().coarsenStats().events);
+  }
 
   if (failover_) {
     const ctrl::FailoverStats& fs = failover_->stats();

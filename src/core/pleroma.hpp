@@ -1,14 +1,19 @@
-// The public PLEROMA middleware API for a single controlled partition.
-// Wraps topology instantiation, the SDN controller, and the data-plane
-// simulation behind the publish/subscribe operations of the paper:
-// advertise / publish on the producer side, subscribe / deliver on the
-// consumer side, plus false-positive accounting, latency metrics, and the
+// The public PLEROMA middleware API, one deployment facade for 1..N
+// independently controlled partitions. Wraps topology instantiation, the
+// SDN controller(s), and the data-plane simulation behind the
+// publish/subscribe operations of the paper: advertise / publish on the
+// producer side, subscribe / deliver on the consumer side, plus
+// false-positive accounting, latency metrics, tracing, metrics, and the
 // periodic dimension-selection hook (Sec 5).
 //
-// Multi-partition deployments use interop::MultiDomain, which exposes the
-// same operations across independently controlled networks.
+// With PleromaOptions::partitions = k > 1 (Sec 4), an interop::MultiDomain
+// over this instance's own simulator and network runs one controller per
+// partition. Members that need the one controller (controller(),
+// failover(), unadvertise, reindex, dimension selection) are
+// single-partition only.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -21,9 +26,14 @@
 #include "controller/failover.hpp"
 #include "controller/standby.hpp"
 #include "dimsel/dimension_selection.hpp"
+#include "interop/multi_domain.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+
+namespace pleroma::scenario {
+struct Scenario;
+}
 
 namespace pleroma::core {
 
@@ -41,15 +51,20 @@ struct FailoverOptions {
 struct PleromaOptions {
   int numAttributes = 2;
   int bitsPerDim = 10;
+  /// Independently controlled partitions (Sec 4), assigned by
+  /// interop::contiguousPartitions. Failover needs a single partition.
+  int partitions = 1;
   ctrl::ControllerConfig controller;
   net::NetworkConfig network;
   FailoverOptions failover;
   /// Size of the sliding event window kept for dimension selection (eta).
   std::size_t dimensionWindow = 256;
-  /// Apply flow-mods asynchronously (each takes flowModLatency of simulated
-  /// time): subscriptions *activate* only once their flows are installed.
-  bool asyncFlowInstall = false;
 };
+
+/// The deployment a validated scenario describes: schema, partitions,
+/// controller knobs, network block, and the standby when the scenario
+/// needs failover. Shared by scenario::ScenarioRunner and the CLI.
+PleromaOptions scenarioOptions(const scenario::Scenario& s);
 
 /// One delivered (event, host) pair as observed at the application layer.
 struct DeliveryRecord {
@@ -82,19 +97,25 @@ class Pleroma {
  public:
   using DeliveryCallback = std::function<void(const DeliveryRecord&)>;
 
+  /// Throws std::invalid_argument for a standby with partitions > 1.
   Pleroma(net::Topology topology, PleromaOptions options = {});
 
   // ---- pub/sub operations ---------------------------------------------
 
+  // With partitions > 1, advertise and subscribe relay the registration
+  // to the other partitions before they return, and the ids they return
+  // are this instance's own, unique across partitions.
+
   ctrl::PublisherId advertise(net::NodeId host, const dz::Rectangle& rect);
-  /// Returns whether `id` was a live publisher.
+  /// Returns whether `id` was a live publisher. Single-partition only.
   bool unadvertise(ctrl::PublisherId id);
   ctrl::SubscriptionId subscribe(net::NodeId host, const dz::Rectangle& rect);
   /// Returns whether `id` was a live subscription.
   bool unsubscribe(ctrl::SubscriptionId id);
 
-  /// Publishes one event from `host` into the data plane. Assigns the
-  /// event id automatically when `id` is 0.
+  /// Publishes one event from `host` into the data plane, stamped by the
+  /// controller of the host's partition. Assigns the event id automatically
+  /// when `id` is 0.
   net::EventId publish(net::NodeId host, const dz::Event& event,
                        net::EventId id = 0);
 
@@ -152,15 +173,18 @@ class Pleroma {
   /// stats — delivery stats and latency ("core.*"), flow tables summed over
   /// the switches ("flow_table.*"), the active controller's channel,
   /// controller and installer counters ("ctrl_channel.*", "controller.*",
-  /// "flow_installer.*"), failover ("failover.*", when enabled), the
-  /// simulator ("sim.*") and the network counters ("net.*").
+  /// "flow_installer.*"; summed over the partitions when there are
+  /// several, plus "interop.control_messages"), failover
+  /// ("failover.*", when enabled), the simulator ("sim.*") and the network
+  /// counters ("net.*").
   obs::MetricsRegistry snapshotMetrics();
 
   // ---- access to the layers ---------------------------------------------
 
   /// The controller currently in charge: the original until a failover
-  /// promotion, the promoted replica after.
+  /// promotion, the promoted replica after. Single-partition only.
   ctrl::Controller& controller() noexcept {
+    assert(controller_ != nullptr && "single-partition only");
     return failover_ ? failover_->active() : *controller_;
   }
   /// Failover layer, present only with FailoverOptions::enableStandby.
@@ -176,7 +200,14 @@ class Pleroma {
   obs::Tracer tracer_;
   net::Simulator sim_;
   std::unique_ptr<net::Network> network_;
+  /// Exactly one of the two: the controller of a single partition, or the
+  /// partitions of a multi-partition deployment.
   std::unique_ptr<ctrl::Controller> controller_;
+  std::unique_ptr<interop::MultiDomain> domain_;
+  /// Multi-partition only: the partition-local handle of each id this
+  /// instance handed out (ids index this vector).
+  std::vector<interop::GlobalSubscriptionId> domainSubs_;
+  ctrl::PublisherId domainPublishers_ = 0;
   /// Failover layer (optional). Declared after controller_ / network_: the
   /// standby and manager reference both.
   std::unique_ptr<ctrl::StandbyController> standby_;

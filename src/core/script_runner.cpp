@@ -12,18 +12,17 @@ ScriptRunner::ScriptRunner(OutputSink sink) : sink_(std::move(sink)) {
   reset(net::Topology::testbedFatTree(), 2, 10);
 }
 
-void ScriptRunner::reset(net::Topology topo, int attrs, int bits,
-                         std::optional<ctrl::ControllerConfig> controller) {
+void ScriptRunner::reset(net::Topology topo, int attrs, int bits) {
   PleromaOptions options;
   options.numAttributes = attrs;
   options.bitsPerDim = bits;
-  if (controller.has_value()) {
-    options.controller = *controller;
-  } else {
-    options.controller.maxCellsPerRequest = 32;
-  }
+  options.controller.maxCellsPerRequest = 32;
+  reset(std::move(topo), options);
+}
+
+void ScriptRunner::reset(net::Topology topo, const PleromaOptions& options) {
   middleware_ = std::make_unique<Pleroma>(std::move(topo), options);
-  attrs_ = attrs;
+  attrs_ = options.numAttributes;
   pendingDeliveries_.clear();
   middleware_->setDeliveryCallback(
       [this](const DeliveryRecord& r) { pendingDeliveries_.push_back(r); });
@@ -304,12 +303,10 @@ bool ScriptRunner::executeLine(const std::string& line) {
       emit("error: multi-partition scenarios need the scenario_run tool");
       return true;
     }
-    ctrl::ControllerConfig cfg;
-    if (s->maxDzLength.has_value()) cfg.maxDzLength = *s->maxDzLength;
-    if (s->maxCellsPerRequest.has_value()) {
-      cfg.maxCellsPerRequest = *s->maxCellsPerRequest;
-    }
-    reset(s->buildTopology(), s->numAttributes, s->bitsPerDim, cfg);
+    PleromaOptions options = scenarioOptions(*s);
+    // Nothing here kills the controller, so a standby would never act.
+    options.failover = {};
+    reset(s->buildTopology(), options);
     const auto hosts = middleware_->topology().hosts();
     struct Live {
       std::size_t slot;
@@ -349,10 +346,14 @@ bool ScriptRunner::executeLine(const std::string& line) {
             plan.advertisements.size(), plan.subscriptions.size(),
             plan.churnMoves.size(), plan.events.size());
     }
+    std::string skipped;
+    if (s->failover.enabled) skipped += " failover";
+    if (s->rebalance.enabled) skipped += " rebalance";
     if (!s->faults.empty()) {
-      emitf("  note: %zu fault(s) not applied (fault schedules need "
-            "scenario_run)",
-            s->faults.size());
+      skipped += " " + std::to_string(s->faults.size()) + " fault(s)";
+    }
+    if (!skipped.empty()) {
+      emitf("  note: not applied (needs scenario_run):%s", skipped.c_str());
     }
     emitf("ok: scenario %s deployed (%zu phases, %zu events in flight; "
           "type 'run' to settle)",

@@ -18,9 +18,11 @@
 //   dimsel [THRESHOLD]          run dimension selection and re-index
 //                               (0 < THRESHOLD <= 1, default 0.9)
 //   scenario FILE.json          load a pleroma-scenario-v1 file: reset to
-//                               its topology/schema and deploy every
-//                               phase's workload (single-partition only;
-//                               fault schedules need scenario_run)
+//                               its deployment (core::scenarioOptions) and
+//                               deploy every phase's workload
+//                               (single-partition only; failover,
+//                               rebalancing and fault schedules need
+//                               scenario_run, and a note names them)
 //   source FILE                 execute a plain command script from a file
 #pragma once
 
@@ -51,8 +53,9 @@ class ScriptRunner {
   Pleroma& middleware() noexcept { return *middleware_; }
 
  private:
-  void reset(net::Topology topo, int attrs, int bits,
-             std::optional<ctrl::ControllerConfig> controller = std::nullopt);
+  /// The CLI's own deployment: K attributes of BITS bits, one partition.
+  void reset(net::Topology topo, int attrs, int bits);
+  void reset(net::Topology topo, const PleromaOptions& options);
   net::NodeId hostByName(const std::string& name) const;
   net::NodeId switchByName(const std::string& name) const;
   /// Largest attribute value of the current schema.

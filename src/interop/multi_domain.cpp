@@ -1,19 +1,49 @@
 #include "interop/multi_domain.hpp"
 
+#include <deque>
+
 #include "net/packet.hpp"
 
-#include <cassert>
-
 namespace pleroma::interop {
+
+std::vector<PartitionId> contiguousPartitions(const net::Topology& topology,
+                                              int k) {
+  std::vector<PartitionId> partitionOf(
+      static_cast<std::size_t>(topology.nodeCount()), 0);
+  const std::vector<net::NodeId> switches = topology.switches();
+  const std::size_t n = switches.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    partitionOf[static_cast<std::size_t>(switches[i])] =
+        static_cast<PartitionId>(i * static_cast<std::size_t>(k) / n);
+  }
+  return partitionOf;
+}
 
 MultiDomain::MultiDomain(net::Topology topology,
                          std::vector<PartitionId> partitionOf,
                          dz::EventSpace space,
                          ctrl::ControllerConfig controllerConfig,
                          net::NetworkConfig networkConfig)
-    : partitionOfNode_(std::move(partitionOf)) {
-  auto discoveries = openflow::discoverPartitions(topology, partitionOfNode_);
-  network_ = std::make_unique<net::Network>(std::move(topology), sim_, networkConfig);
+    : MultiDomain(std::make_unique<Owned>(std::move(topology), networkConfig),
+                  std::move(partitionOf), std::move(space),
+                  std::move(controllerConfig)) {}
+
+MultiDomain::MultiDomain(std::unique_ptr<Owned> owned,
+                         std::vector<PartitionId> partitionOf,
+                         dz::EventSpace space,
+                         ctrl::ControllerConfig controllerConfig)
+    : MultiDomain(owned->network, std::move(partitionOf), std::move(space),
+                  std::move(controllerConfig)) {
+  owned_ = std::move(owned);
+}
+
+MultiDomain::MultiDomain(net::Network& network,
+                         std::vector<PartitionId> partitionOf,
+                         dz::EventSpace space,
+                         ctrl::ControllerConfig controllerConfig)
+    : network_(&network), partitionOfNode_(std::move(partitionOf)) {
+  auto discoveries =
+      openflow::discoverPartitions(network_->topology(), partitionOfNode_);
   network_->setPacketInHandler(
       [this](net::NodeId sw, net::PortId port, const net::Packet& pkt) {
         onPacketIn(sw, port, pkt);
@@ -31,6 +61,41 @@ MultiDomain::MultiDomain(net::Topology topology,
     }
     part->discovery = std::move(disc);
     partitions_.push_back(std::move(part));
+  }
+  keepSpanningTreeGateways();
+}
+
+void MultiDomain::keepSpanningTreeGateways() {
+  // Breadth-first from the lowest unreached partition id, each partition's
+  // gateways in neighbour-id order; the gateway that first reaches a
+  // partition makes a tree edge.
+  const std::size_t n = partitions_.size();
+  std::vector<PartitionId> parent(n, -1);
+  std::vector<bool> reached(n, false);
+  std::deque<PartitionId> queue;
+  for (std::size_t root = 0; root < n; ++root) {
+    if (reached[root]) continue;
+    reached[root] = true;
+    queue.push_back(static_cast<PartitionId>(root));
+    while (!queue.empty()) {
+      const PartitionId p = queue.front();
+      queue.pop_front();
+      for (const auto& [neighbor, bp] :
+           partitions_[static_cast<std::size_t>(p)]->gatewayTo) {
+        const auto next = static_cast<std::size_t>(neighbor);
+        if (reached[next]) continue;
+        reached[next] = true;
+        parent[next] = p;
+        queue.push_back(neighbor);
+      }
+    }
+  }
+  for (const auto& part : partitions_) {
+    const PartitionId up = parent[static_cast<std::size_t>(part->id)];
+    std::erase_if(part->gatewayTo, [&](const auto& gateway) {
+      return gateway.first != up &&
+             parent[static_cast<std::size_t>(gateway.first)] != part->id;
+    });
   }
 }
 

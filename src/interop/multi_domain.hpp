@@ -3,10 +3,13 @@
 // physical topology, discovers border gateways with the LLDP mechanism, and
 // propagates advertisements/subscriptions between controllers:
 //
-//  * advertisements flood to all partitions (registered remotely as
-//    *virtual hosts* on the receiving border switch port);
+//  * advertisements flood to all partitions along a spanning tree of the
+//    partition graph (registered remotely as *virtual hosts* on the
+//    receiving border switch port), so a cycle of partitions never
+//    delivers an event twice (DESIGN.md §5);
 //  * subscriptions follow the reverse path of the overlapping external
-//    advertisements;
+//    advertisements, and events the subscriptions' flows, so both stay on
+//    the tree;
 //  * both directions apply covering-based suppression — a request is only
 //    forwarded to a neighbour if it is not covered by what was previously
 //    forwarded there (Sec 4.2).
@@ -40,6 +43,12 @@ struct GlobalSubscriptionId {
   ctrl::SubscriptionId local = ctrl::kInvalidSubscription;
 };
 
+/// Contiguous assignment of switches to `k` partitions: switch i of the n
+/// in Topology::switches() belongs to partition floor(i*k/n). Host entries
+/// stay 0 (hosts belong to their access switch's partition).
+std::vector<PartitionId> contiguousPartitions(const net::Topology& topology,
+                                              int k);
+
 /// Control-load accounting per partition (Fig 7g/7h).
 struct PartitionStats {
   std::uint64_t internalRequests = 0;  ///< adv/sub from local end hosts
@@ -55,12 +64,23 @@ struct PartitionStats {
 
 class MultiDomain {
  public:
+  /// Runs the partitions over an existing network (and its simulator),
+  /// which must outlive this object. Installs the network's packet-in
+  /// handler; the deliver handler is left to the caller.
   /// `partitionOf[node]` assigns each switch to a partition id in
   /// [0, numPartitions); host entries are ignored (hosts belong to their
   /// access switch's partition).
+  MultiDomain(net::Network& network, std::vector<PartitionId> partitionOf,
+              dz::EventSpace space, ctrl::ControllerConfig controllerConfig = {});
+
+  /// Builds and owns its own simulator and network over `topology`.
   MultiDomain(net::Topology topology, std::vector<PartitionId> partitionOf,
               dz::EventSpace space, ctrl::ControllerConfig controllerConfig = {},
               net::NetworkConfig networkConfig = {});
+
+  /// The network's packet-in handler holds `this`.
+  MultiDomain(const MultiDomain&) = delete;
+  MultiDomain& operator=(const MultiDomain&) = delete;
 
   std::size_t partitionCount() const noexcept { return partitions_.size(); }
   ctrl::Controller& controller(PartitionId p);
@@ -69,7 +89,7 @@ class MultiDomain {
   PartitionId partitionOfHost(net::NodeId host) const;
 
   net::Network& network() noexcept { return *network_; }
-  net::Simulator& simulator() noexcept { return sim_; }
+  net::Simulator& simulator() noexcept { return network_->simulator(); }
 
   /// Registers an advertisement at the host's local controller, then floods
   /// it across partitions (with covering suppression). Runs the simulator
@@ -93,7 +113,7 @@ class MultiDomain {
   void publish(net::NodeId host, const dz::Event& event, net::EventId id = 0);
 
   /// Runs the simulator until idle.
-  void settle() { sim_.run(); }
+  void settle() { simulator().run(); }
 
   std::uint64_t totalControlMessages() const;
 
@@ -116,8 +136,9 @@ class MultiDomain {
     openflow::DiscoveryResult discovery;
     std::unique_ptr<ctrl::Controller> controller;
     PartitionStats stats;
-    /// First border port towards each neighbouring partition (used both as
-    /// messaging gateway and as the virtual-host endpoint).
+    /// First border port towards each neighbouring partition on the
+    /// spanning tree (used both as messaging gateway and as the
+    /// virtual-host endpoint).
     std::map<PartitionId, openflow::BorderPort> gatewayTo;
     /// Covering-suppression state per neighbour.
     std::map<PartitionId, dz::DzSet> forwardedAdvs;
@@ -126,6 +147,19 @@ class MultiDomain {
     std::vector<ExternalAdv> externalAdvs;
   };
 
+  /// The simulator and network of the owning constructor.
+  struct Owned {
+    Owned(net::Topology topology, net::NetworkConfig config)
+        : network(std::move(topology), sim, config) {}
+    net::Simulator sim;
+    net::Network network;
+  };
+  MultiDomain(std::unique_ptr<Owned> owned, std::vector<PartitionId> partitionOf,
+              dz::EventSpace space, ctrl::ControllerConfig controllerConfig);
+
+  /// Prunes every gatewayTo to the edges of a breadth-first spanning tree
+  /// of the partition graph.
+  void keepSpanningTreeGateways();
   Partition& owningPartition(net::NodeId switchNode);
   void onPacketIn(net::NodeId switchNode, net::PortId inPort,
                   const net::Packet& packet);
@@ -145,8 +179,9 @@ class MultiDomain {
                            PartitionId except);
   ctrl::Endpoint virtualHostEndpoint(const Partition& part, PartitionId neighbor) const;
 
-  net::Simulator sim_;
-  std::unique_ptr<net::Network> network_;
+  /// Declared first: outlives the partition controllers that use it.
+  std::unique_ptr<Owned> owned_;
+  net::Network* network_;
   std::vector<PartitionId> partitionOfNode_;
   std::vector<std::unique_ptr<Partition>> partitions_;
 };

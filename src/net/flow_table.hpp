@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -286,12 +285,6 @@ class FlowTable {
         }
       }
     }
-  }
-
-  /// Type-erased overload kept for callers that already hold a
-  /// std::function; thin wrapper over the template.
-  void forEach(const std::function<void(const FlowEntry&)>& fn) const {
-    forEach<const std::function<void(const FlowEntry&)>&>(fn);
   }
 
  private:

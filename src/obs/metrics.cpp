@@ -55,6 +55,17 @@ void Histogram::record(double v) noexcept {
   sum_ += v;
 }
 
+void Histogram::merge(const Histogram& other) noexcept {
+  if (other.count_ == 0) return;
+  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  count_ += other.count_;
+  sum_ += other.sum_;
+}
+
 double Histogram::percentile(double q) const {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;

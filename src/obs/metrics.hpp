@@ -57,6 +57,8 @@ class Histogram {
   static constexpr int kBucketCount = 1 + kOctaves * kSubBuckets;
 
   void record(double v) noexcept;
+  /// Adds every sample of `other` (e.g. one histogram per partition).
+  void merge(const Histogram& other) noexcept;
 
   std::uint64_t count() const noexcept { return count_; }
   double sum() const noexcept { return sum_; }

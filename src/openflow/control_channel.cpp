@@ -356,7 +356,8 @@ void ControlChannel::armRetryTimer(std::uint64_t xid, net::SimTime basis) {
                        p->second.mod.switchNode);
     }
     ++p->second.attempts;
-    p->second.timeout = std::min(p->second.timeout * 2, retry_.maxTimeout);
+    constexpr net::SimTime kMaxRetryTimeout = 32 * net::kMillisecond;
+    p->second.timeout = std::min(p->second.timeout * 2, kMaxRetryTimeout);
     transmitAttempt(xid, /*isRetransmit=*/true);
   });
 }

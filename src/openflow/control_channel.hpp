@@ -47,11 +47,6 @@ struct ControlFaultModel {
   double duplicateProbability = 0.0;
   /// Extra per-delivery delay, uniform in [0, maxExtraDelay] (async only).
   net::SimTime maxExtraDelay = 0;
-
-  bool any() const noexcept {
-    return dropProbability > 0.0 || duplicateProbability > 0.0 ||
-           maxExtraDelay > 0;
-  }
 };
 
 /// Retransmission policy of the reliability layer (async mode). With
@@ -59,9 +54,8 @@ struct ControlFaultModel {
 /// immediately abandoned.
 struct RetryPolicy {
   int maxRetries = 0;
-  /// First retransmission timeout; doubles per attempt up to maxTimeout.
+  /// First retransmission timeout; doubles per attempt up to 32 ms.
   net::SimTime initialTimeout = 4 * net::kMillisecond;
-  net::SimTime maxTimeout = 32 * net::kMillisecond;
 };
 
 class ControlChannel {

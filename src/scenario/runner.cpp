@@ -7,7 +7,6 @@
 
 #include "controller/load_monitor.hpp"
 #include "core/pleroma.hpp"
-#include "interop/multi_domain.hpp"
 #include "net/congestion.hpp"
 
 namespace pleroma::scenario {
@@ -31,174 +30,80 @@ std::uint64_t delta(std::uint64_t cur, std::uint64_t prev) {
   return cur >= prev ? cur - prev : cur;
 }
 
-/// The deployment surface shared by the single-partition (core::Pleroma)
-/// and multi-partition (interop::MultiDomain) execution paths. Host slots
-/// are indices into Topology::hosts(); subscription handles are backend
-/// tokens the phase loop threads through churn moves.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  virtual std::size_t hostCount() const = 0;
-  virtual void advertise(std::size_t slot, const dz::Rectangle& rect) = 0;
-  virtual std::uint64_t subscribe(std::size_t slot, const dz::Rectangle& rect) = 0;
-  virtual void unsubscribe(std::uint64_t handle) = 0;
-  virtual void publish(std::size_t slot, const dz::Event& event) = 0;
-  virtual void settle() = 0;
-  virtual void settleUntil(net::SimTime t) = 0;
-  virtual net::SimTime now() const = 0;
-  virtual Snapshot snapshot() = 0;
-  virtual void applyFault(const FaultSpec& fault) = 0;
-  virtual bool promoted() const = 0;
-  virtual CongestionResult congestion() = 0;
-};
+Snapshot snapshot(core::Pleroma& pleroma) {
+  Snapshot s;
+  const core::DeliveryStats& d = pleroma.deliveryStats();
+  s.delivered = d.delivered;
+  s.falsePositives = d.falsePositives;
+  s.latencySum = d.latencySum;
+  obs::MetricsRegistry metrics = pleroma.snapshotMetrics();
+  s.flowMods = metrics.counter("ctrl_channel.mods_sent").value();
+  s.controlMessages = metrics.counter("interop.control_messages").value();
+  for (const net::NodeId sw : pleroma.topology().switches()) {
+    s.flowEntries += pleroma.network().flowTable(sw).size();
+  }
+  return s;
+}
 
-class SingleBackend final : public Backend {
+bool promoted(core::Pleroma& pleroma) {
+  const ctrl::FailoverManager* fo = pleroma.failover();
+  return fo != nullptr && fo->promoted();
+}
+
+/// The closed congestion loop (DESIGN.md §15): the congestion monitor
+/// samples the data plane every interval and the load monitor reacts with
+/// congestion-weighted reroots. Both are slow-lane ticks scheduled at the
+/// same instants; the congestion sample is armed first, so it runs before
+/// the reaction that consumes it.
+class RebalanceLoop {
  public:
-  explicit SingleBackend(const Scenario& s) {
-    core::PleromaOptions opts;
-    opts.numAttributes = s.numAttributes;
-    opts.bitsPerDim = s.bitsPerDim;
-    if (s.maxDzLength.has_value()) opts.controller.maxDzLength = *s.maxDzLength;
-    if (s.maxCellsPerRequest.has_value()) {
-      opts.controller.maxCellsPerRequest = *s.maxCellsPerRequest;
-    }
-    if (s.aggregateSubscriptions.has_value()) {
-      opts.controller.aggregateSubscriptions = *s.aggregateSubscriptions;
-    }
-    if (s.tcamBudget.has_value()) opts.controller.tcamBudget = *s.tcamBudget;
-    opts.network.linkQueueCapacity = s.network.linkQueueCapacity;
-    opts.network.backpressure = s.network.backpressure;
-    if (s.needsFailover()) {
-      // The heartbeat is armed at the kill instant, not at start-up: a
-      // live self-rearming tick would keep settle() from ever draining
-      // (see ctrl::FailoverManager::start).
-      opts.failover.enableStandby = true;
-      opts.failover.config.heartbeatInterval = s.failover.heartbeatInterval;
-      opts.failover.config.missThreshold = s.failover.missThreshold;
-    }
-    pleroma_ = std::make_unique<core::Pleroma>(s.buildTopology(), opts);
-    hosts_ = pleroma_->topology().hosts();
-    switches_ = pleroma_->topology().switches();
-    if (s.rebalance.enabled) {
-      // Closed loop (DESIGN.md §15): the congestion monitor samples the
-      // data plane every interval and the load monitor reacts with
-      // congestion-weighted reroots. Both are slow-lane ticks scheduled at
-      // the same instants; the congestion sample is armed first, so it
-      // runs before the reaction that consumes it.
-      rebalanceInterval_ = s.rebalance.interval;
-      net::CongestionConfig cc;
-      cc.sampleInterval = s.rebalance.interval;
-      congestion_ =
-          std::make_unique<net::CongestionMonitor>(pleroma_->network(), cc);
-      loadConfig_.hotLinkThreshold = s.rebalance.hotThreshold;
-      loadConfig_.congestionFactor = s.rebalance.congestionFactor;
+  RebalanceLoop(core::Pleroma& pleroma, const RebalanceSpec& spec)
+      : pleroma_(pleroma), interval_(spec.interval) {
+    net::CongestionConfig cc;
+    cc.sampleInterval = spec.interval;
+    congestion_ = std::make_unique<net::CongestionMonitor>(pleroma.network(), cc);
+    config_.hotLinkThreshold = spec.hotThreshold;
+    config_.congestionFactor = spec.congestionFactor;
+    watchActiveController();
+    resume();
+  }
+
+  /// A live self-rearming tick would keep sim.run() from ever draining:
+  /// pause the loop before a drain; the already-armed ticks fire once as
+  /// no-ops at their deterministic instants.
+  void pause() {
+    loadMonitor_->stopPeriodic();
+    congestion_->stop();
+  }
+
+  /// Re-arms the loop relative to the current clock, unless a killed
+  /// controller still awaits its promotion; right after the promotion,
+  /// moves the loop onto the promoted controller first.
+  void resume() {
+    if (awaitingPromotion_) {
+      if (!promoted(pleroma_)) return;
+      awaitingPromotion_ = false;
       watchActiveController();
-      resumeRebalancing();
     }
+    congestion_->startPeriodic();
+    loadMonitor_->startPeriodic(interval_);
   }
 
-  std::size_t hostCount() const override { return hosts_.size(); }
-
-  void advertise(std::size_t slot, const dz::Rectangle& rect) override {
-    pleroma_->advertise(hosts_[slot], rect);
+  /// Promotion drains the simulator, which a live tick would keep from
+  /// ever finishing; and until then the loop would reroot trees of the
+  /// dead controller. Pauses the loop until the promoted controller takes
+  /// over.
+  void onControllerKilled() {
+    if (promoted(pleroma_)) return;
+    pause();
+    awaitingPromotion_ = true;
   }
 
-  std::uint64_t subscribe(std::size_t slot, const dz::Rectangle& rect) override {
-    return static_cast<std::uint64_t>(pleroma_->subscribe(hosts_[slot], rect));
-  }
+  bool awaitingPromotion() const noexcept { return awaitingPromotion_; }
 
-  void unsubscribe(std::uint64_t handle) override {
-    pleroma_->unsubscribe(static_cast<ctrl::SubscriptionId>(handle));
-  }
-
-  void publish(std::size_t slot, const dz::Event& event) override {
-    pleroma_->publish(hosts_[slot], event);
-  }
-
-  void settle() override {
-    // A live self-rearming monitor tick would keep sim.run() from ever
-    // draining (same constraint as the failover heartbeat above): pause
-    // the loop, drain — the already-armed ticks fire once as no-ops at
-    // their deterministic instants — then re-arm relative to the settled
-    // clock.
-    pauseRebalancing();
-    pleroma_->settle();
-    resumeRebalancing();
-  }
-  void settleUntil(net::SimTime t) override {
-    pleroma_->settleUntil(t);
-    if (awaitingPromotion_) resumeRebalancing();
-  }
-  net::SimTime now() const override { return pleroma_->simulator().now(); }
-
-  Snapshot snapshot() override {
-    Snapshot s;
-    const core::DeliveryStats& d = pleroma_->deliveryStats();
-    s.delivered = d.delivered;
-    s.falsePositives = d.falsePositives;
-    s.latencySum = d.latencySum;
-    s.flowMods = pleroma_->controller().controlStats().flowModsSent;
-    for (const net::NodeId sw : switches_) {
-      s.flowEntries += pleroma_->network().flowTable(sw).size();
-    }
-    return s;
-  }
-
-  void applyFault(const FaultSpec& fault) override {
-    switch (fault.action) {
-      case FaultAction::kLinkDown:
-        pleroma_->network().setLinkUp(fault.target, false);
-        pleroma_->controller().onLinkDown(fault.target);
-        break;
-      case FaultAction::kLinkUp:
-        pleroma_->network().setLinkUp(fault.target, true);
-        pleroma_->controller().onLinkUp(fault.target);
-        break;
-      case FaultAction::kSwitchDown: {
-        const net::NodeId sw = switches_[static_cast<std::size_t>(fault.target)];
-        pleroma_->network().setNodeUp(sw, false);
-        pleroma_->controller().onSwitchDown(sw);
-        break;
-      }
-      case FaultAction::kSwitchUp: {
-        const net::NodeId sw = switches_[static_cast<std::size_t>(fault.target)];
-        pleroma_->network().setNodeUp(sw, true);
-        pleroma_->controller().onSwitchUp(sw);
-        break;
-      }
-      case FaultAction::kControllerKill:
-        if (ctrl::FailoverManager* fo = pleroma_->failover()) {
-          if (!fo->running()) fo->start();
-          fo->killPrimary();
-          // Promotion drains the simulator, which a live rebalancing tick
-          // would keep from ever finishing; and until then the loop would
-          // reroot trees of the dead controller. Pause it until the
-          // promoted controller takes over.
-          if (loadMonitor_ != nullptr && !fo->promoted()) {
-            pauseRebalancing();
-            awaitingPromotion_ = true;
-          }
-        }
-        break;
-    }
-  }
-
-  bool promoted() const override {
-    ctrl::FailoverManager* fo = pleroma_->failover();
-    return fo != nullptr && fo->promoted();
-  }
-
-  CongestionResult congestion() override {
-    CongestionResult c;
-    const net::NetworkCounters& nc = pleroma_->network().counters();
-    c.queueDrops = nc.dropped(net::DropReason::kLinkQueue);
-    c.bpDrops = nc.dropped(net::DropReason::kBackpressure);
-    c.bpParks = nc.packetsParkedOnBackpressure;
-    c.bpRetries = nc.backpressureRetries;
-    c.peakLinkQueueDepth = pleroma_->network().stats().peakLinkQueueDepth;
-    if (loadMonitor_ != nullptr) c.rebalances = loadMonitor_->rebalances();
-    if (primaryMonitor_ != nullptr) c.rebalances += primaryMonitor_->rebalances();
-    return c;
+  std::uint64_t rebalances() const {
+    return loadMonitor_->rebalances() +
+           (primaryMonitor_ != nullptr ? primaryMonitor_->rebalances() : 0);
   }
 
  private:
@@ -207,184 +112,59 @@ class SingleBackend final : public Backend {
   void watchActiveController() {
     primaryMonitor_ = std::move(loadMonitor_);
     loadMonitor_ =
-        std::make_unique<ctrl::LoadMonitor>(pleroma_->controller(), loadConfig_);
+        std::make_unique<ctrl::LoadMonitor>(pleroma_.controller(), config_);
     loadMonitor_->attachCongestion(congestion_.get());
   }
 
-  void pauseRebalancing() {
-    if (loadMonitor_ == nullptr) return;
-    loadMonitor_->stopPeriodic();
-    congestion_->stop();
-  }
-
-  /// Re-arms the closed loop, unless a killed controller still awaits its
-  /// promotion; right after the promotion, moves the loop onto the
-  /// promoted controller first.
-  void resumeRebalancing() {
-    if (loadMonitor_ == nullptr) return;
-    if (awaitingPromotion_) {
-      if (!promoted()) return;
-      awaitingPromotion_ = false;
-      watchActiveController();
-    }
-    congestion_->startPeriodic();
-    loadMonitor_->startPeriodic(rebalanceInterval_);
-  }
-
-  std::unique_ptr<core::Pleroma> pleroma_;
-  std::vector<net::NodeId> hosts_;
-  std::vector<net::NodeId> switches_;
-  // Declared after pleroma_: destroyed first, while the simulator whose
-  // tasks point at them still exists.
+  core::Pleroma& pleroma_;
+  net::SimTime interval_;
   std::unique_ptr<net::CongestionMonitor> congestion_;
   std::unique_ptr<ctrl::LoadMonitor> primaryMonitor_;
   std::unique_ptr<ctrl::LoadMonitor> loadMonitor_;
-  ctrl::LoadMonitorConfig loadConfig_;
-  net::SimTime rebalanceInterval_ = 0;
+  ctrl::LoadMonitorConfig config_;
   bool awaitingPromotion_ = false;
 };
 
-class MultiBackend final : public Backend {
- public:
-  explicit MultiBackend(const Scenario& s) {
-    net::Topology topo = s.buildTopology();
-    hosts_ = topo.hosts();
-    switches_ = topo.switches();
-    // Contiguous partition assignment over the switch list (the fig7g
-    // idiom): switch i of n belongs to partition i*k/n.
-    std::vector<interop::PartitionId> partitionOf(
-        static_cast<std::size_t>(topo.nodeCount()), 0);
-    const std::size_t n = switches_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      partitionOf[static_cast<std::size_t>(switches_[i])] =
-          static_cast<interop::PartitionId>(
-              i * static_cast<std::size_t>(s.partitions) / n);
-    }
-    ctrl::ControllerConfig cfg;
-    if (s.maxDzLength.has_value()) cfg.maxDzLength = *s.maxDzLength;
-    if (s.maxCellsPerRequest.has_value()) {
-      cfg.maxCellsPerRequest = *s.maxCellsPerRequest;
-    }
-    if (s.aggregateSubscriptions.has_value()) {
-      cfg.aggregateSubscriptions = *s.aggregateSubscriptions;
-    }
-    if (s.tcamBudget.has_value()) cfg.tcamBudget = *s.tcamBudget;
-    partitions_ = s.partitions;
-    domain_ = std::make_unique<interop::MultiDomain>(
-        std::move(topo), std::move(partitionOf),
-        dz::EventSpace(s.numAttributes, s.bitsPerDim), cfg);
-    subsByHost_.resize(hosts_.size());
-    hostIndexOf_.assign(
-        static_cast<std::size_t>(domain_->network().topology().nodeCount()),
-        static_cast<std::size_t>(-1));
-    for (std::size_t h = 0; h < hosts_.size(); ++h) {
-      hostIndexOf_[static_cast<std::size_t>(hosts_[h])] = h;
-    }
-    domain_->network().setDeliverHandler(
-        [this](net::NodeId host, const net::Packet& packet) {
-          onDeliver(host, packet);
-        });
-  }
-
-  std::size_t hostCount() const override { return hosts_.size(); }
-
-  void advertise(std::size_t slot, const dz::Rectangle& rect) override {
-    domain_->advertise(hosts_[slot], rect);
-  }
-
-  std::uint64_t subscribe(std::size_t slot, const dz::Rectangle& rect) override {
-    const std::uint64_t handle = static_cast<std::uint64_t>(handles_.size());
-    handles_.push_back({domain_->subscribe(hosts_[slot], rect), slot});
-    subsByHost_[slot].push_back({handle, rect});
-    return handle;
-  }
-
-  void unsubscribe(std::uint64_t handle) override {
-    HandleEntry& e = handles_[static_cast<std::size_t>(handle)];
-    domain_->unsubscribe(e.id);
-    auto& subs = subsByHost_[e.slot];
-    subs.erase(std::remove_if(subs.begin(), subs.end(),
-                              [&](const HostSub& hs) { return hs.handle == handle; }),
-               subs.end());
-  }
-
-  void publish(std::size_t slot, const dz::Event& event) override {
-    domain_->publish(hosts_[slot], event);
-  }
-
-  void settle() override { domain_->settle(); }
-  void settleUntil(net::SimTime t) override { domain_->simulator().runUntil(t); }
-  net::SimTime now() const override {
-    return const_cast<interop::MultiDomain&>(*domain_).simulator().now();
-  }
-
-  Snapshot snapshot() override {
-    Snapshot s;
-    s.delivered = delivered_;
-    s.falsePositives = falsePositives_;
-    s.latencySum = latencySum_;
-    for (interop::PartitionId p = 0; p < partitions_; ++p) {
-      s.flowMods += domain_->controller(p).controlStats().flowModsSent;
-    }
-    for (const net::NodeId sw : switches_) {
-      s.flowEntries += domain_->network().flowTable(sw).size();
-    }
-    s.controlMessages = domain_->totalControlMessages();
-    return s;
-  }
-
-  void applyFault(const FaultSpec&) override {
-    // validate() rejects fault schedules on multi-partition scenarios.
-    assert(false && "faults are single-partition only");
-  }
-
-  bool promoted() const override { return false; }
-
-  CongestionResult congestion() override {
-    CongestionResult c;
-    const net::NetworkCounters& nc = domain_->network().counters();
-    c.queueDrops = nc.dropped(net::DropReason::kLinkQueue);
-    c.bpDrops = nc.dropped(net::DropReason::kBackpressure);
-    c.bpParks = nc.packetsParkedOnBackpressure;
-    c.bpRetries = nc.backpressureRetries;
-    c.peakLinkQueueDepth = domain_->network().stats().peakLinkQueueDepth;
-    return c;
-  }
-
- private:
-  struct HandleEntry {
-    interop::GlobalSubscriptionId id;
-    std::size_t slot = 0;
+void applyFault(core::Pleroma& pleroma, const FaultSpec& fault,
+                RebalanceLoop* loop) {
+  net::Network& network = pleroma.network();
+  ctrl::Controller& controller = pleroma.controller();
+  const auto switchAt = [&](int index) {
+    return pleroma.topology().switches()[static_cast<std::size_t>(index)];
   };
-  struct HostSub {
-    std::uint64_t handle = 0;
-    dz::Rectangle rect;
-  };
-
-  void onDeliver(net::NodeId host, const net::Packet& packet) {
-    if (!packet.payload) return;
-    ++delivered_;
-    latencySum_ += now() - packet.sentAt();
-    const std::size_t slot = hostIndexOf_[static_cast<std::size_t>(host)];
-    const auto& subs = subsByHost_[slot];
-    const bool match =
-        std::any_of(subs.begin(), subs.end(), [&](const HostSub& hs) {
-          return hs.rect.contains(packet.event());
-        });
-    if (!match) ++falsePositives_;
+  switch (fault.action) {
+    case FaultAction::kLinkDown:
+      network.setLinkUp(fault.target, false);
+      controller.onLinkDown(fault.target);
+      break;
+    case FaultAction::kLinkUp:
+      network.setLinkUp(fault.target, true);
+      controller.onLinkUp(fault.target);
+      break;
+    case FaultAction::kSwitchDown: {
+      const net::NodeId sw = switchAt(fault.target);
+      network.setNodeUp(sw, false);
+      controller.onSwitchDown(sw);
+      break;
+    }
+    case FaultAction::kSwitchUp: {
+      const net::NodeId sw = switchAt(fault.target);
+      network.setNodeUp(sw, true);
+      controller.onSwitchUp(sw);
+      break;
+    }
+    case FaultAction::kControllerKill:
+      if (ctrl::FailoverManager* fo = pleroma.failover()) {
+        // The heartbeat is armed at the kill instant, not at start-up: a
+        // live self-rearming tick would keep settle() from ever draining
+        // (see ctrl::FailoverManager::start).
+        if (!fo->running()) fo->start();
+        fo->killPrimary();
+        if (loop != nullptr) loop->onControllerKilled();
+      }
+      break;
   }
-
-  std::unique_ptr<interop::MultiDomain> domain_;
-  std::vector<net::NodeId> hosts_;
-  std::vector<net::NodeId> switches_;
-  std::vector<std::size_t> hostIndexOf_;  ///< NodeId -> host slot
-  std::vector<HandleEntry> handles_;
-  std::vector<std::vector<HostSub>> subsByHost_;  ///< by host slot
-  interop::PartitionId partitions_ = 1;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t falsePositives_ = 0;
-  net::SimTime latencySum_ = 0;
-};
+}
 
 }  // namespace
 
@@ -395,13 +175,25 @@ RunResult ScenarioRunner::run() {
   const Scenario& s = scenario_;
   assert(!s.phases.empty());
 
-  std::unique_ptr<Backend> backend;
-  if (s.partitions > 1) {
-    backend = std::make_unique<MultiBackend>(s);
-  } else {
-    backend = std::make_unique<SingleBackend>(s);
+  core::Pleroma pleroma(s.buildTopology(), core::scenarioOptions(s));
+  const std::vector<net::NodeId> hosts = pleroma.topology().hosts();
+  const std::size_t hostCount = hosts.size();
+  // Declared after pleroma: destroyed first, while the simulator whose
+  // tasks point at its monitors still exists.
+  std::unique_ptr<RebalanceLoop> loop;
+  if (s.rebalance.enabled) {
+    loop = std::make_unique<RebalanceLoop>(pleroma, s.rebalance);
   }
-  const std::size_t hostCount = backend->hostCount();
+  const auto settle = [&] {
+    if (loop != nullptr) loop->pause();
+    pleroma.settle();
+    if (loop != nullptr) loop->resume();
+  };
+  const auto settleUntil = [&](net::SimTime t) {
+    pleroma.settleUntil(t);
+    if (loop != nullptr && loop->awaitingPromotion()) loop->resume();
+  };
+  const auto now = [&] { return pleroma.simulator().now(); };
 
   auto say = [&](const std::string& line) {
     if (options_.log) options_.log(line);
@@ -419,9 +211,9 @@ RunResult ScenarioRunner::run() {
   auto applyFaultsUpTo = [&](net::SimTime t) {
     while (nextFault < pending.size() && pending[nextFault].at <= t) {
       const FaultSpec& f = pending[nextFault];
-      if (f.at > backend->now()) backend->settleUntil(f.at);
-      backend->applyFault(f);
-      result.faults.push_back({f, backend->now()});
+      if (f.at > now()) settleUntil(f.at);
+      applyFault(pleroma, f, loop.get());
+      result.faults.push_back({f, now()});
       say("fault @" + std::to_string(f.at / net::kMillisecond) + "ms: " +
           toString(f.action));
       ++nextFault;
@@ -432,13 +224,13 @@ RunResult ScenarioRunner::run() {
   struct LiveSub {
     std::size_t slot;
     dz::Rectangle rect;
-    std::uint64_t handle;
+    ctrl::SubscriptionId id;
   };
   std::vector<LiveSub> ledger;
   // Advertiser host slots, accumulated; events round-robin over them.
   std::vector<std::size_t> advSlots;
 
-  Snapshot prev = backend->snapshot();
+  Snapshot prev = snapshot(pleroma);
   for (std::size_t p = 0; p < s.phases.size(); ++p) {
     const PhaseSpec& spec = s.phases[p];
     const PhasePlan plan =
@@ -452,7 +244,7 @@ RunResult ScenarioRunner::run() {
 
     std::vector<std::size_t> phaseAdvSlots;
     for (const auto& [slot, rect] : plan.advertisements) {
-      backend->advertise(slot, rect);
+      pleroma.advertise(hosts[slot], rect);
       advSlots.push_back(slot);
       phaseAdvSlots.push_back(slot);
     }
@@ -463,31 +255,31 @@ RunResult ScenarioRunner::run() {
     const std::vector<std::size_t>& publishers =
         phaseAdvSlots.empty() ? advSlots : phaseAdvSlots;
     for (const auto& [slot, rect] : plan.subscriptions) {
-      const std::uint64_t handle = backend->subscribe(slot, rect);
-      ledger.push_back({slot, rect, handle});
+      ledger.push_back({slot, rect, pleroma.subscribe(hosts[slot], rect)});
     }
-    backend->settle();
+    settle();
 
     for (const workload::ChurnStep& step : plan.churnMoves) {
       LiveSub& sub = ledger[step.subIndex];
       const std::size_t newSlot = (sub.slot + step.hostOffset) % hostCount;
-      backend->unsubscribe(sub.handle);
-      sub.handle = backend->subscribe(newSlot, sub.rect);
+      pleroma.unsubscribe(sub.id);
+      sub.id = pleroma.subscribe(hosts[newSlot], sub.rect);
       sub.slot = newSlot;
-      backend->settle();
+      settle();
     }
 
-    net::SimTime cursor = backend->now();
+    net::SimTime cursor = now();
     for (const dz::Event& event : plan.events) {
       cursor += plan.eventInterval;
       applyFaultsUpTo(cursor);
-      backend->settleUntil(cursor);
-      backend->publish(publishers[result.published % publishers.size()], event);
+      settleUntil(cursor);
+      pleroma.publish(hosts[publishers[result.published % publishers.size()]],
+                      event);
       ++result.published;
     }
-    backend->settle();
+    settle();
 
-    const Snapshot cur = backend->snapshot();
+    const Snapshot cur = snapshot(pleroma);
     PhaseResult pr;
     pr.name = spec.name;
     pr.family = spec.family;
@@ -506,7 +298,7 @@ RunResult ScenarioRunner::run() {
                                  static_cast<double>(pr.delivered) / 1000.0;
     pr.flowMods = delta(cur.flowMods, prev.flowMods);
     pr.flowEntries = cur.flowEntries;
-    pr.end = backend->now();
+    pr.end = now();
     result.flowMods += pr.flowMods;
     result.phases.push_back(std::move(pr));
     prev = cur;
@@ -515,9 +307,9 @@ RunResult ScenarioRunner::run() {
   // Faults scheduled past the last phase still fire, at their instant.
   applyFaultsUpTo(pending.empty() ? 0
                                   : pending.back().at);
-  backend->settle();
+  settle();
 
-  const Snapshot total = backend->snapshot();
+  const Snapshot total = snapshot(pleroma);
   result.delivered = total.delivered;
   result.falsePositives = total.falsePositives;
   result.meanLatencyUs = total.delivered == 0
@@ -528,9 +320,16 @@ RunResult ScenarioRunner::run() {
   // fresh channel); the tail delta covers post-phase fault repair.
   result.flowMods += delta(total.flowMods, prev.flowMods);
   result.controlMessages = total.controlMessages;
-  result.promoted = backend->promoted();
-  result.congestion = backend->congestion();
-  result.end = backend->now();
+  result.promoted = promoted(pleroma);
+  const net::NetworkCounters& nc = pleroma.network().counters();
+  CongestionResult& c = result.congestion;
+  c.queueDrops = nc.dropped(net::DropReason::kLinkQueue);
+  c.bpDrops = nc.dropped(net::DropReason::kBackpressure);
+  c.bpParks = nc.packetsParkedOnBackpressure;
+  c.bpRetries = nc.backpressureRetries;
+  c.peakLinkQueueDepth = pleroma.network().stats().peakLinkQueueDepth;
+  if (loop != nullptr) c.rebalances = loop->rebalances();
+  result.end = now();
   return result;
 }
 

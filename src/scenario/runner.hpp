@@ -3,10 +3,12 @@
 // moves, paced events), applies the fault schedule at its virtual-time
 // instants, and collects per-phase delivery/control-plane measurements.
 //
-// partitions == 1 drives a core::Pleroma instance (with the controller-HA
-// layer armed when the scenario needs it); partitions > 1 drives an
-// interop::MultiDomain. Everything measured derives from virtual time and
-// deterministic counters, so two runs of one scenario are byte-identical.
+// Every scenario drives one core::Pleroma, whatever its partition count
+// (core::scenarioOptions maps the file onto PleromaOptions, arming the
+// controller-HA layer when the scenario needs it). Fault application and
+// the closed congestion loop are single-partition, around that instance.
+// Everything measured derives from virtual time and deterministic
+// counters, so two runs of one scenario are byte-identical.
 #pragma once
 
 #include <functional>

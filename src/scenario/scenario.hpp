@@ -10,7 +10,7 @@
 //     "seed": 42,
 //     "topology": { "kind": "testbed-fat-tree" },   // see TopologySpec
 //     "attributes": { "count": 2, "bits": 10 },
-//     "partitions": 1,                     // >1 => interop::MultiDomain
+//     "partitions": 1,                     // PleromaOptions::partitions
 //     "controller": { "max_dz_length": 24, "max_cells_per_request": 8,
 //                     "aggregate_subscriptions": true, "tcam_budget": 512 },
 //     "failover": { "heartbeat_ms": 10, "miss_threshold": 3 },  // optional

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "controller/reconciler.hpp"
+#include "interop/multi_domain.hpp"
+#include "workload/workload.hpp"
 
 namespace pleroma::core {
 namespace {
@@ -145,9 +150,9 @@ TEST_F(PleromaFixture, DimensionSelectionPicksInformativeDims) {
 
 TEST_F(PleromaFixture, AsyncInstallDelaysActivation) {
   PleromaOptions o = options();
-  o.asyncFlowInstall = true;
   o.controller.flowModLatency = net::kMillisecond;
   Pleroma p(net::Topology::testbedFatTree(), o);
+  p.controller().channel().enableAsyncInstall();
   const auto h = p.topology().hosts();
   p.advertise(h[0], rect(0, 1023, 0, 1023));
   p.settle();  // let the advertisement's (no-op) work complete
@@ -235,9 +240,9 @@ TEST(PleromaMetrics, SnapshotCountersEqualLayerStats) {
   PleromaOptions o;
   o.numAttributes = 2;
   o.network.linkQueueCapacity = 2;
-  o.asyncFlowInstall = true;
   Pleroma p(net::Topology::testbedFatTree(), o);
   openflow::ControlChannel& channel = p.controller().channel();
+  channel.enableAsyncInstall();
   channel.setFaultModel({.dropProbability = 0.5});
   channel.setRetryPolicy({.maxRetries = 1});
   const auto hosts = p.topology().hosts();
@@ -300,6 +305,202 @@ TEST(PleromaMetrics, SnapshotCountersEqualLayerStats) {
                                            ->get("count")
                                            ->asInt()),
             ds.delivered);
+}
+
+// ---- multi-partition deployments -----------------------------------------
+
+/// Replays one random script of advertisements, subscriptions,
+/// unsubscriptions and events on a k-partition Pleroma and on an
+/// interop::MultiDomain over the same partitions, driven directly: both
+/// must record the same per-host (event, latency) sequences.
+void expectSameDeliveriesAsMultiDomain(const net::Topology& topo, int k) {
+  PleromaOptions o;
+  o.partitions = k;
+  o.controller.maxDzLength = 8;
+  o.controller.maxCellsPerRequest = 6;
+  Pleroma p(topo, o);
+  interop::MultiDomain direct(topo, interop::contiguousPartitions(topo, k),
+                              dz::EventSpace(2, 10), o.controller);
+
+  using Log = std::map<net::NodeId, std::vector<std::pair<net::EventId, net::SimTime>>>;
+  Log viaPleroma, viaDomain;
+  p.setDeliveryCallback([&](const DeliveryRecord& r) {
+    viaPleroma[r.host].emplace_back(r.eventId, r.latency);
+  });
+  direct.network().setDeliverHandler(
+      [&](net::NodeId h, const net::Packet& pkt) {
+        viaDomain[h].emplace_back(pkt.eventId(),
+                                  direct.simulator().now() - pkt.sentAt());
+      });
+
+  workload::WorkloadConfig wcfg;
+  wcfg.numAttributes = 2;
+  wcfg.subscriptionSelectivity = 0.3;
+  wcfg.seed = 5;
+  workload::WorkloadGenerator gen(wcfg);
+  util::Rng& rng = gen.rng();
+  const auto hosts = topo.hosts();
+  std::vector<net::NodeId> publishers;
+  std::vector<std::pair<ctrl::SubscriptionId, interop::GlobalSubscriptionId>> subs;
+  net::EventId nextEvent = 1;
+  for (int step = 0; step < 30; ++step) {
+    const net::NodeId h = hosts[rng.uniformInt(0, hosts.size() - 1)];
+    if (publishers.empty() || rng.chance(0.3)) {
+      const dz::Rectangle r = gen.makeAdvertisement();
+      p.advertise(h, r);
+      direct.advertise(h, r);
+      publishers.push_back(h);
+    } else if (!subs.empty() && rng.chance(0.2)) {
+      const std::size_t i = rng.uniformInt(0, subs.size() - 1);
+      EXPECT_TRUE(p.unsubscribe(subs[i].first));
+      direct.unsubscribe(subs[i].second);
+      subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      const dz::Rectangle r = gen.makeSubscription();
+      subs.emplace_back(p.subscribe(h, r), direct.subscribe(h, r));
+    }
+    for (int e = 0; e < 3; ++e) {
+      const net::NodeId from =
+          publishers[rng.uniformInt(0, publishers.size() - 1)];
+      const dz::Event event = gen.makeEvent();
+      p.publish(from, event, nextEvent);
+      direct.publish(from, event, nextEvent);
+      ++nextEvent;
+    }
+    p.settle();
+    direct.settle();
+  }
+  EXPECT_FALSE(viaPleroma.empty());
+  EXPECT_EQ(viaPleroma, viaDomain);
+}
+
+TEST(PleromaPartitions, DeliversLikeMultiDomainOnALineOfThree) {
+  expectSameDeliveriesAsMultiDomain(net::Topology::line(6), 3);
+}
+
+TEST(PleromaPartitions, DeliversLikeMultiDomainOnARingOfFour) {
+  expectSameDeliveriesAsMultiDomain(net::Topology::ring(8), 4);
+}
+
+TEST(PleromaPartitions, FalsePositivesAreDeliveriesNoLiveSubscriptionMatches) {
+  PleromaOptions o;
+  o.partitions = 4;
+  o.controller.maxDzLength = 2;  // coarse filtering -> false positives
+  Pleroma p(net::Topology::ring(8), o);
+  const auto h = p.topology().hosts();
+  std::map<ctrl::SubscriptionId, std::pair<net::NodeId, dz::Rectangle>> live;
+  std::map<net::EventId, dz::Event> published;
+  std::uint64_t unmatched = 0;
+  p.setDeliveryCallback([&](const DeliveryRecord& r) {
+    const dz::Event& e = published.at(r.eventId);
+    bool matched = false;
+    for (const auto& [id, sub] : live) {
+      matched = matched || (sub.first == r.host && sub.second.contains(e));
+    }
+    if (!matched) ++unmatched;
+  });
+  p.advertise(h[0], rect(0, 1023, 0, 1023));
+  for (std::size_t i = 1; i < h.size(); ++i) {
+    const auto lo = static_cast<dz::AttributeValue>(i * 100);
+    const dz::Rectangle r = rect(lo, lo + 80, 0, 1023);
+    live.emplace(p.subscribe(h[i], r), std::make_pair(h[i], r));
+  }
+  const auto publishSweep = [&] {
+    for (dz::AttributeValue a = 0; a < 1024; a += 37) {
+      const dz::Event e{a, 500};
+      published.emplace(p.publish(h[0], e), e);
+    }
+    p.settle();
+  };
+  publishSweep();
+  const ctrl::SubscriptionId dropped = live.begin()->first;
+  EXPECT_TRUE(p.unsubscribe(dropped));
+  live.erase(dropped);
+  publishSweep();
+  EXPECT_GT(unmatched, 0u);
+  EXPECT_EQ(p.deliveryStats().falsePositives, unmatched);
+  EXPECT_GT(p.deliveryStats().delivered, unmatched);
+}
+
+TEST(PleromaPartitions, SubscriptionIdsAreUniqueAndUnsubscribeStopsDelivery) {
+  PleromaOptions o;
+  o.partitions = 4;
+  Pleroma p(net::Topology::ring(8), o);
+  const auto h = p.topology().hosts();
+  p.advertise(h[0], rect(0, 1023, 0, 1023));
+  // One subscriber in each partition. Every partition controller numbers
+  // its own subscriptions from zero; the facade's ids must not collide.
+  std::vector<ctrl::SubscriptionId> ids;
+  for (const std::size_t i : {1u, 3u, 5u, 7u}) {
+    ids.push_back(p.subscribe(h[i], rect(0, 511, 0, 1023)));
+  }
+  EXPECT_EQ(std::set<ctrl::SubscriptionId>(ids.begin(), ids.end()).size(), 4u);
+
+  std::map<net::NodeId, int> got;
+  p.setDeliveryCallback([&](const DeliveryRecord& r) { ++got[r.host]; });
+  p.publish(h[0], {100, 100});
+  p.settle();
+  EXPECT_EQ(got, (std::map<net::NodeId, int>{
+                     {h[1], 1}, {h[3], 1}, {h[5], 1}, {h[7], 1}}));
+
+  EXPECT_TRUE(p.unsubscribe(ids[2]));
+  EXPECT_FALSE(p.unsubscribe(ids[2]));
+  got.clear();
+  p.publish(h[0], {100, 100});
+  p.settle();
+  EXPECT_EQ(got,
+            (std::map<net::NodeId, int>{{h[1], 1}, {h[3], 1}, {h[7], 1}}));
+}
+
+TEST(PleromaPartitions, StandbyNeedsASinglePartition) {
+  PleromaOptions o;
+  o.partitions = 2;
+  o.failover.enableStandby = true;
+  EXPECT_THROW(Pleroma(net::Topology::ring(6), o), std::invalid_argument);
+}
+
+TEST(PleromaPartitions, SnapshotMetricsSumOverPartitions) {
+  const net::Topology topo = net::Topology::line(6);
+  PleromaOptions o;
+  o.partitions = 3;
+  Pleroma p(topo, o);
+  interop::MultiDomain direct(topo, interop::contiguousPartitions(topo, 3),
+                              dz::EventSpace(2, 10));
+  const auto h = topo.hosts();
+  p.advertise(h[0], rect(0, 1023, 0, 1023));
+  direct.advertise(h[0], rect(0, 1023, 0, 1023));
+  for (const std::size_t i : {1u, 3u, 5u}) {
+    p.subscribe(h[i], rect(0, 511, 0, 1023));
+    direct.subscribe(h[i], rect(0, 511, 0, 1023));
+  }
+  for (dz::AttributeValue a = 0; a < 10; ++a) p.publish(h[0], {a * 100, 7});
+  p.settle();
+
+  const obs::JsonValue doc = p.snapshotMetrics().toJson();
+  auto counter = [&](const std::string& name) -> std::uint64_t {
+    const obs::JsonValue* v = doc.get("counters")->get(name);
+    EXPECT_NE(v, nullptr) << name;
+    return v == nullptr ? ~0ull : static_cast<std::uint64_t>(v->asInt());
+  };
+  std::uint64_t modsSent = 0, ops = 0;
+  for (std::size_t part = 0; part < direct.partitionCount(); ++part) {
+    const ctrl::Controller& c =
+        direct.controller(static_cast<interop::PartitionId>(part));
+    modsSent += c.controlStats().flowModsSent;
+    ops += c.stats().ops;
+  }
+  ASSERT_GT(p.deliveryStats().delivered, 0u);
+  EXPECT_EQ(counter("core.publishes"), 10u);
+  EXPECT_EQ(counter("core.deliveries"), p.deliveryStats().delivered);
+  EXPECT_EQ(counter("ctrl_channel.mods_sent"), modsSent);
+  EXPECT_EQ(counter("controller.ops"), ops);
+  EXPECT_EQ(static_cast<std::uint64_t>(doc.get("histograms")
+                                           ->get("controller.flow_mods_per_op")
+                                           ->get("count")
+                                           ->asInt()),
+            ops);
+  EXPECT_GT(counter("interop.control_messages"), 0u);
+  EXPECT_EQ(counter("interop.control_messages"), direct.totalControlMessages());
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "scenario/runner.hpp"
+
 namespace pleroma::core {
 namespace {
 
@@ -380,6 +382,41 @@ TEST_F(RunnerFixture, ScenarioCommandDeploysFile) {
   EXPECT_TRUE(outputContains("ok: scenario cli_demo deployed"));
   runner.executeLine("run");
   EXPECT_TRUE(outputContains("deliveries"));
+  std::remove(path.c_str());
+}
+
+TEST_F(RunnerFixture, ScenarioCommandDeploysWhatScenarioRunnerDeploys) {
+  const std::string path = writeTempFile("runner_budget_scenario.json", R"({
+    "schema": "pleroma-scenario-v1",
+    "name": "cli_budget",
+    "seed": 13,
+    "topology": { "kind": "testbed-fat-tree" },
+    "controller": { "max_dz_length": 16, "max_cells_per_request": 16,
+                    "aggregate_subscriptions": true, "tcam_budget": 24 },
+    "failover": { "heartbeat_ms": 10 },
+    "phases": [
+      { "name": "main", "family": "uniform",
+        "advertisements": 3, "subscriptions": 300, "events": 20 }
+    ]
+  })");
+  runner.executeLine("scenario " + path);
+  runner.executeLine("run");
+  EXPECT_TRUE(outputContains("note: not applied (needs scenario_run): failover"));
+
+  std::string error;
+  const auto s = scenario::Scenario::loadFile(path, &error);
+  ASSERT_TRUE(s.has_value()) << error;
+  const scenario::RunResult expected = scenario::ScenarioRunner(*s).run();
+
+  Pleroma& p = runner.middleware();
+  std::uint64_t flows = 0;
+  for (const net::NodeId sw : p.topology().switches()) {
+    const std::size_t size = p.network().flowTable(sw).size();
+    EXPECT_LE(size, 24u) << p.topology().node(sw).name;
+    flows += size;
+  }
+  EXPECT_EQ(flows, expected.phases.back().flowEntries);
+  EXPECT_EQ(p.controller().controlStats().flowModsSent, expected.flowMods);
   std::remove(path.c_str());
 }
 

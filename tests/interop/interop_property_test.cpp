@@ -1,11 +1,14 @@
 // Property test of multi-domain interoperability (Sec 4): under random
-// advertise/subscribe sequences spread over three chained partitions, every
-// event must reach exactly the dz-matching subscribers, wherever publisher
-// and subscriber reside — interop must add no false negatives and no
-// spurious deliveries beyond dz truncation.
+// advertise/subscribe sequences spread over a line of three partitions and
+// over rings of three to six partitions, every event must reach exactly the
+// dz-matching subscribers, once each, wherever publisher and subscriber
+// reside — interop must add no false negatives, no duplicates and no
+// spurious deliveries beyond dz truncation. A ring's partition graph is a
+// cycle, so the rings check that interest propagation is loop-free.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -15,17 +18,9 @@
 namespace pleroma::interop {
 namespace {
 
-class InteropPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(InteropPropertyTest, CrossDomainDeliveryInvariant) {
-  net::Topology topo = net::Topology::line(6);
-  std::vector<PartitionId> partitionOf(
-      static_cast<std::size_t>(topo.nodeCount()), 0);
-  const auto sw = topo.switches();
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    partitionOf[static_cast<std::size_t>(sw[i])] =
-        static_cast<PartitionId>(i / 2);
-  }
+void checkCrossDomainDeliveryInvariant(net::Topology topo, int partitions,
+                                       std::uint64_t seed) {
+  std::vector<PartitionId> partitionOf = contiguousPartitions(topo, partitions);
   const auto hosts = topo.hosts();
 
   ctrl::ControllerConfig ccfg;
@@ -45,7 +40,7 @@ TEST_P(InteropPropertyTest, CrossDomainDeliveryInvariant) {
   workload::WorkloadConfig wcfg;
   wcfg.numAttributes = 2;
   wcfg.subscriptionSelectivity = 0.3;
-  wcfg.seed = GetParam();
+  wcfg.seed = seed;
   workload::WorkloadGenerator gen(wcfg);
   util::Rng& rng = gen.rng();
 
@@ -109,8 +104,46 @@ TEST_P(InteropPropertyTest, CrossDomainDeliveryInvariant) {
   }
 }
 
+class InteropPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Six switches in a line, two per partition: an acyclic partition graph.
+TEST_P(InteropPropertyTest, CrossDomainDeliveryInvariant) {
+  checkCrossDomainDeliveryInvariant(net::Topology::line(6), 3, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, InteropPropertyTest,
                          ::testing::Values(3u, 33u, 333u, 3333u));
+
+struct RingCase {
+  int partitions;
+  std::uint64_t seed;
+};
+
+void PrintTo(const RingCase& c, std::ostream* os) {
+  *os << c.partitions << "_partitions_seed_" << c.seed;
+}
+
+std::vector<RingCase> ringCases() {
+  std::vector<RingCase> cases;
+  for (int k = 3; k <= 6; ++k) {
+    for (const std::uint64_t seed : {3u, 33u, 333u, 3333u}) {
+      cases.push_back({k, seed});
+    }
+  }
+  return cases;
+}
+
+class InteropRingPropertyTest : public ::testing::TestWithParam<RingCase> {};
+
+// A ring of 2k switches, two per partition: the partition graph is a cycle.
+TEST_P(InteropRingPropertyTest, CrossDomainDeliveryInvariant) {
+  const RingCase c = GetParam();
+  checkCrossDomainDeliveryInvariant(net::Topology::ring(2 * c.partitions),
+                                    c.partitions, c.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Rings, InteropRingPropertyTest,
+                         ::testing::ValuesIn(ringCases()));
 
 }  // namespace
 }  // namespace pleroma::interop
