@@ -1,6 +1,7 @@
 // Micro-benchmarks of the controller's reconfiguration path
 // (google-benchmark): subscribe/unsubscribe cost at different deployment
-// sizes, advertisement processing, and the dz-trie subscription index.
+// sizes, tree reroots, advertisement processing, and the dz-trie
+// subscription index.
 #include <benchmark/benchmark.h>
 
 #include "micro_common.hpp"
@@ -90,6 +91,23 @@ void BM_UnsubscribeFanIn(benchmark::State& state) {
   state.SetLabel(std::to_string(advertisers) + " advertisers");
 }
 BENCHMARK(BM_UnsubscribeFanIn)->Arg(1)->Arg(16);
+
+/// A congestion-style reroot of a loaded tree: 4 whole-space publishers
+/// and 500 subscriptions share the one tree, rerooted alternately at the
+/// two core switches. Routes between hosts of one edge switch keep their
+/// hops and the others move to the other core; the rebuild should cost
+/// what moves, not what the tree holds.
+void BM_Reroot(benchmark::State& state) {
+  Harness h(500, 11, 4);
+  const auto switches = h.topo.switches();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const int treeId = h.controller.trees().front()->id();
+    benchmark::DoNotOptimize(
+        h.controller.rerootTree(treeId, switches[i++ % 2]));
+  }
+}
+BENCHMARK(BM_Reroot);
 
 void BM_Advertise(benchmark::State& state) {
   Harness h(static_cast<std::size_t>(state.range(0)));

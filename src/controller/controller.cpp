@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "net/packet.hpp"
@@ -204,11 +205,12 @@ void Controller::runAdvertise(PublisherId id) {
       covered.unionWith(overlap);
     }
     // Subspaces of dz_i not carried by any tree start a new one rooted at
-    // the publisher (lines 10-15).
+    // the publisher (lines 10-15), or at a live switch while the
+    // publisher's is down: a tree rooted there would reach no other switch.
     const dz::DzSet uncovered = dziSet.subtract(covered);
     if (!uncovered.empty()) {
       trees_.push_back(acquireTree(nextTreeId_++, uncovered,
-                                   adv.endpoint.attachSwitch,
+                                   liveRoot(adv.endpoint.attachSwitch),
                                    activeInternalLinks()));
       ++lastOp_.treesCreated;
       ++stats_.treesCreated;
@@ -239,7 +241,7 @@ void Controller::runSubscribe(SubscriptionId id) {
 }
 
 void Controller::addFlowMultSub(PublisherId p, const dz::DzSet& dzSet,
-                                SpanningTree& t) {
+                                SpanningTree& t, ReplacedPaths* replaced) {
   // Candidate subscriptions via the spatial index: only those with a dz
   // member overlapping some advertised member are examined.
   std::set<SubscriptionId> candidates;
@@ -252,13 +254,17 @@ void Controller::addFlowMultSub(PublisherId p, const dz::DzSet& dzSet,
   for (const SubscriptionId subId : candidates) {
     const dz::DzSet overlap = dzSet.intersect(interestDz(subId));
     if (overlap.empty()) continue;
-    installPathRecord(p, subId, t, overlap);
+    installPathRecord(p, subId, t, overlap, replaced);
   }
 }
 
 void Controller::installPathRecord(PublisherId p, SubscriptionId s,
-                                   SpanningTree& t, const dz::DzSet& overlap) {
+                                   SpanningTree& t, const dz::DzSet& overlap,
+                                   ReplacedPaths* replaced) {
   if (registry_.alreadyCovered(p, s, t.id(), overlap)) return;
+  // Only with every switch of the partition down is a tree rooted at a down
+  // switch; no path is registered there, so none ever hops at a down switch.
+  if (!switchActive(t.root())) return;
   const AdvRecord& adv = advertisements_.at(p);
   const Endpoint& subEndpoint = interestEndpoint(s);
   // A subscriber is not connected to itself: identical endpoints would
@@ -267,8 +273,61 @@ void Controller::installPathRecord(PublisherId p, SubscriptionId s,
   std::vector<RouteHop> hops =
       t.route(adv.endpoint, subEndpoint, network_.topology());
   if (hops.empty()) return;  // endpoints not connected within this partition
-  installer_.installPath(overlap, hops);
+  if (replaced == nullptr) {
+    installer_.installPath(overlap, hops);
+    registry_.add(InstalledPath{-1, p, s, t.id(), overlap, std::move(hops)});
+    return;
+  }
+  // A rebuild installs only the contributions no registered path counts
+  // yet; the switches already forward the rest (DESIGN.md §15).
+  const auto pairLess = [](const ReplacedPaths::Entry& a,
+                           const ReplacedPaths::Entry& b) {
+    return std::tie(a.publisher, a.subscription) <
+           std::tie(b.publisher, b.subscription);
+  };
+  const auto [first, last] =
+      std::equal_range(replaced->byPair.begin(), replaced->byPair.end(),
+                       ReplacedPaths::Entry{p, s, 0}, pairLess);
+  const auto replaces = [&](const ReplacedPaths::Entry& e) {
+    return registry_.contains(e.id) && overlap.coversSet(registry_.at(e.id).dz);
+  };
+  if (std::count_if(first, last, replaces) == 1) {
+    const PathId old = std::find_if(first, last, replaces)->id;
+    const InstalledPath& path = registry_.at(old);
+    if (path.dz == overlap) {
+      // Unchanged hops are kept as they are, changed ones recounted in place.
+      if (path.hops != hops) installer_.installPath(overlap, hops, &registry_);
+      registry_.move(old, t.id(), std::move(hops));
+      return;
+    }
+  }
+  installer_.installPath(overlap, hops, &registry_);
+  for (auto it = first; it != last; ++it) {
+    if (replaces(*it)) registry_.remove(it->id);
+  }
   registry_.add(InstalledPath{-1, p, s, t.id(), overlap, std::move(hops)});
+}
+
+Controller::ReplacedPaths Controller::replacedPaths(
+    std::vector<PathId> ids) const {
+  ReplacedPaths replaced;
+  replaced.switches = registry_.switchesOf(ids);
+  replaced.byPair.reserve(ids.size());
+  for (const PathId id : ids) {
+    const InstalledPath& path = registry_.at(id);
+    replaced.byPair.push_back({path.publisher, path.subscription, id});
+  }
+  std::sort(replaced.byPair.begin(), replaced.byPair.end());
+  replaced.ids = std::move(ids);
+  return replaced;
+}
+
+void Controller::retireReplaced(const ReplacedPaths& replaced) {
+  // remove() skips the replaced ones: gone, or re-filed under a fresh id.
+  for (const PathId id : replaced.ids) registry_.remove(id);
+  for (const net::NodeId sw : replaced.switches) {
+    installer_.reconcileSwitch(sw, registry_.requiredFlows(sw));
+  }
 }
 
 void Controller::removePaths(const std::vector<PathId>& ids) {
@@ -443,25 +502,13 @@ void Controller::mergeTreePair(std::size_t idxA, std::size_t idxB) {
   SpanningTree& ta = *trees_[idxA];
   SpanningTree& tb = *trees_[idxB];
 
-  // Collect and detach both trees' paths.
+  // Both trees' paths, A's then B's, each in id order.
   std::vector<PathId> pathIds = registry_.pathsOfTree(ta.id());
   const std::vector<PathId> idsB = registry_.pathsOfTree(tb.id());
   const std::size_t pathCountA = pathIds.size();
   const std::size_t pathCountB = idsB.size();
   pathIds.insert(pathIds.end(), idsB.begin(), idsB.end());
-  struct OldPath {
-    PublisherId pub;
-    SubscriptionId sub;
-    dz::DzSet dz;
-  };
-  std::vector<OldPath> oldPaths;
-  oldPaths.reserve(pathIds.size());
-  for (const PathId id : pathIds) {
-    const InstalledPath& p = registry_.at(id);
-    oldPaths.push_back(OldPath{p.publisher, p.subscription, p.dz});
-  }
-  std::vector<net::NodeId> affected = registry_.switchesOf(pathIds);
-  for (const PathId id : pathIds) registry_.remove(id);
+  ReplacedPaths replaced = replacedPaths(std::move(pathIds));
 
   // The merged DZ: exact union (canonicalisation already coarsens complete
   // sibling sets, e.g. {0000,0010} ∪ {0001,0011} = {00}), optionally
@@ -496,17 +543,21 @@ void Controller::mergeTreePair(std::size_t idxA, std::size_t idxB) {
   SpanningTree& tm = *trees_.back();
   for (const auto& [pub, overlap] : publishers) tm.addPublisher(pub, overlap);
 
-  // Re-embed the collected paths along the merged tree.
-  for (const OldPath& old : oldPaths) {
-    if (!advertisements_.contains(old.pub) || !interestActive(old.sub)) {
+  // Re-embed the old paths along the merged tree, then repair switches
+  // that the old trees touched but the new one might not.
+  for (const PathId id : replaced.ids) {
+    // Gone when an earlier path of its pair covered its dz.
+    if (!registry_.contains(id)) continue;
+    const InstalledPath& old = registry_.at(id);
+    if (!advertisements_.contains(old.publisher) ||
+        !interestActive(old.subscription)) {
       continue;
     }
-    installPathRecord(old.pub, old.sub, tm, old.dz);
+    // Copied: installPathRecord may re-file or unregister this record.
+    const dz::DzSet dz = old.dz;
+    installPathRecord(old.publisher, old.subscription, tm, dz, &replaced);
   }
-  // Repair switches that the old trees touched but the new one might not.
-  for (const net::NodeId sw : affected) {
-    installer_.reconcileSwitch(sw, registry_.requiredFlows(sw));
-  }
+  retireReplaced(replaced);
 }
 
 namespace {
@@ -521,8 +572,10 @@ auto findTree(std::vector<std::unique_ptr<SpanningTree>>& trees, int treeId) {
 bool Controller::rerootTree(int treeId, net::NodeId newRoot,
                             const std::vector<net::SimTime>* linkCosts) {
   if (findTree(trees_, treeId) == trees_.end()) return false;
+  // A down switch has no active link: a tree rooted there reaches nothing.
   if (std::find(scope_.switches.begin(), scope_.switches.end(), newRoot) ==
-      scope_.switches.end()) {
+          scope_.switches.end() ||
+      !switchActive(newRoot)) {
     return false;
   }
   ++stats_.treeReroots;
@@ -673,10 +726,15 @@ net::NodeId Controller::pickActiveRoot(const SpanningTree& tree) const {
       return it->second.endpoint.attachSwitch;
     }
   }
+  return liveRoot(tree.root());
+}
+
+net::NodeId Controller::liveRoot(net::NodeId preferred) const {
+  if (switchActive(preferred)) return preferred;
   for (const net::NodeId sw : scope_.switches) {
     if (switchActive(sw)) return sw;
   }
-  return tree.root();  // no active switch left: keep the old root
+  return preferred;  // no active switch left
 }
 
 void Controller::rebuildTreeAt(int treeId, net::NodeId root) {
@@ -696,46 +754,20 @@ void Controller::rebuildTrees(
     ++stats_.treeRebuilds;
     std::unique_ptr<SpanningTree> old = std::move(*it);
     trees_.erase(it);
-    // Detach the old tree's paths; routes are re-derived from the registered
-    // advertisements and subscriptions (not replayed from the registry), so
-    // paths that were dropped while endpoints were unreachable heal here.
-    const std::vector<PathId> oldPaths = registry_.pathsOfTree(treeId);
-    const std::vector<net::NodeId> affected = registry_.switchesOf(oldPaths);
-    for (const PathId id : oldPaths) registry_.remove(id);
+    // Routes are re-derived from the registered advertisements and
+    // subscriptions (not replayed from the registry), so paths that were
+    // dropped while endpoints were unreachable heal here.
+    ReplacedPaths replaced = replacedPaths(registry_.pathsOfTree(treeId));
     trees_.push_back(acquireTree(nextTreeId_++, old->dzSet(), root,
                                  activeLinks, linkCostOverride_));
     SpanningTree& fresh = *trees_.back();
     for (const auto& [pub, overlap] : old->publishers()) {
       if (!advertisements_.contains(pub)) continue;
       fresh.addPublisher(pub, overlap);
-      // Algorithm 1's addFlowMultSub: candidate subscriptions via the
-      // spatial index, then one route per overlapping pair.
-      std::set<SubscriptionId> candidates;
-      for (const dz::DzExpression& d : overlap) {
-        subscriptionIndex_.forEachOverlapping(
-            d, [&](const dz::DzExpression&, const SubscriptionId& id) {
-              candidates.insert(id);
-            });
-      }
-      const AdvRecord& adv = advertisements_.at(pub);
-      for (const SubscriptionId subId : candidates) {
-        dz::DzSet pairDz = overlap.intersect(interestDz(subId));
-        if (pairDz.empty()) continue;
-        const Endpoint& subEndpoint = interestEndpoint(subId);
-        if (adv.endpoint == subEndpoint) continue;
-        std::vector<RouteHop> hops =
-            fresh.route(adv.endpoint, subEndpoint, network_.topology());
-        if (hops.empty()) continue;  // not connected within this partition
-        if (registry_.alreadyCovered(pub, subId, fresh.id(), pairDz)) continue;
-        installer_.installPath(pairDz, hops);
-        registry_.add(InstalledPath{-1, pub, subId, fresh.id(),
-                                    std::move(pairDz), std::move(hops)});
-      }
+      addFlowMultSub(pub, overlap, fresh, &replaced);
     }
     retireTree(std::move(old));
-    for (const net::NodeId sw : affected) {
-      installer_.reconcileSwitch(sw, registry_.requiredFlows(sw));
-    }
+    retireReplaced(replaced);
   }
 }
 

@@ -116,7 +116,8 @@ class Controller {
   /// hot links so the new tree routes around them. The override is
   /// ephemeral by design (not intent-logged): a promoted standby rebuilds
   /// plain shortest-path trees and the rebalancer re-derives congestion
-  /// from live counters. Returns false when the tree or root is unknown.
+  /// from live counters. Returns false when the tree is unknown or the root
+  /// is not an active switch of this partition.
   bool rerootTree(int treeId, net::NodeId newRoot,
                   const std::vector<net::SimTime>* linkCosts = nullptr);
 
@@ -298,11 +299,42 @@ class Controller {
   dz::DzSet decompose(const dz::Rectangle& rect) const;
   void runAdvertise(PublisherId id);
   void runSubscribe(SubscriptionId id);
+  /// The registered paths of the trees a rebuild or merge replaces. They
+  /// stay registered while the new tree's paths are derived, so their
+  /// contributions keep counting, until a derived path of their
+  /// (publisher, subscription) pair whose dz covers theirs replaces them
+  /// (installPathRecord).
+  struct ReplacedPaths {
+    struct Entry {
+      PublisherId publisher;
+      SubscriptionId subscription;
+      PathId id;
+      friend auto operator<=>(const Entry&, const Entry&) = default;
+    };
+    /// Each old tree's paths in id order, trees in the order given.
+    std::vector<PathId> ids;
+    /// Switches the old paths cross, reconciled once the new tree stands.
+    std::vector<net::NodeId> switches;
+    /// Every old path, sorted.
+    std::vector<Entry> byPair;
+  };
+  ReplacedPaths replacedPaths(std::vector<PathId> ids) const;
+  /// Unregisters the old paths no derived path replaced, then reconciles
+  /// every switch the old paths crossed.
+  void retireReplaced(const ReplacedPaths& replaced);
+
   /// Algorithm 1's addFlowMultSub: connects publisher `p` to every
   /// subscription overlapping `dzSet` on tree `t`.
-  void addFlowMultSub(PublisherId p, const dz::DzSet& dzSet, SpanningTree& t);
+  void addFlowMultSub(PublisherId p, const dz::DzSet& dzSet, SpanningTree& t,
+                      ReplacedPaths* replaced = nullptr);
+  /// Routes and registers the (p, s) path on `t`. Inside a rebuild or merge
+  /// (`replaced` set) it replaces the pair's old paths whose dz it covers:
+  /// the one old path with the same dz is re-filed under `t`, or else
+  /// those old ones are unregistered and the new path registered. Either
+  /// way only contributions no registered path counts yet are installed.
   void installPathRecord(PublisherId p, SubscriptionId s, SpanningTree& t,
-                         const dz::DzSet& overlap);
+                         const dz::DzSet& overlap,
+                         ReplacedPaths* replaced = nullptr);
   void removePaths(const std::vector<PathId>& ids);
 
   // ---- tree pooling ----------------------------------------------------
@@ -344,6 +376,9 @@ class Controller {
   /// The tree's root if still active, else a live fallback (the attach
   /// switch of one of its publishers, or any active scope switch).
   net::NodeId pickActiveRoot(const SpanningTree& tree) const;
+  /// `preferred` if active, else the first active scope switch (else
+  /// `preferred`).
+  net::NodeId liveRoot(net::NodeId preferred) const;
   dz::DzSet coarsen(dz::DzSet dzSet, const SpanningTree* exclude) const;
   OpStats beginOp(const char* opName);
   void endOp(OpStats& snapshot);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <optional>
 
+#include "controller/path_registry.hpp"
+
 namespace pleroma::ctrl {
 
 namespace {
@@ -67,13 +69,36 @@ void FlowInstaller::flushBatch() {
 }
 
 void FlowInstaller::installPath(const dz::DzSet& dzSet,
-                                const std::vector<RouteHop>& hops) {
+                                const std::vector<RouteHop>& hops,
+                                const PathRegistry* counted) {
   for (const dz::DzExpression& d : dzSet) {
-    for (const RouteHop& hop : hops) installOne(d, hop);
+    for (const RouteHop& hop : hops) {
+      if (counted != nullptr && counted->counts(d, hop)) {
+        assert(forwards(d, hop));
+        continue;
+      }
+      installOne(d, hop);
+    }
   }
   // Within-budget switches exit on a size check; over-budget ones coarsen.
   for (const RouteHop& hop : hops) enforceBudget(hop.switchNode);
   maybeFlush();
+}
+
+bool FlowInstaller::forwards(const dz::DzExpression& dRaw,
+                             const RouteHop& hop) const {
+  const auto mit = mirrors_.find(hop.switchNode);
+  if (mit == mirrors_.end()) return false;
+  const SwitchMirror& m = mit->second;
+  const dz::DzExpression d = dRaw.truncated(lengthCapFor(hop.switchNode));
+  const net::FlowAction action{hop.outPort, hop.rewrite};
+  for (int len = d.length(); len >= 0; --len) {
+    const auto it = m.find(d.prefix(len));
+    if (it == m.end()) continue;
+    const auto& actions = it->second.actions;
+    return std::find(actions.begin(), actions.end(), action) != actions.end();
+  }
+  return false;
 }
 
 void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop) {

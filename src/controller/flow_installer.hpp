@@ -24,13 +24,28 @@
 
 namespace pleroma::ctrl {
 
+class PathRegistry;
+
 class FlowInstaller {
  public:
   explicit FlowInstaller(openflow::ControlChannel& channel) : channel_(channel) {}
 
   /// Installs flows for forwarding the subspaces of `dzSet` along `hops`
-  /// (Algorithm 1's flowAddition, one invocation per dz per hop).
-  void installPath(const dz::DzSet& dzSet, const std::vector<RouteHop>& hops);
+  /// (Algorithm 1's flowAddition, one invocation per dz per hop). With
+  /// `counted`, a (dz, hop) piece whose contribution that registry already
+  /// counts is skipped: the mirror forwards every counted contribution, so
+  /// flowAddition would stop at case 2 and send nothing. Only forgetSwitch
+  /// breaks that invariant, and only for a down switch, where no path is
+  /// ever registered: no new path asks about it, and by the time it comes
+  /// back its old paths are gone (DESIGN.md §15). Debug builds check each
+  /// skip.
+  void installPath(const dz::DzSet& dzSet, const std::vector<RouteHop>& hops,
+                   const PathRegistry* counted = nullptr);
+
+  /// True when the mirror's longest entry matching `d` (truncated as
+  /// installs to the switch are) carries the hop's action, so that
+  /// flowAddition for (d, hop) would stop at case 2.
+  bool forwards(const dz::DzExpression& d, const RouteHop& hop) const;
 
   /// Brings a switch's flow table to exactly `required` (match-keyed diff:
   /// missing entries are added, differing ones modified, surplus deleted).

@@ -112,6 +112,8 @@ net::NodeId LoadMonitor::coldestSwitch() const {
   net::NodeId coldest = net::kInvalidNode;
   std::uint64_t coldestLoad = std::numeric_limits<std::uint64_t>::max();
   for (const net::NodeId sw : controller_.scope().switches) {
+    // A dead switch's links stop counting, so it would look coldest.
+    if (!controller_.switchActive(sw)) continue;
     std::uint64_t load = 0;
     for (const auto& [port, lid] : topo.portsOf(sw)) {
       load += net.linkCounters(lid).packets;

@@ -72,7 +72,7 @@ class LoadMonitor {
   LoadReport sample();
 
   /// If the last report flagged an overload, re-roots the tree with the
-  /// most paths across the hottest link at the coldest reachable switch
+  /// most paths across the hottest link at the coldest active switch
   /// (with congestion-weighted link costs when a CongestionMonitor is
   /// attached). Returns whether a tree was re-rooted.
   bool rebalanceOnce();
@@ -93,7 +93,7 @@ class LoadMonitor {
  private:
   /// The tree embedding the most registered paths over `link`, or -1.
   int busiestTreeOn(net::LinkId link) const;
-  /// The switch whose adjacent links carried the least traffic.
+  /// The active switch whose adjacent links carried the least traffic.
   net::NodeId coldestSwitch() const;
   /// Congestion-inflated Dijkstra edge weights, or nullptr when no
   /// congestion monitor is attached / everything is calm. Writes scratch_.

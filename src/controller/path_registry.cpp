@@ -25,23 +25,33 @@ std::size_t PathRegistry::ContributionHash::operator()(
 
 void PathRegistry::countContributions(const std::vector<RouteHop>& hops,
                                       const dz::DzSet& dz, int delta) {
-  for (const RouteHop& hop : hops) {
-    const auto si = delta > 0 ? contributions_.try_emplace(hop.switchNode).first
-                              : contributions_.find(hop.switchNode);
-    assert(si != contributions_.end());
-    SwitchContributions& contribs = si->second;
-    for (const dz::DzExpression& d : dz) {
-      const Contribution c{d, hop.outPort, hop.rewrite};
-      if (delta > 0) {
-        ++contribs[c];
-        continue;
-      }
-      const auto ci = contribs.find(c);
-      assert(ci != contribs.end() && ci->second > 0);
-      if (--ci->second == 0) contribs.erase(ci);
+  for (const RouteHop& hop : hops) countHop(hop, dz, delta);
+}
+
+void PathRegistry::countHop(const RouteHop& hop, const dz::DzSet& dz,
+                            int delta) {
+  const auto si = delta > 0 ? contributions_.try_emplace(hop.switchNode).first
+                            : contributions_.find(hop.switchNode);
+  assert(si != contributions_.end());
+  SwitchContributions& contribs = si->second;
+  for (const dz::DzExpression& d : dz) {
+    const Contribution c{d, hop.outPort, hop.rewrite};
+    if (delta > 0) {
+      ++contribs[c];
+      continue;
     }
-    if (contribs.empty()) contributions_.erase(si);
+    const auto ci = contribs.find(c);
+    assert(ci != contribs.end() && ci->second > 0);
+    if (--ci->second == 0) contribs.erase(ci);
   }
+  if (contribs.empty()) contributions_.erase(si);
+}
+
+bool PathRegistry::counts(const dz::DzExpression& d,
+                          const RouteHop& hop) const {
+  const auto si = contributions_.find(hop.switchNode);
+  return si != contributions_.end() &&
+         si->second.contains(Contribution{d, hop.outPort, hop.rewrite});
 }
 
 PathId PathRegistry::add(InstalledPath path) {
@@ -87,6 +97,47 @@ void PathRegistry::setDz(PathId id, dz::DzSet dz) {
   countContributions(path.hops, path.dz, -1);
   path.dz = std::move(dz);
   countContributions(path.hops, path.dz, +1);
+}
+
+PathId PathRegistry::move(PathId id, int treeId, std::vector<RouteHop> hops) {
+  const auto ti = treeOf_.find(id);
+  assert(ti != treeOf_.end());
+  const auto si = byTree_.find(ti->second);
+  auto node = si->second.extract(id);
+  if (si->second.empty()) byTree_.erase(si);
+  treeOf_.erase(ti);
+  InstalledPath& path = node.mapped();
+
+  // Hops in both lists, paired one to one, keep their counts.
+  std::vector<bool> paired(hops.size(), false);
+  for (const RouteHop& hop : path.hops) {
+    std::size_t j = 0;
+    while (j < hops.size() && (paired[j] || hops[j] != hop)) ++j;
+    if (j < hops.size()) {
+      paired[j] = true;
+    } else {
+      countHop(hop, path.dz, -1);
+    }
+  }
+  for (std::size_t j = 0; j < hops.size(); ++j) {
+    if (!paired[j]) countHop(hops[j], path.dz, +1);
+  }
+  path.hops = std::move(hops);
+
+  const PathId fresh = next_++;
+  const auto refile = [&](auto& index, std::int64_t key) {
+    auto& ids = index.at(key);
+    ids.erase(id);
+    ids.insert(fresh);
+  };
+  refile(bySubscription_, path.subscription);
+  refile(byPublisher_, path.publisher);
+  path.id = fresh;
+  path.treeId = treeId;
+  node.key() = fresh;
+  treeOf_.emplace(fresh, treeId);
+  byTree_[treeId].insert(std::move(node));
+  return fresh;
 }
 
 std::size_t PathRegistry::stateBytes() const noexcept {

@@ -19,8 +19,8 @@
 //
 // The per-switch index counts, for each switch, how many registered
 // (path hop, dz member) pairs contribute each distinct (dz, out-port,
-// rewrite) action — a refcount kept by add, remove, setDz and clear with
-// one hashed update per (hop, dz member). requiredFlows reads only that
+// rewrite) action — a refcount kept by add, remove, setDz, move and clear
+// with one hashed update per (hop, dz member). requiredFlows reads only that
 // switch's contributions, so its cost follows the switch's distinct
 // actions, not the number of paths crossing it (at a tree root, nearly
 // every path).
@@ -66,6 +66,16 @@ class PathRegistry {
   /// contributions at every hop. Used by aggregated-mode uncover to shrink
   /// a path in place instead of remove + re-add.
   void setDz(PathId id, dz::DzSet dz);
+
+  /// Re-files path `id` under tree `treeId` with a fresh id and the given
+  /// hops, and returns that id. Only hops that differ from the path's old
+  /// ones are recounted, so a tree rebuild that re-derives an unchanged
+  /// route costs no contribution update.
+  PathId move(PathId id, int treeId, std::vector<RouteHop> hops);
+
+  /// True when some registered path hop already asks `hop.switchNode` to
+  /// forward `d` out of `hop.outPort` with `hop.rewrite`.
+  bool counts(const dz::DzExpression& d, const RouteHop& hop) const;
 
   /// Deterministic byte accounting of the registry's element payload
   /// (paths, hops, dz members — no container overhead, capacity or
@@ -114,6 +124,8 @@ class PathRegistry {
   /// of a path.
   void countContributions(const std::vector<RouteHop>& hops,
                           const dz::DzSet& dz, int delta);
+  /// The same for the pairs of one hop.
+  void countHop(const RouteHop& hop, const dz::DzSet& dz, int delta);
 
   static std::vector<PathId> sortedIds(
       const std::unordered_map<std::int64_t, std::unordered_set<PathId>>& index,

@@ -9,6 +9,8 @@
 //     duplicate delivery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <vector>
@@ -29,6 +31,39 @@ struct LivePub {
   net::NodeId host;
   dz::DzSet dz;
 };
+
+/// Switch `sw`'s table forwards like the registry's required flows: the
+/// same hit or miss and the same actions at every probe, at the match
+/// address of every entry of either table (the boundaries of the
+/// forwarding function) and at `probes`.
+void expectForwardsLikeRegistry(const Controller& controller,
+                                const net::Network& network, net::NodeId sw,
+                                std::vector<dz::Ipv6Address> probes, int step) {
+  net::FlowTable expected;
+  for (const auto& e : controller.registry().requiredFlows(sw)) {
+    ASSERT_TRUE(expected.insert(e));
+  }
+  const net::FlowTable& table = network.flowTable(sw);
+  for (const auto& entry : table.entries()) probes.push_back(entry.match.address);
+  for (const auto& entry : expected.entries()) {
+    probes.push_back(entry.match.address);
+  }
+  const auto byPort = [](const net::FlowEntry& e) {
+    std::vector<net::FlowAction> actions(e.actions.begin(), e.actions.end());
+    std::sort(actions.begin(), actions.end(),
+              [](const auto& a, const auto& b) { return a.port < b.port; });
+    return actions;
+  };
+  for (const auto probe : probes) {
+    const net::FlowEntry* actual = table.lookup(probe);
+    const net::FlowEntry* required = expected.lookup(probe);
+    ASSERT_EQ(actual == nullptr, required == nullptr)
+        << "switch " << sw << " step " << step;
+    if (actual == nullptr) continue;
+    ASSERT_TRUE(byPort(*actual) == byPort(*required))
+        << "switch " << sw << " step " << step;
+  }
+}
 
 class ControllerPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -186,10 +221,10 @@ TEST_P(ControllerPropertyTest, FlowCountBoundedByRegistry) {
 
 TEST_P(ControllerPropertyTest, TablesSemanticallyMatchRequiredFlows) {
   // After arbitrary churn, every switch's installed table must route each
-  // relevant destination address to exactly the ports the path registry's
-  // canonical required-flow computation routes it to — i.e. the incremental
-  // Algorithm-1 installation and the reconcile-based removal converge to
-  // the same forwarding function.
+  // relevant destination address to exactly the ports (and rewrites) the
+  // path registry's canonical required-flow computation routes it to — i.e.
+  // the incremental Algorithm-1 installation and the reconcile-based
+  // removal converge to the same forwarding function.
   const std::uint64_t seed = GetParam();
   net::Topology topo = net::Topology::testbedFatTree();
   net::Simulator sim;
@@ -229,33 +264,14 @@ TEST_P(ControllerPropertyTest, TablesSemanticallyMatchRequiredFlows) {
 
     if (step % 10 != 9) continue;
     for (const net::NodeId sw : topo.switches()) {
-      net::FlowTable expected;
-      for (const auto& e : controller.registry().requiredFlows(sw)) {
-        ASSERT_TRUE(expected.insert(e));
-      }
-      // Probe with the address of every installed entry (the boundaries of
-      // the forwarding function) plus random addresses.
       std::vector<dz::Ipv6Address> probes;
-      for (const auto& entry : network.flowTable(sw).entries()) {
-        probes.push_back(entry.match.address);
-      }
       for (int r = 0; r < 20; ++r) {
         dz::U128 bits;
         for (int b = 0; b < 8; ++b) bits.setBitFromMsb(b, rng.chance(0.5));
         probes.push_back(dz::dzToAddress(dz::DzExpression(bits, 8)));
       }
-      for (const auto probe : probes) {
-        const net::FlowEntry* actual = network.flowTable(sw).lookup(probe);
-        const net::FlowEntry* required = expected.lookup(probe);
-        ASSERT_EQ(actual == nullptr, required == nullptr)
-            << "switch " << sw << " step " << step;
-        if (actual == nullptr) continue;
-        auto pa = actual->outPorts();
-        auto pr = required->outPorts();
-        std::sort(pa.begin(), pa.end());
-        std::sort(pr.begin(), pr.end());
-        ASSERT_EQ(pa, pr) << "switch " << sw << " step " << step;
-      }
+      ASSERT_NO_FATAL_FAILURE(
+          expectForwardsLikeRegistry(controller, network, sw, probes, step));
     }
   }
 }
@@ -328,6 +344,181 @@ TEST_P(ControllerPropertyTest, DeliveryInvariantOnRandomTopology) {
       }
     }
   }
+}
+
+TEST_P(ControllerPropertyTest, TablesAndDeliveryHoldThroughRebuilds) {
+  // Registration churn mixed with every kind of tree rebuild: reroots to a
+  // live switch (with and without congestion-shaped link costs), link and
+  // switch failure and repair, and merges under a small tree limit. After
+  // every operation each switch's table forwards exactly like the
+  // registry's required flows, and publications from live switches keep
+  // the delivery invariant. A failure or repair that would leave the live
+  // switches disconnected is not injected: a tree spans one component.
+  const std::uint64_t seed = GetParam();
+  net::Topology topo = net::Topology::testbedFatTree();
+  net::Simulator sim;
+  net::Network network(topo, sim, {});
+  ControllerConfig cfg;
+  cfg.maxDzLength = 8;
+  cfg.maxCellsPerRequest = 6;
+  cfg.maxTrees = 2;  // merges happen
+  const Scope scope = Scope::wholeTopology(topo);
+  Controller controller(dz::EventSpace(2, 10), network, scope, cfg);
+
+  std::map<net::NodeId, int> deliveries;
+  network.setDeliverHandler(
+      [&](net::NodeId host, const net::Packet&) { ++deliveries[host]; });
+
+  workload::WorkloadConfig wcfg;
+  wcfg.numAttributes = 2;
+  wcfg.subscriptionSelectivity = 0.3;
+  wcfg.advertisementWidthFactor = 1.5;  // narrow enough for several trees
+  wcfg.seed = seed + 77;
+  workload::WorkloadGenerator gen(wcfg);
+  util::Rng& rng = gen.rng();
+  const auto hosts = topo.hosts();
+
+  std::vector<LiveSub> subs;
+  std::vector<LivePub> pubs;
+  std::set<net::LinkId> downLinks;
+  std::set<net::NodeId> downSwitches;
+
+  auto pick = [&](const auto& items) {
+    auto it = items.begin();
+    std::advance(it, rng.uniformInt(0, items.size() - 1));
+    return *it;
+  };
+  auto live = [&](net::NodeId host) {
+    return !downSwitches.contains(topo.hostAttachment(host).switchNode);
+  };
+  // Whether the switches outside `deadSwitches` are connected over the
+  // internal links outside `deadLinks`.
+  auto connected = [&](const std::set<net::LinkId>& deadLinks,
+                       const std::set<net::NodeId>& deadSwitches) {
+    std::vector<net::NodeId> up;
+    for (const net::NodeId s : scope.switches) {
+      if (!deadSwitches.contains(s)) up.push_back(s);
+    }
+    if (up.empty()) return false;
+    std::set<net::NodeId> seen{up.front()};
+    std::vector<net::NodeId> stack{up.front()};
+    while (!stack.empty()) {
+      const net::NodeId at = stack.back();
+      stack.pop_back();
+      for (const net::LinkId l : scope.internalLinks) {
+        const net::Link& ln = topo.link(l);
+        if (deadLinks.contains(l)) continue;
+        if (ln.a.node != at && ln.b.node != at) continue;
+        const net::NodeId next = ln.a.node == at ? ln.b.node : ln.a.node;
+        if (!deadSwitches.contains(next) && seen.insert(next).second) {
+          stack.push_back(next);
+        }
+      }
+    }
+    return seen.size() == up.size();
+  };
+  auto congestionCosts = [&] {
+    std::vector<net::SimTime> costs;
+    for (net::LinkId l = 0; l < topo.linkCount(); ++l) {
+      const double score = rng.uniformInt(0, 100) / 100.0;
+      costs.push_back(static_cast<net::SimTime>(
+          static_cast<double>(topo.link(l).latency) * (1.0 + 8.0 * score)));
+    }
+    return costs;
+  };
+
+  auto checkPublish = [&](const LivePub& pub, int step) {
+    const dz::Event e = gen.makeEvent();
+    const dz::DzExpression eDz = controller.stampEvent(e);
+    deliveries.clear();
+    network.sendFromHost(pub.host, controller.makeEventPacket(pub.host, e, 1));
+    sim.run();
+    for (const auto& [h, n] : deliveries) {
+      EXPECT_EQ(n, 1) << "duplicate delivery to host " << h << " step " << step;
+    }
+    if (!pub.dz.overlaps(eDz)) return;
+    for (const LiveSub& s : subs) {
+      if (s.host == pub.host || !live(s.host) || !s.dz.overlaps(eDz)) continue;
+      EXPECT_TRUE(deliveries.contains(s.host))
+          << "false negative: host " << s.host << " sub " << s.dz.toString()
+          << " pub " << pub.dz.toString() << " event dz " << eDz.toString()
+          << " step " << step;
+    }
+  };
+
+  for (int step = 0; step < 150; ++step) {
+    const auto dice = rng.uniformInt(0, 99);
+    const net::NodeId h = pick(hosts);
+    if (dice < 16 || pubs.empty()) {
+      const PublisherId id = controller.advertise(h, gen.makeAdvertisement());
+      pubs.push_back(LivePub{id, h, controller.advertisementDz(id)});
+    } else if (dice < 38) {
+      const SubscriptionId id = controller.subscribe(h, gen.makeSubscription());
+      subs.push_back(LiveSub{id, h, controller.subscriptionDz(id)});
+    } else if (dice < 46 && !subs.empty()) {
+      const std::size_t v = rng.uniformInt(0, subs.size() - 1);
+      controller.unsubscribe(subs[v].id);
+      subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(v));
+    } else if (dice < 52) {
+      const std::size_t v = rng.uniformInt(0, pubs.size() - 1);
+      controller.unadvertise(pubs[v].id);
+      pubs.erase(pubs.begin() + static_cast<std::ptrdiff_t>(v));
+    } else if (dice < 70 && controller.treeCount() > 0) {
+      std::vector<net::NodeId> liveSwitches;
+      for (const net::NodeId sw : scope.switches) {
+        if (!downSwitches.contains(sw)) liveSwitches.push_back(sw);
+      }
+      const int treeId = pick(controller.trees())->id();
+      const net::NodeId root = pick(liveSwitches);
+      if (rng.chance(0.5)) {
+        const std::vector<net::SimTime> costs = congestionCosts();
+        ASSERT_TRUE(controller.rerootTree(treeId, root, &costs));
+      } else {
+        ASSERT_TRUE(controller.rerootTree(treeId, root));
+      }
+    } else if (dice < 78) {
+      const net::LinkId l = pick(scope.internalLinks);
+      std::set<net::LinkId> after = downLinks;
+      if (!after.insert(l).second || !connected(after, downSwitches)) continue;
+      downLinks = std::move(after);
+      network.setLinkUp(l, false);
+      controller.onLinkDown(l);
+    } else if (dice < 84 && !downLinks.empty()) {
+      const net::LinkId l = pick(downLinks);
+      downLinks.erase(l);
+      network.setLinkUp(l, true);
+      controller.onLinkUp(l);
+    } else if (dice < 92) {
+      const net::NodeId sw = pick(scope.switches);
+      std::set<net::NodeId> after = downSwitches;
+      if (!after.insert(sw).second || !connected(downLinks, after)) continue;
+      downSwitches = std::move(after);
+      network.setNodeUp(sw, false);
+      controller.onSwitchDown(sw);
+    } else if (!downSwitches.empty()) {
+      const net::NodeId sw = pick(downSwitches);
+      std::set<net::NodeId> after = downSwitches;
+      after.erase(sw);
+      if (!connected(downLinks, after)) continue;
+      downSwitches = std::move(after);
+      network.setNodeUp(sw, true);
+      controller.onSwitchUp(sw);
+    }
+
+    ASSERT_LE(controller.treeCount(), cfg.maxTrees) << "step " << step;
+    for (const net::NodeId sw : topo.switches()) {
+      ASSERT_NO_FATAL_FAILURE(
+          expectForwardsLikeRegistry(controller, network, sw, {}, step));
+    }
+    std::vector<LivePub> livePubs;
+    for (const LivePub& p : pubs) {
+      if (live(p.host)) livePubs.push_back(p);
+    }
+    if (livePubs.empty()) continue;
+    for (int k = 0; k < 2; ++k) checkPublish(pick(livePubs), step);
+  }
+  EXPECT_GT(controller.stats().treeMerges, 0u);
+  EXPECT_GT(controller.stats().treeReroots, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ControllerPropertyTest,

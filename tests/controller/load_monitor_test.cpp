@@ -71,6 +71,58 @@ TEST_F(MonitorFixture, RerootRejectsUnknownTreeOrRoot) {
   controller.advertise(hosts[0], rect(0, 1023));
   EXPECT_FALSE(controller.rerootTree(9999, topo.switches()[0]));
   EXPECT_FALSE(controller.rerootTree(controller.trees()[0]->id(), hosts[0]));
+
+  // A down switch has no active link: a tree rooted there reaches nothing.
+  const net::NodeId dead = topo.switches()[4];
+  network.setNodeUp(dead, false);
+  controller.onSwitchDown(dead);
+  const int treeId = controller.trees()[0]->id();
+  EXPECT_FALSE(controller.rerootTree(treeId, dead));
+  EXPECT_EQ(controller.trees()[0]->id(), treeId);
+}
+
+TEST_F(MonitorFixture, RebalanceNeverRootsATreeAtADownSwitch) {
+  controller.advertise(hosts[0], rect(0, 1023));
+  controller.subscribe(hosts[2], rect(0, 1023));
+  controller.subscribe(hosts[3], rect(0, 1023));
+  const std::set<net::NodeId> subscribers{hosts[2], hosts[3]};
+  ASSERT_EQ(publish(hosts[0], {10, 10}), subscribers);
+
+  // The switch the monitor would pick as the new root: the one whose links
+  // carried the least traffic so far (first in scope order on a tie). No
+  // subscriber hangs off it, and its neighbours stay connected without it.
+  net::NodeId coldest = net::kInvalidNode;
+  std::uint64_t coldestLoad = ~std::uint64_t{0};
+  for (const net::NodeId sw : topo.switches()) {
+    std::uint64_t load = 0;
+    for (const auto& [port, link] : topo.portsOf(sw)) {
+      load += network.linkCounters(link).packets;
+    }
+    if (load < coldestLoad) {
+      coldestLoad = load;
+      coldest = sw;
+    }
+  }
+  ASSERT_NE(coldest, net::kInvalidNode);
+  ASSERT_EQ(coldestLoad, 0u);
+  network.setNodeUp(coldest, false);
+  controller.onSwitchDown(coldest);
+  ASSERT_EQ(publish(hosts[0], {10, 10}), subscribers);
+
+  LoadMonitorConfig cfg;
+  cfg.hotLinkThreshold = 0.0;  // any traffic is an overload
+  cfg.rebalanceCooldown = 0;
+  LoadMonitor monitor(controller, cfg);
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 5; ++i) publish(hosts[0], {10, 10});
+    ASSERT_TRUE(monitor.sample().overloaded);
+    EXPECT_TRUE(monitor.rebalanceOnce()) << "round " << round;
+    for (const SpanningTree* tree : controller.trees()) {
+      EXPECT_NE(tree->root(), coldest) << "round " << round;
+    }
+    EXPECT_EQ(publish(hosts[0], {100, 100}), subscribers) << "round " << round;
+  }
+  EXPECT_EQ(monitor.rebalances(), 4u);
 }
 
 TEST_F(MonitorFixture, SampleMeasuresWindowDeltas) {

@@ -238,6 +238,42 @@ TEST(PathRegistry, SetDzMovesContributionsAtEveryHop) {
   EXPECT_NE(findFlow(reg.requiredFlows(6), "10"), nullptr);
 }
 
+TEST(PathRegistry, MoveRefilesUnderFreshIdAndRecountsChangedHops) {
+  // A rebuild re-files a path under its new tree: a fresh id in every
+  // index, and only the hop that changed (switch 6's port) moves its
+  // contribution; the unchanged hop at switch 5 keeps it throughout.
+  PathRegistry reg;
+  const PathId a = reg.add(makePath(1, 10, 0, "10", {{5, 1}, {6, 2}}));
+  const PathId b = reg.add(makePath(2, 11, 0, "10", {{6, 2}}));
+  const RouteHop at5{5, 1, std::nullopt};
+  const RouteHop at6{6, 2, std::nullopt};
+  const RouteHop at6Moved{6, 3, std::nullopt};
+  EXPECT_TRUE(reg.counts(dz("10"), at5));
+  EXPECT_FALSE(reg.counts(dz("10"), at6Moved));
+  EXPECT_FALSE(reg.counts(dz("1"), at5));  // another dz
+
+  const PathId moved = reg.move(a, 7, {at5, at6Moved});
+  EXPECT_GT(moved, b);
+  EXPECT_FALSE(reg.contains(a));
+  EXPECT_EQ(reg.at(moved).treeId, 7);
+  EXPECT_EQ(reg.pathsOfTree(7), std::vector<PathId>{moved});
+  EXPECT_EQ(reg.pathsOfTree(0), std::vector<PathId>{b});
+  EXPECT_EQ(reg.pathsOfSubscription(10), std::vector<PathId>{moved});
+  EXPECT_EQ(reg.pathsOfPublisher(1), std::vector<PathId>{moved});
+  EXPECT_TRUE(reg.counts(dz("10"), at5));
+  EXPECT_TRUE(reg.counts(dz("10"), at6Moved));
+  EXPECT_TRUE(reg.counts(dz("10"), at6));  // still b's
+  const auto flows6 = reg.requiredFlows(6);
+  ASSERT_EQ(flows6.size(), 1u);
+  EXPECT_EQ(flows6[0].outPorts(), (std::vector<net::PortId>{2, 3}));
+
+  reg.remove(b);
+  EXPECT_FALSE(reg.counts(dz("10"), at6));
+  reg.remove(moved);
+  EXPECT_FALSE(reg.counts(dz("10"), at5));
+  EXPECT_TRUE(reg.allSwitches().empty());
+}
+
 // ---- differential test against a path-scanning oracle ---------------------
 
 using Actions = std::map<net::PortId, std::optional<dz::Ipv6Address>>;
@@ -340,43 +376,63 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
     return it->first;
   };
 
-  std::size_t adds = 0, removes = 0, setDzs = 0, clears = 0;
+  auto randomHops = [&] {
+    std::vector<RouteHop> hops;
+    const auto hopCount = rng.uniformInt(1, 4);
+    for (std::uint64_t h = 0; h < hopCount; ++h) {
+      const auto sw = static_cast<net::NodeId>(rng.uniformInt(0, kSwitches - 1));
+      const auto port = static_cast<net::PortId>(rng.uniformInt(1, kPorts));
+      // A terminal hop towards a real host rewrites to that host's
+      // address, which one (switch, port) always identifies.
+      std::optional<dz::Ipv6Address> rewrite;
+      if (h + 1 == hopCount && rng.chance(0.5)) {
+        rewrite = net::hostAddress(100 + sw * kPorts + port);
+      }
+      hops.push_back(RouteHop{sw, port, rewrite});
+    }
+    return hops;
+  };
+
+  std::size_t adds = 0, removes = 0, setDzs = 0, moves = 0, clears = 0;
   for (int step = 0; step < 3000; ++step) {
     const double op = rng.uniformReal();
-    if (live.empty() || op < 0.45) {
+    if (live.empty() || op < 0.40) {
       InstalledPath path;
       path.publisher = static_cast<PublisherId>(rng.uniformInt(0, 3));
       path.subscription = static_cast<SubscriptionId>(rng.uniformInt(0, 20));
       path.treeId = static_cast<int>(rng.uniformInt(0, 2));
       path.dz = randomDzSet(rng, pool);
-      const auto hopCount = rng.uniformInt(1, 4);
-      for (std::uint64_t h = 0; h < hopCount; ++h) {
-        const auto sw = static_cast<net::NodeId>(rng.uniformInt(0, kSwitches - 1));
-        const auto port = static_cast<net::PortId>(rng.uniformInt(1, kPorts));
-        // A terminal hop towards a real host rewrites to that host's
-        // address, which one (switch, port) always identifies.
-        std::optional<dz::Ipv6Address> rewrite;
-        if (h + 1 == hopCount && rng.chance(0.5)) {
-          rewrite = net::hostAddress(100 + sw * kPorts + port);
-        }
-        path.hops.push_back(RouteHop{sw, port, rewrite});
-      }
+      path.hops = randomHops();
       InstalledPath copy = path;
       const PathId id = reg.add(std::move(path));
       copy.id = id;
       live.emplace(id, std::move(copy));
       ++adds;
-    } else if (op < 0.75) {
+    } else if (op < 0.65) {
       const PathId id = pickLive();
       reg.remove(id);
       live.erase(id);
       ++removes;
-    } else if (op < 0.995) {
+    } else if (op < 0.875) {
       const PathId id = pickLive();
       dz::DzSet next = randomDzSet(rng, pool);
       live.at(id).dz = next;
       reg.setDz(id, std::move(next));
       ++setDzs;
+    } else if (op < 0.995) {
+      // A rebuild's re-file: some hops kept, some replaced, some added.
+      const PathId id = pickLive();
+      InstalledPath path = live.at(id);
+      std::vector<RouteHop> hops = randomHops();
+      for (const RouteHop& hop : path.hops) {
+        if (rng.chance(0.6)) hops.insert(hops.begin(), hop);
+      }
+      path.treeId = static_cast<int>(rng.uniformInt(0, 2));
+      path.hops = hops;
+      path.id = reg.move(id, path.treeId, std::move(hops));
+      live.erase(id);
+      live.emplace(path.id, std::move(path));
+      ++moves;
     } else {
       reg.clear();
       live.clear();
@@ -398,11 +454,25 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
               std::vector<net::NodeId>(switches.begin(), switches.end()))
         << "step " << step;
     ASSERT_EQ(reg.size(), live.size()) << "step " << step;
+    std::map<int, std::vector<PathId>> byTree;
+    std::map<SubscriptionId, std::vector<PathId>> bySubscription;
+    for (const auto& [id, path] : live) {
+      byTree[path.treeId].push_back(id);
+      bySubscription[path.subscription].push_back(id);
+    }
+    for (int tree = 0; tree < 3; ++tree) {
+      ASSERT_EQ(reg.pathsOfTree(tree), byTree[tree]) << "step " << step;
+    }
+    for (SubscriptionId sub = 0; sub <= 20; ++sub) {
+      ASSERT_EQ(reg.pathsOfSubscription(sub), bySubscription[sub])
+          << "step " << step;
+    }
   }
   // Every operation kind ran often enough to matter.
   EXPECT_GT(adds, 1000u);
   EXPECT_GT(removes, 500u);
   EXPECT_GT(setDzs, 500u);
+  EXPECT_GT(moves, 200u);
   EXPECT_GT(clears, 3u);
 }
 
