@@ -1,20 +1,20 @@
 # Determinism gate, run as a CTest:
 #
 #   cmake -DFIG7A=<bin> -DFIG7F=<bin> -DSCALE_AGG=<bin> -DHOTSPOT=<bin>
-#         -DCHURN=<bin> -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir>
+#         -DCHURN=<bin> -DFAILOVER=<bin> -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir>
 #         -P determinism_check.cmake
 #
-# Runs the fig7a, fig7f, scale_aggregation, hotspot_rebalance and
-# churn_reconfig smoke benches twice each, in separate processes with
-# identical arguments, and asserts:
-#   * the TSV stdout of fig7a, scale_aggregation, hotspot_rebalance and
-#     churn_reconfig is byte-identical (every cell is simulated-time
-#     derived or accounted state, so a same-seed replay must not move by a
-#     single byte);
+# Runs the fig7a, fig7f, scale_aggregation, hotspot_rebalance,
+# churn_reconfig and failover_window smoke benches twice each, in separate
+# processes with identical arguments, and asserts:
+#   * the TSV stdout of fig7a, scale_aggregation, hotspot_rebalance,
+#     churn_reconfig and failover_window is byte-identical (every cell is
+#     simulated-time derived or accounted state, so a same-seed replay must
+#     not move by a single byte);
 #   * every bench's BENCH_*.json series are cell-identical via
 #     `schema_check --compare-series`, ignoring only fig7f's wall-clock
 #     columns (controller_wall_us, subs_per_sec), which vary run to run.
-foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT CHURN SCHEMA_CHECK WORK_DIR)
+foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT CHURN FAILOVER SCHEMA_CHECK WORK_DIR)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "determinism_check.cmake: -D${v}=... is required")
   endif()
@@ -41,6 +41,7 @@ foreach(run 1 2)
   run_bench("${SCALE_AGG}" ${run} "${WORK_DIR}/scale_agg_run${run}.tsv")
   run_bench("${HOTSPOT}" ${run} "${WORK_DIR}/hotspot_run${run}.tsv")
   run_bench("${CHURN}" ${run} "${WORK_DIR}/churn_run${run}.tsv")
+  run_bench("${FAILOVER}" ${run} "${WORK_DIR}/failover_run${run}.tsv")
 endforeach()
 
 # Byte-compares one bench's two TSV outputs.
@@ -86,5 +87,9 @@ require_same_series(hotspot_rebalance)
 # unsubscribe path end to end.
 require_same_tsv(churn churn_reconfig)
 require_same_series(churn_reconfig)
+# failover_window: the promotion pipeline (muted replay, stats sweep, delta
+# repair, miss-buffer release) replays identically from run to run.
+require_same_tsv(failover failover_window)
+require_same_series(failover_window)
 
 message(STATUS "determinism check passed: two same-seed runs byte-identical")

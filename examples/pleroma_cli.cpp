@@ -2,7 +2,7 @@
 //
 // Reads commands from a script file (argv[1]) or stdin; with no input it
 // runs a built-in demo. The command language is implemented (and unit
-// tested) in core::ScriptRunner; type `help` for a summary.
+// tested) in scenario::ScriptRunner; type `help` for a summary.
 //
 // Example:
 //   $ printf 'adv h1 0:1023 0:1023\nsub h6 0:511 0:1023\npub h1 100 100\nrun\nstats\n' | ./pleroma_cli
@@ -15,7 +15,7 @@
 #include <sstream>
 #include <string>
 
-#include "core/script_runner.hpp"
+#include "scenario/script_runner.hpp"
 
 namespace {
 constexpr const char* kDemoScript = R"(# built-in demo
@@ -32,7 +32,7 @@ stats
 }  // namespace
 
 int main(int argc, char** argv) {
-  pleroma::core::ScriptRunner runner(
+  pleroma::scenario::ScriptRunner runner(
       [](const std::string& line) { std::printf("%s\n", line.c_str()); });
 
   std::unique_ptr<std::istream> owned;

@@ -497,7 +497,6 @@ void Controller::mergeTreesIfNeeded() {
 
 void Controller::mergeTreePair(std::size_t idxA, std::size_t idxB) {
   assert(idxA != idxB);
-  MutationScope mutationScope(*this);
   ++stats_.treeMerges;
   SpanningTree& ta = *trees_[idxA];
   SpanningTree& tb = *trees_[idxB];
@@ -744,9 +743,6 @@ void Controller::rebuildTreeAt(int treeId, net::NodeId root) {
 void Controller::rebuildTrees(
     const std::vector<std::pair<int, net::NodeId>>& idRoots) {
   if (idRoots.empty()) return;
-  // The batch rewrites trees/registry/mirror; hold off any Reconciler audit
-  // pass until every tree in it has been rebuilt.
-  MutationScope mutationScope(*this);
   const std::vector<net::LinkId> activeLinks = activeInternalLinks();
   for (const auto& [treeId, root] : idRoots) {
     const auto it = findTree(trees_, treeId);
@@ -824,7 +820,6 @@ net::Packet Controller::makeEventPacket(net::NodeId publisherHost,
 
 void Controller::reindex(const std::vector<int>& dims) {
   FlowInstaller::BatchScope batchScope(installer_);
-  MutationScope mutationScope(*this);
   ++stats_.reindexes;
   space_.setIndexedDimensions(dims);
 

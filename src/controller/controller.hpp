@@ -236,28 +236,6 @@ class Controller {
     intentObserver_ = std::move(observer);
   }
 
-  /// True while a multi-step mutation batch is rewriting tree / registry /
-  /// mirror state: a rebuildTrees batch, a tree merge, a re-index, or a
-  /// standby's promotion replay. The Reconciler defers audit passes that
-  /// would otherwise diff against the half-committed state.
-  bool mutationInProgress() const noexcept { return mutationDepth_ > 0; }
-
-  /// RAII marker of such a batch. Held internally by rebuildTrees /
-  /// mergeTreePair / reindex; StandbyController holds one across its whole
-  /// promotion replay. Nestable.
-  class MutationScope {
-   public:
-    explicit MutationScope(Controller& controller) : controller_(controller) {
-      ++controller_.mutationDepth_;
-    }
-    ~MutationScope() { --controller_.mutationDepth_; }
-    MutationScope(const MutationScope&) = delete;
-    MutationScope& operator=(const MutationScope&) = delete;
-
-   private:
-    Controller& controller_;
-  };
-
   net::Network& network() noexcept { return network_; }
   /// The control channel to this partition's switches (e.g. to enable
   /// asynchronous flow installation or inject control-plane faults).
@@ -371,7 +349,7 @@ class Controller {
   /// subscriptions. Heals paths dropped during outages.
   void rebuildTreeAt(int treeId, net::NodeId root);
   /// Rebuilds several trees at given roots, one after another in list
-  /// order, as one mutation batch.
+  /// order.
   void rebuildTrees(const std::vector<std::pair<int, net::NodeId>>& idRoots);
   /// The tree's root if still active, else a live fallback (the attach
   /// switch of one of its publishers, or any active scope switch).
@@ -422,7 +400,6 @@ class Controller {
   PublisherId nextPublisher_ = 0;
   SubscriptionId nextSubscription_ = 0;
   IntentObserver intentObserver_;
-  int mutationDepth_ = 0;
   OpStats lastOp_;
   ControllerStats stats_;
   /// Recycles (control block + EventPayload) allocations across publishes;

@@ -79,10 +79,12 @@ void FailoverManager::promote() {
   openflow::ControlChannel& channel = promotedCtrl_->channel();
 
   // The replica inherits the deployment's channel profile — mode, batching,
-  // fault model, retry policy — but a fixed fault seed: the dead primary's
-  // Rng position is unknowable, and a deterministic reseed keeps the repair
-  // byte-identical across bench configurations.
+  // fault model, retry policy — and continues its counters (the muted
+  // replay counted nothing), but takes a fixed fault seed: the dead
+  // primary's Rng position is unknowable, and a deterministic reseed keeps
+  // the repair byte-identical across bench configurations.
   const openflow::ControlChannel& old = primary_.channel();
+  channel.continueStats(old.stats());
   if (old.asyncInstall()) channel.enableAsyncInstall();
   channel.enableBatching(old.batchingEnabled());
   channel.setFaultModel(old.faultModel());

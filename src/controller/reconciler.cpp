@@ -87,17 +87,6 @@ ReconcileReport Reconciler::reconcileSwitch(net::NodeId sw) {
 
 ReconcileReport Reconciler::reconcileAll() {
   ReconcileReport total;
-  // A periodic tick can land inside a mutation batch (a rebuildTrees
-  // batch, a merge, a re-index or a promotion replay): the mirror is then
-  // half-rewritten and diffing against it would issue repairs that the
-  // batch immediately contradicts. Abandon the pass; the next tick (or
-  // convergence round) retries against settled state.
-  if (controller_.mutationInProgress()) {
-    total.deferredForMutation = true;
-    ++mutationSkips_;
-    last_ = total;
-    return total;
-  }
   for (const net::NodeId sw : controller_.scope().switches) {
     const ReconcileReport r = reconcileSwitch(sw);
     total.switchesAudited += r.switchesAudited;

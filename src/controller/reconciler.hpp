@@ -35,11 +35,6 @@ struct ReconcileReport {
   /// Sum of FlowEntry::matchedPackets over all audited entries — the
   /// data-plane activity observed through the flow-stats reads.
   std::uint64_t matchedPacketsSeen = 0;
-  /// The whole pass was abandoned because the controller was mid-way
-  /// through a mutation batch (rebuildTrees batch, merge, re-index):
-  /// auditing against a half-committed mirror would mis-repair. The pass
-  /// retries on the next periodic tick / convergence round.
-  bool deferredForMutation = false;
 
   std::size_t repairMods() const noexcept {
     return repairAdds + repairModifies + repairDeletes;
@@ -47,7 +42,7 @@ struct ReconcileReport {
   /// An audit round is clean when every switch was audited and none needed
   /// repair — the network provably matches the controller's intent.
   bool clean() const noexcept {
-    return !deferredForMutation && switchesSkipped == 0 && repairMods() == 0;
+    return switchesSkipped == 0 && repairMods() == 0;
   }
 };
 
@@ -80,8 +75,6 @@ class Reconciler {
   std::uint64_t roundsRun() const noexcept { return rounds_; }
   /// Total repair mods issued over the reconciler's lifetime.
   std::uint64_t totalRepairMods() const noexcept { return totalRepairs_; }
-  /// Passes abandoned because they raced a controller mutation batch.
-  std::uint64_t mutationSkips() const noexcept { return mutationSkips_; }
 
  private:
   void repair(openflow::FlowModType type, net::NodeId sw,
@@ -99,7 +92,6 @@ class Reconciler {
   bool tickArmed_ = false;
   std::uint64_t rounds_ = 0;
   std::uint64_t totalRepairs_ = 0;
-  std::uint64_t mutationSkips_ = 0;
 };
 
 }  // namespace pleroma::ctrl

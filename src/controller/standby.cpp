@@ -50,10 +50,7 @@ std::unique_ptr<Controller> StandbyController::promote() {
   // single wire message — and without drawing from the fault Rng, which
   // keeps promotion byte-identical across fault seeds.
   next->channel().setMuted(true);
-  {
-    Controller::MutationScope mutationScope(*next);
-    for (const IntentCommand& cmd : log_) replay(*next, cmd);
-  }
+  for (const IntentCommand& cmd : log_) replay(*next, cmd);
   next->channel().setMuted(false);
   return next;
 }

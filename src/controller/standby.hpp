@@ -47,11 +47,10 @@ class StandbyController {
   StandbyController& operator=(const StandbyController&) = delete;
 
   /// Builds the promoted replica: a fresh Controller over the same network
-  /// and scope whose channel is muted while the whole log replays (one
-  /// MutationScope, so a periodic reconciler cannot audit the half-built
-  /// mirror). The returned controller's mirror equals the dead primary's
-  /// intent; its channel is unmuted and ready for reconciliation. The
-  /// standby stops following its source controller.
+  /// and scope whose channel is muted while the whole log replays. The
+  /// returned controller's mirror equals the dead primary's intent; its
+  /// channel is unmuted and ready for reconciliation. The standby stops
+  /// following its source controller.
   std::unique_ptr<Controller> promote();
 
   std::size_t logSize() const noexcept { return log_.size(); }

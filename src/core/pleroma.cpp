@@ -3,32 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "scenario/scenario.hpp"
-
 namespace pleroma::core {
-
-PleromaOptions scenarioOptions(const scenario::Scenario& s) {
-  PleromaOptions opts;
-  opts.numAttributes = s.numAttributes;
-  opts.bitsPerDim = s.bitsPerDim;
-  opts.partitions = s.partitions;
-  if (s.maxDzLength.has_value()) opts.controller.maxDzLength = *s.maxDzLength;
-  if (s.maxCellsPerRequest.has_value()) {
-    opts.controller.maxCellsPerRequest = *s.maxCellsPerRequest;
-  }
-  if (s.aggregateSubscriptions.has_value()) {
-    opts.controller.aggregateSubscriptions = *s.aggregateSubscriptions;
-  }
-  if (s.tcamBudget.has_value()) opts.controller.tcamBudget = *s.tcamBudget;
-  opts.network.linkQueueCapacity = s.network.linkQueueCapacity;
-  opts.network.backpressure = s.network.backpressure;
-  if (s.needsFailover()) {
-    opts.failover.enableStandby = true;
-    opts.failover.config.heartbeatInterval = s.failover.heartbeatInterval;
-    opts.failover.config.missThreshold = s.failover.missThreshold;
-  }
-  return opts;
-}
 
 Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
     : dimensionWindow_(options.dimensionWindow) {

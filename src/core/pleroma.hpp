@@ -31,10 +31,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-namespace pleroma::scenario {
-struct Scenario;
-}
-
 namespace pleroma::core {
 
 /// Controller high-availability options (DESIGN.md §11). When enabled, the
@@ -60,11 +56,6 @@ struct PleromaOptions {
   /// Size of the sliding event window kept for dimension selection (eta).
   std::size_t dimensionWindow = 256;
 };
-
-/// The deployment a validated scenario describes: schema, partitions,
-/// controller knobs, network block, and the standby when the scenario
-/// needs failover. Shared by scenario::ScenarioRunner and the CLI.
-PleromaOptions scenarioOptions(const scenario::Scenario& s);
 
 /// One delivered (event, host) pair as observed at the application layer.
 struct DeliveryRecord {

@@ -175,6 +175,12 @@ class ControlChannel {
   void setTracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   const ControlPlaneStats& stats() const noexcept { return stats_; }
+  /// Continues another channel's counters from here on: a promoted
+  /// controller's channel takes over the dead primary's, so the counters a
+  /// deployment reports never decrease.
+  void continueStats(const ControlPlaneStats& stats) noexcept {
+    stats_ = stats;
+  }
   /// Deferred applies that failed at the switch (satellite of the fault
   /// model: previously silently discarded).
   std::uint64_t asyncApplyFailures() const noexcept {

@@ -6,10 +6,32 @@
 #include <utility>
 
 #include "controller/load_monitor.hpp"
-#include "core/pleroma.hpp"
 #include "net/congestion.hpp"
 
 namespace pleroma::scenario {
+
+core::PleromaOptions pleromaOptions(const Scenario& s) {
+  core::PleromaOptions opts;
+  opts.numAttributes = s.numAttributes;
+  opts.bitsPerDim = s.bitsPerDim;
+  opts.partitions = s.partitions;
+  if (s.maxDzLength.has_value()) opts.controller.maxDzLength = *s.maxDzLength;
+  if (s.maxCellsPerRequest.has_value()) {
+    opts.controller.maxCellsPerRequest = *s.maxCellsPerRequest;
+  }
+  if (s.aggregateSubscriptions.has_value()) {
+    opts.controller.aggregateSubscriptions = *s.aggregateSubscriptions;
+  }
+  if (s.tcamBudget.has_value()) opts.controller.tcamBudget = *s.tcamBudget;
+  opts.network.linkQueueCapacity = s.network.linkQueueCapacity;
+  opts.network.backpressure = s.network.backpressure;
+  if (s.needsFailover()) {
+    opts.failover.enableStandby = true;
+    opts.failover.config.heartbeatInterval = s.failover.heartbeatInterval;
+    opts.failover.config.missThreshold = s.failover.missThreshold;
+  }
+  return opts;
+}
 
 namespace {
 
@@ -23,12 +45,6 @@ struct Snapshot {
   std::uint64_t flowEntries = 0;  ///< current total, not cumulative
   std::uint64_t controlMessages = 0;
 };
-
-/// Clamped delta: a controller promotion swaps in a fresh control channel
-/// whose counters restart from zero, so `cur` may be below `prev`.
-std::uint64_t delta(std::uint64_t cur, std::uint64_t prev) {
-  return cur >= prev ? cur - prev : cur;
-}
 
 Snapshot snapshot(core::Pleroma& pleroma) {
   Snapshot s;
@@ -172,14 +188,18 @@ ScenarioRunner::ScenarioRunner(Scenario scenario, RunOptions options)
     : scenario_(std::move(scenario)), options_(std::move(options)) {}
 
 RunResult ScenarioRunner::run() {
+  core::Pleroma pleroma(scenario_.buildTopology(), pleromaOptions(scenario_));
+  return run(pleroma);
+}
+
+RunResult ScenarioRunner::run(core::Pleroma& pleroma) {
   const Scenario& s = scenario_;
   assert(!s.phases.empty());
 
-  core::Pleroma pleroma(s.buildTopology(), core::scenarioOptions(s));
   const std::vector<net::NodeId> hosts = pleroma.topology().hosts();
   const std::size_t hostCount = hosts.size();
-  // Declared after pleroma: destroyed first, while the simulator whose
-  // tasks point at its monitors still exists.
+  // The loop's monitors die with this call; the run ends with the loop
+  // paused and the simulator drained, so no tick of theirs outlives them.
   std::unique_ptr<RebalanceLoop> loop;
   if (s.rebalance.enabled) {
     loop = std::make_unique<RebalanceLoop>(pleroma, s.rebalance);
@@ -230,7 +250,8 @@ RunResult ScenarioRunner::run() {
   // Advertiser host slots, accumulated; events round-robin over them.
   std::vector<std::size_t> advSlots;
 
-  Snapshot prev = snapshot(pleroma);
+  const Snapshot start = snapshot(pleroma);
+  Snapshot prev = start;
   for (std::size_t p = 0; p < s.phases.size(); ++p) {
     const PhaseSpec& spec = s.phases[p];
     const PhasePlan plan =
@@ -287,19 +308,16 @@ RunResult ScenarioRunner::run() {
     pr.subscriptions = plan.subscriptions.size();
     pr.churnMoves = plan.churnMoves.size();
     pr.events = plan.events.size();
-    pr.delivered = delta(cur.delivered, prev.delivered);
-    pr.falsePositives = delta(cur.falsePositives, prev.falsePositives);
-    const net::SimTime latency =
-        cur.latencySum >= prev.latencySum ? cur.latencySum - prev.latencySum
-                                          : cur.latencySum;
-    pr.meanLatencyUs = pr.delivered == 0
-                           ? 0.0
-                           : static_cast<double>(latency) /
-                                 static_cast<double>(pr.delivered) / 1000.0;
-    pr.flowMods = delta(cur.flowMods, prev.flowMods);
+    pr.delivered = cur.delivered - prev.delivered;
+    pr.falsePositives = cur.falsePositives - prev.falsePositives;
+    pr.meanLatencyUs =
+        pr.delivered == 0
+            ? 0.0
+            : static_cast<double>(cur.latencySum - prev.latencySum) /
+                  static_cast<double>(pr.delivered) / 1000.0;
+    pr.flowMods = cur.flowMods - prev.flowMods;
     pr.flowEntries = cur.flowEntries;
     pr.end = now();
-    result.flowMods += pr.flowMods;
     result.phases.push_back(std::move(pr));
     prev = cur;
   }
@@ -307,7 +325,10 @@ RunResult ScenarioRunner::run() {
   // Faults scheduled past the last phase still fire, at their instant.
   applyFaultsUpTo(pending.empty() ? 0
                                   : pending.back().at);
-  settle();
+  // The final drain leaves the loop paused: its already-armed ticks fire
+  // as no-ops inside this drain, and none is re-armed.
+  if (loop != nullptr) loop->pause();
+  pleroma.settle();
 
   const Snapshot total = snapshot(pleroma);
   result.delivered = total.delivered;
@@ -316,9 +337,8 @@ RunResult ScenarioRunner::run() {
                              ? 0.0
                              : static_cast<double>(total.latencySum) /
                                    static_cast<double>(total.delivered) / 1000.0;
-  // flowMods accumulates clamped per-phase deltas (a promotion swaps in a
-  // fresh channel); the tail delta covers post-phase fault repair.
-  result.flowMods += delta(total.flowMods, prev.flowMods);
+  // Includes post-phase fault repair.
+  result.flowMods = total.flowMods - start.flowMods;
   result.controlMessages = total.controlMessages;
   result.promoted = promoted(pleroma);
   const net::NetworkCounters& nc = pleroma.network().counters();

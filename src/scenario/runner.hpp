@@ -3,22 +3,31 @@
 // moves, paced events), applies the fault schedule at its virtual-time
 // instants, and collects per-phase delivery/control-plane measurements.
 //
-// Every scenario drives one core::Pleroma, whatever its partition count
-// (core::scenarioOptions maps the file onto PleromaOptions, arming the
-// controller-HA layer when the scenario needs it). Fault application and
-// the closed congestion loop are single-partition, around that instance.
-// Everything measured derives from virtual time and deterministic
-// counters, so two runs of one scenario are byte-identical.
+// This is the one executor of scenario files: scenario_run and the CLI's
+// `scenario` command both run them here. Every scenario drives one
+// core::Pleroma, whatever its partition count (pleromaOptions maps the
+// file onto PleromaOptions, arming the controller-HA layer when the
+// scenario needs it); the caller may own that instance and keep driving
+// it after the run. Fault application and the closed congestion loop are
+// single-partition, around that instance. Everything measured derives
+// from virtual time and deterministic counters, so two runs of one
+// scenario are byte-identical.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "core/pleroma.hpp"
 #include "obs/report.hpp"
 #include "scenario/scenario.hpp"
 
 namespace pleroma::scenario {
+
+/// The deployment a validated scenario describes: schema, partitions,
+/// controller knobs, network block, and the standby when the scenario
+/// needs failover.
+core::PleromaOptions pleromaOptions(const Scenario& s);
 
 struct RunOptions {
   /// Apply the scenario's smoke caps to every phase (CI mode).
@@ -37,9 +46,8 @@ struct PhaseResult {
   std::uint64_t delivered = 0;
   std::uint64_t falsePositives = 0;
   double meanLatencyUs = 0.0;
-  /// Flow-mods the control plane issued during this phase. After a
-  /// controller promotion the promoted channel starts from zero, so the
-  /// delta is clamped (never negative).
+  /// Flow-mods the control plane issued during this phase (a promoted
+  /// controller's channel continues the primary's counters).
   std::uint64_t flowMods = 0;
   /// Total TCAM entries across all switches at phase end.
   std::uint64_t flowEntries = 0;
@@ -85,7 +93,14 @@ class ScenarioRunner {
   /// broken input but does not re-validate.
   explicit ScenarioRunner(Scenario scenario, RunOptions options = {});
 
+  /// Builds the scenario's deployment and runs it there.
   RunResult run();
+
+  /// Runs the scenario on `pleroma`, which must be freshly built from
+  /// scenario().buildTopology() and pleromaOptions(scenario()). The run
+  /// ends with the simulator drained and none of its own ticks left in
+  /// it, so the caller can go on driving `pleroma`.
+  RunResult run(core::Pleroma& pleroma);
 
   /// Fills a pleroma-bench-v1 report: metadata (seed, topology, workload,
   /// scenario name/schema, partitions, smoke) plus the "phases",

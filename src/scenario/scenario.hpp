@@ -30,9 +30,8 @@
 // the line of the input. Unknown keys are rejected — a typo fails loudly
 // instead of silently running a different experiment.
 //
-// The spec layer (this header) depends only on net/workload/obs so that
-// core::ScriptRunner can load scenarios interactively; the execution layer
-// lives in scenario::ScenarioRunner (runner.hpp).
+// This header is the format only; scenario::ScenarioRunner (runner.hpp)
+// executes it, for scenario_run and the CLI alike.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,7 @@
 // against surviving TCAM state, stay idempotent (a second convergence pass
 // issues zero mods — even over a lossy channel), preserve delivery for
 // subscriptions whose entries survived (fail-soft), buffer-and-replay
-// misses, defer reconciler audits that race a mutation batch, and stay
-// consistent across randomized controller-kill churn.
+// misses, and stay consistent across randomized controller-kill churn.
 #include "controller/failover.hpp"
 
 #include <gtest/gtest.h>
@@ -231,30 +230,6 @@ TEST_F(FailoverFixture, PromotionConvergenceIsIdempotentUnderDrop) {
   const std::uint64_t modsBefore = promoted.channel().stats().flowModsSent;
   EXPECT_EQ(reconciler.runToConvergence(), 0u);
   EXPECT_EQ(promoted.channel().stats().flowModsSent, modsBefore);
-}
-
-TEST_F(FailoverFixture, ReconcilerDefersPassesDuringMutationBatch) {
-  deploy();
-  Reconciler reconciler(primary);
-  ASSERT_TRUE(reconciler.reconcileAll().clean());
-  reconciler.enablePeriodic(2 * net::kMillisecond);
-
-  {
-    // An in-flight rebuildTrees batch (modelled by holding the RAII guard
-    // across ticks): periodic passes must defer, not audit half state.
-    Controller::MutationScope guard(primary);
-    ASSERT_TRUE(primary.mutationInProgress());
-    sim.runUntil(sim.now() + 7 * net::kMillisecond);
-    EXPECT_TRUE(reconciler.lastReport().deferredForMutation);
-    EXPECT_FALSE(reconciler.lastReport().clean());
-    EXPECT_GT(reconciler.mutationSkips(), 0u);
-  }
-  ASSERT_FALSE(primary.mutationInProgress());
-  sim.runUntil(sim.now() + 3 * net::kMillisecond);
-  EXPECT_FALSE(reconciler.lastReport().deferredForMutation);
-  EXPECT_TRUE(reconciler.lastReport().clean());
-  reconciler.disablePeriodic();
-  sim.run();
 }
 
 TEST_F(FailoverFixture, RoleRequestsClaimMastership) {

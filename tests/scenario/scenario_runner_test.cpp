@@ -1,6 +1,7 @@
 // Execution-layer tests: same-seed replay determinism, exact
 // equivalence of the flash-crowd family with a hand-coded bench, churn,
-// fault schedules, multi-partition runs, and failover promotion.
+// fault schedules, multi-partition runs, failover promotion, and runs on a
+// caller-owned deployment.
 #include "scenario/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -295,6 +296,57 @@ TEST_F(ScenarioRunnerTest, ControllerKillPromotesStandby) {
   ASSERT_EQ(result.faults.size(), 1u);
   EXPECT_TRUE(result.promoted);
   EXPECT_GT(result.delivered, 0u);
+}
+
+// A promoted controller's channel continues the primary's counters, so a
+// phase that spans the kill counts the flow-mods sent before it plus the
+// promotion's repair mods.
+TEST_F(ScenarioRunnerTest, PromotionKeepsThePrimarysFlowMods) {
+  const Scenario s = parseScenario(R"({
+    "schema": "pleroma-scenario-v1",
+    "name": "kill_mods",
+    "seed": 9,
+    "topology": { "kind": "testbed-fat-tree" },
+    "failover": { "heartbeat_ms": 1, "miss_threshold": 2 },
+    "phases": [
+      { "name": "steady", "family": "uniform",
+        "advertisements": 2, "subscriptions": 20, "events": 80,
+        "event_interval_us": 100 }
+    ],
+    "faults": [ { "at_ms": 2.0, "action": "controller-kill" } ]
+  })");
+  core::Pleroma pleroma(s.buildTopology(), pleromaOptions(s));
+  const RunResult result = ScenarioRunner(s).run(pleroma);
+  ASSERT_TRUE(result.promoted);
+
+  // Without the kill, the same deployment sends what the primary sent
+  // before it: every mod of this workload precedes the first event.
+  Scenario noKill = s;
+  noKill.faults.clear();
+  const RunResult clean = ScenarioRunner(noKill).run();
+  ASSERT_GT(clean.flowMods, 0u);
+
+  const std::uint64_t expected =
+      clean.flowMods + pleroma.failover()->stats().repairFlowMods;
+  ASSERT_EQ(result.phases.size(), 1u);
+  EXPECT_EQ(result.phases[0].flowMods, expected);
+  EXPECT_EQ(result.flowMods, expected);
+}
+
+// run(Pleroma&) leaves the deployment to its caller: same results as
+// run(), the simulator drained, and no tick of the closed congestion loop
+// (whose monitors die with the run) left behind.
+TEST_F(ScenarioRunnerTest, RunOnACallerOwnedDeploymentEndsIdle) {
+  const Scenario s = parseScenario(kReplayScenario);
+  core::Pleroma pleroma(s.buildTopology(), pleromaOptions(s));
+  const RunResult owned = ScenarioRunner(s).run(pleroma);
+  expectSameResult(owned, ScenarioRunner(s).run());
+  EXPECT_GT(owned.congestion.rebalances, 0u);
+  EXPECT_TRUE(pleroma.simulator().idle());
+  // The caller keeps driving it.
+  pleroma.publish(pleroma.topology().hosts().front(), dz::Event{1, 1});
+  pleroma.settle();
+  EXPECT_TRUE(pleroma.simulator().idle());
 }
 
 TEST_F(ScenarioRunnerTest, SmokeModeShrinksTheRun) {
