@@ -102,6 +102,59 @@ void BM_FlowTableLookupMixed(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableLookupMixed);
 
+/// Lookups that rotate across many small tables, the shape of
+/// fanout_uniform (a k=8 fat-tree: 80 switches of about 100 flows each,
+/// spread over 7 dz lengths, priority = dz length). Each probe address is
+/// an event dz under one of its table's flows, so every lookup hits, and
+/// consecutive lookups go to different tables: every other micro here
+/// probes one table whose few cache lines stay hot.
+void BM_FlowTableLookupAcrossTables(benchmark::State& state) {
+  constexpr int kTables = 80;
+  constexpr std::size_t kFlows = 100;
+  constexpr int kMinLength = 8;
+  constexpr int kLengths = 7;
+  constexpr int kEventLength = 20;  // the publisher's full-length stamp
+  constexpr std::size_t kProbes = kTables * 64;
+  util::Rng rng(9);
+  std::vector<net::FlowTable> tables(kTables);
+  std::vector<std::vector<dz::DzExpression>> flows(kTables);
+  for (int t = 0; t < kTables; ++t) {
+    while (tables[t].size() < kFlows) {
+      const int len = kMinLength + static_cast<int>(rng.uniformInt(0, kLengths - 1));
+      const dz::DzExpression d = nthDz(
+          static_cast<int>(rng.uniformInt(0, (std::uint64_t{1} << len) - 1)), len);
+      net::FlowEntry e;
+      e.match = dz::dzToPrefix(d);
+      e.priority = len;
+      e.actions.push_back(net::FlowAction{2, std::nullopt});
+      if (tables[t].insert(e)) flows[t].push_back(d);
+    }
+  }
+  std::vector<dz::Ipv6Address> probes;
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    const auto& own = flows[i % kTables];
+    const dz::DzExpression d = own[rng.uniformInt(0, own.size() - 1)];
+    dz::U128 bits = d.bits();
+    for (int b = d.length(); b < kEventLength; ++b) bits.setBitFromMsb(b, rng.chance(0.5));
+    probes.push_back(dz::dzToAddress(dz::DzExpression(bits, kEventLength)));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tables[i % kTables].lookup(probes[i]));
+    if (++i == kProbes) i = 0;
+  }
+  std::uint64_t lookups = 0, probed = 0;
+  for (const net::FlowTable& t : tables) {
+    lookups += t.stats().lookups;
+    probed += t.stats().probes;
+  }
+  state.counters["probes_per_lookup"] =
+      static_cast<double>(probed) / static_cast<double>(lookups);
+  state.SetLabel(std::to_string(kTables) + " tables x " + std::to_string(kFlows) +
+                 " flows, " + std::to_string(kLengths) + " lengths");
+}
+BENCHMARK(BM_FlowTableLookupAcrossTables);
+
 /// Steady-state churn: a sliding window of 10k length-17 flows, one remove
 /// + one insert per iteration. Exercises the flat bucket's backward-shift
 /// deletion and the entry arena's slot recycling (steady state must not

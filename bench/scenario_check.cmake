@@ -9,12 +9,74 @@
 #   * asserts the two runs' TSV stdout is byte-identical (every reported
 #     value is virtual-time derived, so a same-seed replay must not move);
 #   * schema-validates both BENCH_*.json reports and requires their series
-#     to be cell-identical via `schema_check --compare-series`.
+#     to be cell-identical via `schema_check --compare-series`;
+#   * requires every scheduled fault to be applied before the last phase
+#     ends, so the smoke run's events reach each fault (a scenario's
+#     "smoke" caps must leave enough events).
 foreach(v SCENARIO_RUN SCHEMA_CHECK SCENARIO_DIR WORK_DIR)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "scenario_check.cmake: -D${v}=... is required")
   endif()
 endforeach()
+
+# Sets ${out} to the list "<series index>;<column index>" of column `column`
+# in series `series` of the report JSON `doc`, or to -1 when the series or
+# the column is absent.
+function(series_column doc series column out)
+  set(${out} -1 PARENT_SCOPE)
+  string(JSON nseries LENGTH "${doc}" series)
+  math(EXPR last_series "${nseries} - 1")
+  foreach(i RANGE ${last_series})
+    string(JSON name GET "${doc}" series ${i} name)
+    if(NOT name STREQUAL series)
+      continue()
+    endif()
+    string(JSON ncols LENGTH "${doc}" series ${i} columns)
+    math(EXPR last_col "${ncols} - 1")
+    foreach(c RANGE ${last_col})
+      string(JSON col GET "${doc}" series ${i} columns ${c} name)
+      if(col STREQUAL column)
+        set(${out} "${i};${c}" PARENT_SCOPE)
+        return()
+      endif()
+    endforeach()
+  endforeach()
+endfunction()
+
+# Fails when a fault of the report was applied at or after the end of its
+# last phase: the smoke events ended before reaching it.
+function(check_faults_reached stem report)
+  file(READ "${report}" doc)
+  series_column("${doc}" faults applied_ms applied)
+  if(applied STREQUAL "-1")
+    return()
+  endif()
+  series_column("${doc}" phases end_ms ended)
+  if(ended STREQUAL "-1")
+    message(FATAL_ERROR "${stem}: report has faults but no phases.end_ms")
+  endif()
+  list(GET ended 0 phases)
+  list(GET ended 1 end_col)
+  string(JSON nphases LENGTH "${doc}" series ${phases} rows)
+  math(EXPR last_phase "${nphases} - 1")
+  string(JSON end_ms GET "${doc}" series ${phases} rows ${last_phase} ${end_col})
+  list(GET applied 0 faults)
+  list(GET applied 1 applied_col)
+  string(JSON nfaults LENGTH "${doc}" series ${faults} rows)
+  if(nfaults EQUAL 0)
+    return()
+  endif()
+  math(EXPR last_fault "${nfaults} - 1")
+  foreach(f RANGE ${last_fault})
+    string(JSON at GET "${doc}" series ${faults} rows ${f} ${applied_col})
+    if(NOT at LESS end_ms)
+      message(FATAL_ERROR
+              "${stem}: fault ${f} applied at ${at} ms, after the last phase "
+              "ended at ${end_ms} ms; raise the scenario's smoke max_events "
+              "so its events reach every fault")
+    endif()
+  endforeach()
+endfunction()
 
 file(GLOB scenarios "${SCENARIO_DIR}/*.json")
 list(LENGTH scenarios count)
@@ -79,6 +141,8 @@ foreach(scenario IN LISTS scenarios)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${stem}: report series differ between two same-seed runs")
   endif()
+
+  check_faults_reached("${stem}" "${WORK_DIR}/run1/BENCH_${stem}.json")
 endforeach()
 
 message(STATUS "scenario smoke passed: ${count} scenario(s), two runs each")

@@ -2,17 +2,33 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace pleroma::core {
 
+namespace {
+
+void requireOneRangePerAttribute(const dz::Rectangle& rect,
+                                 std::size_t numAttributes) {
+  if (rect.ranges.size() != numAttributes) {
+    throw std::invalid_argument(
+        "rectangle has " + std::to_string(rect.ranges.size()) +
+        " ranges, the event space " + std::to_string(numAttributes) +
+        " attributes");
+  }
+}
+
+}  // namespace
+
 Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
-    : dimensionWindow_(options.dimensionWindow) {
+    : numAttributes_(static_cast<std::size_t>(options.numAttributes)),
+      dimensionWindow_(options.dimensionWindow) {
   if (options.partitions > 1 && options.failover.enableStandby) {
     throw std::invalid_argument("controller failover is single-partition only");
   }
   network_ = std::make_unique<net::Network>(std::move(topology), sim_,
                                             options.network);
-  subsByHost_.resize(
+  boxesByHost_.resize(
       static_cast<std::size_t>(network_->topology().nodeCount()));
   dz::EventSpace space(options.numAttributes, options.bitsPerDim);
   if (options.partitions > 1) {
@@ -46,6 +62,7 @@ Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
 }
 
 ctrl::PublisherId Pleroma::advertise(net::NodeId host, const dz::Rectangle& rect) {
+  requireOneRangePerAttribute(rect, numAttributes_);
   if (domain_) {
     domain_->advertise(host, rect);
     return domainPublishers_++;
@@ -59,6 +76,7 @@ bool Pleroma::unadvertise(ctrl::PublisherId id) {
 
 ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
                                         const dz::Rectangle& rect) {
+  requireOneRangePerAttribute(rect, numAttributes_);
   ctrl::SubscriptionId id = 0;
   if (domain_) {
     id = static_cast<ctrl::SubscriptionId>(domainSubs_.size());
@@ -66,10 +84,10 @@ ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
   } else {
     id = controller().subscribe(host, rect);
   }
-  const auto [it, inserted] = subs_.emplace(id, std::make_pair(host, rect));
-  (void)inserted;
-  subsByHost_[static_cast<std::size_t>(host)].push_back(
-      HostSub{id, &it->second.second});
+  subs_.emplace(id, std::make_pair(host, rect));
+  HostBoxes& boxes = boxesByHost_[static_cast<std::size_t>(host)];
+  boxes.ids.push_back(id);
+  boxes.ranges.insert(boxes.ranges.end(), rect.ranges.begin(), rect.ranges.end());
   return id;
 }
 
@@ -82,8 +100,16 @@ bool Pleroma::unsubscribe(ctrl::SubscriptionId id) {
     domain_->unsubscribe(domainSubs_[static_cast<std::size_t>(id)]);
   }
   if (it != subs_.end()) {
-    auto& list = subsByHost_[static_cast<std::size_t>(it->second.first)];
-    std::erase_if(list, [id](const HostSub& s) { return s.id == id; });
+    // Swap-remove: the last subscription's id and box fill the hole.
+    HostBoxes& boxes = boxesByHost_[static_cast<std::size_t>(it->second.first)];
+    const std::size_t pos = static_cast<std::size_t>(
+        std::find(boxes.ids.begin(), boxes.ids.end(), id) - boxes.ids.begin());
+    const std::size_t last = boxes.ids.size() - 1;
+    boxes.ids[pos] = boxes.ids[last];
+    boxes.ids.pop_back();
+    std::copy_n(&boxes.ranges[last * numAttributes_], numAttributes_,
+                &boxes.ranges[pos * numAttributes_]);
+    boxes.ranges.resize(last * numAttributes_);
     subs_.erase(it);
   }
   return live;
@@ -116,6 +142,24 @@ net::EventId Pleroma::publish(net::NodeId host, const dz::Event& event,
   return id;
 }
 
+bool Pleroma::anyBoxContains(const HostBoxes& boxes,
+                             const dz::Event& event) const noexcept {
+  // Every live box has numAttributes_ ranges, so an event of another width
+  // lies in none of them (as Rectangle::contains has it).
+  if (event.size() != numAttributes_) return false;
+  const dz::AttributeValue* v = event.data();
+  const dz::Range* box = boxes.ranges.data();
+  for (std::size_t i = 0; i < boxes.ids.size(); ++i, box += numAttributes_) {
+    // The dimensions are folded with `&`, not `&&`: one branch per box.
+    bool inside = true;
+    for (std::size_t d = 0; d < numAttributes_; ++d) {
+      inside &= (box[d].lo <= v[d]) & (v[d] <= box[d].hi);
+    }
+    if (inside) return true;
+  }
+  return false;
+}
+
 void Pleroma::onDeliver(net::NodeId host, const net::Packet& packet) {
   DeliveryRecord rec;
   rec.host = host;
@@ -124,14 +168,8 @@ void Pleroma::onDeliver(net::NodeId host, const net::Packet& packet) {
 
   // A delivery is a false positive when no subscription registered at this
   // host actually matches the event's exact attribute values (Sec 6.4).
-  bool matched = false;
-  for (const HostSub& sub : subsByHost_[static_cast<std::size_t>(host)]) {
-    if (sub.rect->contains(packet.event())) {
-      matched = true;
-      break;
-    }
-  }
-  rec.falsePositive = !matched;
+  rec.falsePositive = !anyBoxContains(
+      boxesByHost_[static_cast<std::size_t>(host)], packet.event());
 
   ++stats_.delivered;
   if (rec.falsePositive) ++stats_.falsePositives;

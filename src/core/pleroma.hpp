@@ -9,17 +9,17 @@
 // With PleromaOptions::partitions = k > 1 (Sec 4), an interop::MultiDomain
 // over this instance's own simulator and network runs one controller per
 // partition. Members that need the one controller (controller(),
-// failover(), unadvertise, reindex, dimension selection) are
-// single-partition only.
+// unadvertise, reindex, dimension selection) throw std::logic_error there,
+// and failover() is null.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "controller/controller.hpp"
@@ -95,10 +95,13 @@ class Pleroma {
 
   // With partitions > 1, advertise and subscribe relay the registration
   // to the other partitions before they return, and the ids they return
-  // are this instance's own, unique across partitions.
+  // are this instance's own, unique across partitions. Both throw
+  // std::invalid_argument when `rect` does not have one range per
+  // attribute (PleromaOptions::numAttributes).
 
   ctrl::PublisherId advertise(net::NodeId host, const dz::Rectangle& rect);
-  /// Returns whether `id` was a live publisher. Single-partition only.
+  /// Returns whether `id` was a live publisher. Throws std::logic_error on
+  /// more than one partition, like every member that needs controller().
   bool unadvertise(ctrl::PublisherId id);
   ctrl::SubscriptionId subscribe(net::NodeId host, const dz::Rectangle& rect);
   /// Returns whether `id` was a live subscription.
@@ -173,9 +176,12 @@ class Pleroma {
   // ---- access to the layers ---------------------------------------------
 
   /// The controller currently in charge: the original until a failover
-  /// promotion, the promoted replica after. Single-partition only.
-  ctrl::Controller& controller() noexcept {
-    assert(controller_ != nullptr && "single-partition only");
+  /// promotion, the promoted replica after. Throws std::logic_error on a
+  /// deployment of more than one partition.
+  ctrl::Controller& controller() {
+    if (controller_ == nullptr) {
+      throw std::logic_error("needs a single-partition deployment");
+    }
     return failover_ ? failover_->active() : *controller_;
   }
   /// Failover layer, present only with FailoverOptions::enableStandby.
@@ -186,7 +192,18 @@ class Pleroma {
   const net::Topology& topology() const { return network_->topology(); }
 
  private:
+  /// One host's live subscriptions for the delivery hot path: subscription
+  /// ids[i] owns ranges[i * numAttributes_, (i + 1) * numAttributes_), so
+  /// the false-positive check scans one contiguous array (DESIGN.md §12).
+  struct HostBoxes {
+    std::vector<ctrl::SubscriptionId> ids;
+    std::vector<dz::Range> ranges;
+  };
+
   void onDeliver(net::NodeId host, const net::Packet& packet);
+  /// Whether any of `boxes` contains `event`.
+  bool anyBoxContains(const HostBoxes& boxes,
+                      const dz::Event& event) const noexcept;
 
   obs::Tracer tracer_;
   net::Simulator sim_;
@@ -204,13 +221,10 @@ class Pleroma {
   std::unique_ptr<ctrl::StandbyController> standby_;
   std::unique_ptr<ctrl::FailoverManager> failover_;
   std::map<ctrl::SubscriptionId, std::pair<net::NodeId, dz::Rectangle>> subs_;
-  /// Per-host view of subs_, indexed by NodeId for the delivery hot path.
-  /// Rectangle pointers alias subs_ map nodes (stable across insert/erase).
-  struct HostSub {
-    ctrl::SubscriptionId id;
-    const dz::Rectangle* rect;
-  };
-  std::vector<std::vector<HostSub>> subsByHost_;
+  /// The live subscriptions by host (NodeId), as HostBoxes; subs_ keeps
+  /// their rectangles for the cold paths.
+  std::vector<HostBoxes> boxesByHost_;
+  std::size_t numAttributes_;
   DeliveryCallback callback_;
   DeliveryStats stats_;
   obs::Histogram latency_;  ///< delivery latency (ns), alongside stats_

@@ -35,25 +35,45 @@ std::string FlowEntry::toString() const {
 
 // ---- bucket maintenance ---------------------------------------------------
 
-FlowTable::Bucket& FlowTable::bucketForInsert(int length) {
+std::size_t FlowTable::bucketForInsert(int length) {
   std::int16_t& bi = lengthBucket_[static_cast<std::size_t>(length)];
-  if (bi >= 0) return buckets_[static_cast<std::size_t>(bi)];
+  if (bi >= 0) return static_cast<std::size_t>(bi);
   bi = static_cast<std::int16_t>(buckets_.size());
   Bucket b;
   b.length = length;
   b.mask = dz::U128::topMask(length);
+  fileStep(ProbeStep{b.priorityBound, static_cast<std::int16_t>(length), bi});
   buckets_.push_back(std::move(b));
-  return buckets_.back();
+  return buckets_.size() - 1;
+}
+
+void FlowTable::raiseBound(std::size_t bi, std::int32_t priority) {
+  Bucket& b = buckets_[bi];
+  if (priority <= b.priorityBound) return;
+  b.priorityBound = priority;
+  const auto bucket = static_cast<std::int16_t>(bi);
+  std::erase_if(probeOrder_, [bucket](const ProbeStep& s) { return s.bucket == bucket; });
+  fileStep(ProbeStep{priority, static_cast<std::int16_t>(b.length), bucket});
+}
+
+void FlowTable::fileStep(const ProbeStep& step) {
+  probeOrder_.insert(std::upper_bound(probeOrder_.begin(), probeOrder_.end(),
+                                      step, probesBefore),
+                     step);
 }
 
 void FlowTable::dropBucketIfEmpty(Bucket& b) {
   if (b.size != 0) return;
-  const auto idx = static_cast<std::size_t>(&b - buckets_.data());
+  const auto idx = static_cast<std::int16_t>(&b - buckets_.data());
   lengthBucket_[static_cast<std::size_t>(b.length)] = -1;
-  buckets_.erase(buckets_.begin() + static_cast<std::ptrdiff_t>(idx));
+  buckets_.erase(buckets_.begin() + idx);
+  std::erase_if(probeOrder_, [idx](const ProbeStep& s) { return s.bucket == idx; });
   // Buckets after the erased one shifted down by one.
   for (auto& slot : lengthBucket_) {
-    if (slot > static_cast<std::int16_t>(idx)) --slot;
+    if (slot > idx) --slot;
+  }
+  for (ProbeStep& s : probeOrder_) {
+    if (s.bucket > idx) --s.bucket;
   }
 }
 
@@ -177,7 +197,8 @@ bool FlowTable::insert(FlowEntry entry) {
     return false;
   }
   const dz::U128 key = keyOf(entry.match);
-  Bucket& b = bucketForInsert(entry.match.length);
+  const std::size_t bi = bucketForInsert(entry.match.length);
+  Bucket& b = buckets_[bi];
   if (findIn(b, key) != kNpos) {
     ++stats_.rejectedDuplicate;
     return false;
@@ -185,6 +206,7 @@ bool FlowTable::insert(FlowEntry entry) {
   const auto priority = static_cast<std::int32_t>(entry.priority);
   const std::uint32_t slot = allocateSlot(std::move(entry));
   insertRecord(b, key, priority, slot);
+  raiseBound(bi, priority);
   ++size_;
   if (size_ > peakSize_) peakSize_ = size_;
   ++stats_.inserts;
@@ -200,8 +222,10 @@ bool FlowTable::insertOrReplace(FlowEntry entry) {
       const std::uint32_t slot = b.recs[idx].slot;
       // OpenFlow modify preserves the per-flow counters (the column stays).
       entry.matchedPackets = matched_[slot];
-      b.recs[idx].priority = static_cast<std::int32_t>(entry.priority);
+      const auto priority = static_cast<std::int32_t>(entry.priority);
+      b.recs[idx].priority = priority;
       slotRef(slot) = std::move(entry);
+      raiseBound(static_cast<std::size_t>(bi), priority);
       ++stats_.modifies;
       return true;
     }
@@ -233,10 +257,20 @@ const FlowEntry* FlowTable::find(const dz::Ipv6Prefix& match) const noexcept {
 
 const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
   ++stats_.lookups;
-  stats_.probes += buckets_.size();
   const ProbeRecord* best = nullptr;
   int bestLength = -1;
-  for (const Bucket& b : buckets_) {
+  std::uint64_t probes = 0;
+  for (const ProbeStep& step : probeOrder_) {
+    // Every record in this bucket and in the ones after it ranks at most
+    // (step.bound, step.length); once that ranks below the best hit, none
+    // of them can win.
+    if (best != nullptr &&
+        (step.bound < best->priority ||
+         (step.bound == best->priority && step.length < bestLength))) {
+      break;
+    }
+    const Bucket& b = buckets_[static_cast<std::size_t>(step.bucket)];
+    ++probes;
     const std::size_t idx = findIn(b, dst.value & b.mask);
     if (idx == kNpos) continue;
     const ProbeRecord& r = b.recs[idx];
@@ -246,6 +280,7 @@ const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
       bestLength = b.length;
     }
   }
+  stats_.probes += probes;
   if (best == nullptr) {
     ++stats_.misses;
     return nullptr;
@@ -257,6 +292,7 @@ const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
 
 void FlowTable::clear() noexcept {
   buckets_.clear();
+  probeOrder_.clear();
   lengthBucket_.fill(-1);
   size_ = 0;
   chunks_.clear();

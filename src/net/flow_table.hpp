@@ -16,9 +16,11 @@
 // FlowEntry (whose 1–2-action list is stored inline, spill-free) lives in a
 // pointer-stable per-table arena and is touched only on the winning hit.
 // Per-entry matchedPackets counters sit in their own SoA column so lookup's
-// counter bump never dirties an entry cache line. Lookup cost is one probe
-// per distinct installed prefix length — constant-time in table size, which
-// is also the hardware-TCAM property Fig 7a demonstrates.
+// counter bump never dirties an entry cache line. Lookup probes the
+// installed prefix lengths in descending (priority bound, length) order and
+// stops at the first bucket that can no longer beat the best hit — at most
+// one probe per distinct installed length, constant-time in table size,
+// which is also the hardware-TCAM property Fig 7a demonstrates.
 #pragma once
 
 #include <array>
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -210,8 +213,11 @@ struct FlowTableStats {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Bucket probes issued by lookup() — one per distinct installed prefix
-  /// length; probes/lookups is the effective TCAM scan width.
+  /// Bucket probes lookup() actually issued: it walks the installed prefix
+  /// lengths by descending (priority bound, length) and stops once no
+  /// later bucket can beat its best hit, so a lookup probes between one
+  /// and all installed lengths; probes/lookups is the effective TCAM scan
+  /// width.
   std::uint64_t probes = 0;
   std::uint64_t inserts = 0;
   std::uint64_t modifies = 0;
@@ -246,9 +252,10 @@ class FlowTable {
   const FlowEntry* find(const dz::Ipv6Prefix& match) const noexcept;
 
   /// TCAM lookup: the matching entry with the highest priority (ties broken
-  /// by longer prefix). nullptr on miss. Counted in stats. The returned
-  /// entry's matchedPackets field is NOT refreshed here (the bump goes to
-  /// the SoA counter column); read per-flow counters via find()/entries().
+  /// by longer prefix). nullptr on miss. Counted in stats, with the bucket
+  /// probes it issued. The returned entry's matchedPackets field is NOT
+  /// refreshed here (the bump goes to the SoA counter column); read
+  /// per-flow counters via find()/entries().
   const FlowEntry* lookup(dz::Ipv6Address dst) const;
 
   std::size_t size() const noexcept { return size_; }
@@ -315,13 +322,36 @@ class FlowTable {
 
   struct Bucket {
     int length = 0;
+    /// Highest priority installed in this bucket since it was created:
+    /// raised by insert and modify, never lowered by remove, so it bounds
+    /// every live record's priority.
+    std::int32_t priorityBound = std::numeric_limits<std::int32_t>::min();
     dz::U128 mask{};  ///< topMask(length), precomputed off the lookup path
     std::size_t size = 0;
     bool flat = false;  ///< false: recs[0..size) sorted; true: open addressing
     std::vector<ProbeRecord> recs;
   };
 
-  Bucket& bucketForInsert(int length);
+  /// One bucket in lookup's probe order, with its sort key copied in so the
+  /// stop test reads no Bucket.
+  struct ProbeStep {
+    std::int32_t bound;
+    std::int16_t length;
+    std::int16_t bucket;  ///< index into buckets_
+  };
+  /// Probe-order comparator: descending (bound, length). Lengths are unique
+  /// per table, so no two steps tie.
+  static bool probesBefore(const ProbeStep& a, const ProbeStep& b) noexcept {
+    return a.bound != b.bound ? a.bound > b.bound : a.length > b.length;
+  }
+
+  /// Index of the bucket for `length`, created (and filed in the probe
+  /// order) when absent.
+  std::size_t bucketForInsert(int length);
+  /// Raises bucket `bi`'s priority bound to `priority` if that is higher,
+  /// re-filing its probe step.
+  void raiseBound(std::size_t bi, std::int32_t priority);
+  void fileStep(const ProbeStep& step);
   void dropBucketIfEmpty(Bucket& b);
 
   // The probe helpers are force-inlined: left out-of-line, GCC keeps the
@@ -389,6 +419,8 @@ class FlowTable {
   }
 
   std::vector<Bucket> buckets_;  ///< one per installed length, install order
+  /// The buckets in lookup's probe order (probesBefore).
+  std::vector<ProbeStep> probeOrder_;
   /// Bucket index per prefix length (0..128); -1 when absent.
   std::array<std::int16_t, 129> lengthBucket_;
   std::size_t size_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -109,6 +110,25 @@ TEST_F(PleromaFixture, MultipleSubscriptionsPerHostDeduplicated) {
   middleware.publish(hosts[0], {10, 10});
   middleware.settle();
   EXPECT_EQ(deliveries, 1);  // one packet per host per event
+}
+
+TEST_F(PleromaFixture, RectangleNeedsOneRangePerAttribute) {
+  const dz::Rectangle narrow{{dz::Range{0, 1023}}};
+  const dz::Rectangle wide{
+      {dz::Range{0, 1023}, dz::Range{0, 1023}, dz::Range{0, 1023}}};
+  for (const dz::Rectangle& r : {narrow, wide}) {
+    EXPECT_THROW(middleware.advertise(hosts[0], r), std::invalid_argument);
+    EXPECT_THROW(middleware.subscribe(hosts[5], r), std::invalid_argument);
+  }
+  // Nothing was registered: the controller saw no operation, and a
+  // well-formed pair still round-trips.
+  EXPECT_EQ(middleware.controller().stats().ops, 0u);
+  middleware.advertise(hosts[0], rect(0, 1023, 0, 1023));
+  middleware.subscribe(hosts[5], rect(0, 1023, 0, 1023));
+  middleware.publish(hosts[0], {1, 1});
+  middleware.settle();
+  EXPECT_EQ(middleware.deliveryStats().delivered, 1u);
+  EXPECT_EQ(middleware.deliveryStats().falsePositives, 0u);
 }
 
 TEST_F(PleromaFixture, DimensionSelectionPicksInformativeDims) {
@@ -452,6 +472,19 @@ TEST(PleromaPartitions, SubscriptionIdsAreUniqueAndUnsubscribeStopsDelivery) {
             (std::map<net::NodeId, int>{{h[1], 1}, {h[3], 1}, {h[7], 1}}));
 }
 
+TEST(PleromaPartitions, SinglePartitionMembersThrowOnSeveral) {
+  PleromaOptions o;
+  o.partitions = 2;
+  Pleroma p(net::Topology::ring(6), o);
+  const auto h = p.topology().hosts();
+  p.advertise(h[0], rect(0, 1023, 0, 1023));
+  EXPECT_THROW(p.unadvertise(0), std::logic_error);
+  EXPECT_THROW(p.reindex({0}), std::logic_error);
+  EXPECT_THROW(p.runDimensionSelection(), std::logic_error);
+  EXPECT_THROW(p.controller(), std::logic_error);
+  EXPECT_EQ(p.failover(), nullptr);
+}
+
 TEST(PleromaPartitions, StandbyNeedsASinglePartition) {
   PleromaOptions o;
   o.partitions = 2;
@@ -502,6 +535,68 @@ TEST(PleromaPartitions, SnapshotMetricsSumOverPartitions) {
   EXPECT_GT(counter("interop.control_messages"), 0u);
   EXPECT_EQ(counter("interop.control_messages"), direct.totalControlMessages());
 }
+
+// ---- false-positive check ------------------------------------------------
+
+/// Random subscribe/unsubscribe churn over few hosts, so each host holds
+/// many boxes and removals hit the middle of its list: every delivery's
+/// falsePositive flag must equal a Rectangle::contains scan over the
+/// host's live subscriptions.
+class PleromaHostBoxes : public ::testing::TestWithParam<int> {};
+
+TEST_P(PleromaHostBoxes, FalsePositiveFlagMatchesRectangleScanUnderChurn) {
+  PleromaOptions o;
+  o.partitions = GetParam();
+  o.controller.maxDzLength = 4;  // coarse filtering -> false positives
+  Pleroma p(net::Topology::ring(6), o);
+  const auto h = p.topology().hosts();
+  workload::WorkloadConfig wcfg;
+  wcfg.numAttributes = 2;
+  wcfg.subscriptionSelectivity = 0.05;
+  wcfg.seed = 11 + static_cast<std::uint64_t>(GetParam());
+  workload::WorkloadGenerator gen(wcfg);
+  util::Rng& rng = gen.rng();
+
+  std::map<ctrl::SubscriptionId, std::pair<net::NodeId, dz::Rectangle>> live;
+  std::map<net::EventId, dz::Event> published;
+  std::uint64_t checked = 0, falsePositives = 0;
+  p.setDeliveryCallback([&](const DeliveryRecord& r) {
+    const dz::Event& e = published.at(r.eventId);
+    bool matched = false;
+    for (const auto& [id, sub] : live) {
+      matched = matched || (sub.first == r.host && sub.second.contains(e));
+    }
+    EXPECT_EQ(r.falsePositive, !matched) << "event " << r.eventId;
+    ++checked;
+    if (r.falsePositive) ++falsePositives;
+  });
+  p.advertise(h[0], rect(0, 1023, 0, 1023));
+  for (int step = 0; step < 120; ++step) {
+    if (live.size() > 8 && rng.chance(0.4)) {
+      auto victim = live.begin();
+      std::advance(victim, static_cast<std::ptrdiff_t>(
+                               rng.uniformInt(0, live.size() - 1)));
+      EXPECT_TRUE(p.unsubscribe(victim->first));
+      live.erase(victim);
+    } else {
+      // Hosts 1 and 4 sit in different partitions at k = 2.
+      const net::NodeId host = h[rng.chance(0.5) ? 1 : 4];
+      const dz::Rectangle r = gen.makeSubscription();
+      live.emplace(p.subscribe(host, r), std::make_pair(host, r));
+    }
+    for (int e = 0; e < 4; ++e) {
+      const dz::Event event = gen.makeEvent();
+      published.emplace(p.publish(h[0], event), event);
+    }
+    p.settle();
+  }
+  EXPECT_EQ(p.deliveryStats().delivered, checked);
+  EXPECT_EQ(p.deliveryStats().falsePositives, falsePositives);
+  EXPECT_GT(falsePositives, 0u);
+  EXPECT_GT(checked, falsePositives);
+}
+
+INSTANTIATE_TEST_SUITE_P(Partitions, PleromaHostBoxes, ::testing::Values(1, 2));
 
 }  // namespace
 }  // namespace pleroma::core

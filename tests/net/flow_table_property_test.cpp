@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "net/flow_table.hpp"
@@ -63,6 +64,12 @@ class ReferenceTable {
     return best;
   }
   std::size_t size() const { return entries_.size(); }
+  /// Distinct installed prefix lengths: the real table's bucket count.
+  std::size_t lengths() const {
+    std::set<int> seen;
+    for (const auto& e : entries_) seen.insert(e.match.length);
+    return seen.size();
+  }
 
  private:
   std::vector<FlowEntry> entries_;
@@ -106,9 +113,16 @@ TEST_P(FlowTablePropertyTest, MatchesReferenceUnderChurn) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
       const dz::Ipv6Address probe = dz::dzToAddress(randomDz(rng, 12));
+      const std::uint64_t probesBefore = table.stats().probes;
       const FlowEntry* a = table.lookup(probe);
       const FlowEntry* b = reference.lookup(probe);
       ASSERT_EQ(a == nullptr, b == nullptr) << "step " << step;
+      // At most one probe per bucket; a miss probes every bucket.
+      const std::uint64_t probes = table.stats().probes - probesBefore;
+      ASSERT_LE(probes, reference.lengths()) << "step " << step;
+      if (a == nullptr) {
+        ASSERT_EQ(probes, reference.lengths()) << "step " << step;
+      }
       if (a != nullptr) {
         // The same winner must be chosen. Ambiguity is possible only when
         // priority AND length tie — compare the deciding keys instead of
@@ -208,10 +222,13 @@ TEST_P(FlowTablePropertyTest, ModifyAndCountersMatchReference) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
       const dz::Ipv6Address probe = dz::dzToAddress(randomDz(rng, 8));
+      const std::uint64_t probesBefore = table.stats().probes;
       const FlowEntry* a = table.lookup(probe);
       const FlowEntry* b = reference.lookupCounting(probe);
       ++expectLookups;
       ASSERT_EQ(a == nullptr, b == nullptr) << "step " << step;
+      ASSERT_LE(table.stats().probes - probesBefore, reference.lengths())
+          << "step " << step;
       if (a != nullptr) {
         ++expectHits;
         EXPECT_EQ(a->priority, b->priority);

@@ -138,6 +138,64 @@ TEST(FlowTable, ManyPrefixLengthsLookupCorrect) {
   EXPECT_EQ(mid->match.length, 16 + 5);
 }
 
+/// Bucket probes one lookup of `dzStr`'s address issues.
+std::uint64_t probesOf(const FlowTable& t, std::string_view dzStr) {
+  const std::uint64_t before = t.stats().probes;
+  t.lookup(dz::dzToAddress(dz(dzStr)));
+  return t.stats().probes - before;
+}
+
+TEST(FlowTable, DzPriorityLookupStopsAtFirstHit) {
+  // Controller tables: priority = dz length, so the longest matching
+  // bucket wins and no shorter one needs a probe. Installed short-first,
+  // so install order is the opposite of probe order.
+  FlowTable t;
+  for (const std::string_view s : {"1", "10", "100", "1001", "10011", "100110"}) {
+    ASSERT_TRUE(t.insert(entry(s, {2})));
+  }
+  ASSERT_TRUE(t.insert(entry("0111", {3})));
+  EXPECT_EQ(probesOf(t, "1001101"), 1u);  // longest bucket matches
+  EXPECT_EQ(probesOf(t, "100111"), 2u);   // misses length 6, hits 5
+  EXPECT_EQ(probesOf(t, "0111"), 3u);     // misses lengths 6 and 5, hits 4
+  EXPECT_EQ(probesOf(t, "0000"), 6u);     // a miss probes every length
+  const FlowEntry* hit = t.lookup(dz::dzToAddress(dz("1001101")));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->match, dz::dzToPrefix(dz("100110")));
+}
+
+TEST(FlowTable, PriorityBoundIsNeverLoweredSoTheStopStaysExact) {
+  FlowTable t;
+  ASSERT_TRUE(t.insert(entry("1", {9}, /*priority=*/100)));
+  ASSERT_TRUE(t.insert(entry("11", {2}, /*priority=*/1)));
+  // The priority-100 hit ranks above everything left to probe.
+  EXPECT_EQ(probesOf(t, "111"), 1u);
+  // Lowering the short entry's priority keeps its bucket's bound at 100:
+  // the lookup probes it first and must go on to find the longer winner.
+  ASSERT_TRUE(t.insertOrReplace(entry("1", {9}, /*priority=*/0)));
+  EXPECT_EQ(probesOf(t, "111"), 2u);
+  EXPECT_EQ(t.lookup(dz::dzToAddress(dz("111")))->outPorts(),
+            (std::vector<PortId>{2}));
+  // Raising a bucket's bound re-files it ahead of the others.
+  ASSERT_TRUE(t.insert(entry("111", {7}, /*priority=*/500)));
+  EXPECT_EQ(probesOf(t, "1111"), 1u);
+  // Dropping a bucket leaves the others' order and indices intact.
+  ASSERT_TRUE(t.remove(dz::dzToPrefix(dz("11"))));
+  EXPECT_EQ(t.lookup(dz::dzToAddress(dz("110")))->outPorts(),
+            (std::vector<PortId>{9}));
+  EXPECT_EQ(t.lookup(dz::dzToAddress(dz("1111")))->outPorts(),
+            (std::vector<PortId>{7}));
+}
+
+TEST(FlowTable, EntriesKeepInstallOrderOfLengths) {
+  FlowTable t;
+  ASSERT_TRUE(t.insert(entry("11", {1})));
+  ASSERT_TRUE(t.insert(entry("1", {2})));
+  ASSERT_TRUE(t.insert(entry("111", {3})));
+  std::vector<int> lengths;
+  for (const FlowEntry& e : t.entries()) lengths.push_back(e.match.length);
+  EXPECT_EQ(lengths, (std::vector<int>{18, 17, 19}));
+}
+
 TEST(FlowTable, PerFlowCountersTrackMatches) {
   FlowTable t;
   ASSERT_TRUE(t.insert(entry("0", {1})));
