@@ -308,10 +308,9 @@ void Controller::installPathRecord(PublisherId p, SubscriptionId s,
   registry_.add(InstalledPath{-1, p, s, t.id(), overlap, std::move(hops)});
 }
 
-Controller::ReplacedPaths Controller::replacedPaths(
-    std::vector<PathId> ids) const {
+Controller::ReplacedPaths Controller::replacedPaths(std::vector<PathId> ids) {
+  registry_.recordChanges();
   ReplacedPaths replaced;
-  replaced.switches = registry_.switchesOf(ids);
   replaced.byPair.reserve(ids.size());
   for (const PathId id : ids) {
     const InstalledPath& path = registry_.at(id);
@@ -325,17 +324,26 @@ Controller::ReplacedPaths Controller::replacedPaths(
 void Controller::retireReplaced(const ReplacedPaths& replaced) {
   // remove() skips the replaced ones: gone, or re-filed under a fresh id.
   for (const PathId id : replaced.ids) registry_.remove(id);
-  for (const net::NodeId sw : replaced.switches) {
-    installer_.reconcileSwitch(sw, registry_.requiredFlows(sw));
-  }
+  reconcileChanges();
 }
 
 void Controller::removePaths(const std::vector<PathId>& ids) {
   if (ids.empty()) return;
-  const std::vector<net::NodeId> affected = registry_.switchesOf(ids);
+  registry_.recordChanges();
   for (const PathId id : ids) registry_.remove(id);
-  for (const net::NodeId sw : affected) {
-    installer_.reconcileSwitch(sw, registry_.requiredFlows(sw));
+  reconcileChanges();
+}
+
+void Controller::reconcileChanges() {
+  const PathRegistry::Changes changes = registry_.takeChanges();
+  for (const auto& [sw, roots] : changes.roots) {
+    installer_.reconcileSwitch(sw, registry_, roots);
+  }
+  // A full reconcile of every switch whose counts changed would find
+  // nothing more to do (DESIGN.md §15). A down switch has no mirror to
+  // match until the last tree crossing it is rebuilt away.
+  for ([[maybe_unused]] const net::NodeId sw : changes.touched) {
+    assert(!switchActive(sw) || installer_.mirrorsRequired(sw, registry_));
   }
 }
 
@@ -397,17 +405,17 @@ void Controller::applyAggregateDelta(EndpointAggregate& agg,
   }
 
   // Shrink (or drop) installed paths carrying the removed pieces. Hops are
-  // unchanged by a shrink, so the path is edited in place; switches whose
-  // flows referenced the removed subspaces are reconciled below.
-  std::vector<net::NodeId> affected;
+  // unchanged by a shrink, so the path is edited in place; the flows that
+  // referenced the removed subspaces are reconciled below. Installs alone
+  // need no reconcile.
   if (!delta.removed.empty()) {
+    registry_.recordChanges();
     dz::DzSet removedSet;
     for (const dz::DzExpression& d : delta.removed) removedSet.insert(d);
     for (const PathId id : registry_.pathsOfSubscription(agg.aggId)) {
       const InstalledPath& p = registry_.at(id);
       dz::DzSet shrunk = p.dz.subtract(removedSet);
       if (shrunk == p.dz) continue;
-      for (const RouteHop& hop : p.hops) affected.push_back(hop.switchNode);
       if (shrunk.empty()) {
         registry_.remove(id);
       } else {
@@ -432,11 +440,7 @@ void Controller::applyAggregateDelta(EndpointAggregate& agg,
     }
   }
 
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
-  for (const net::NodeId sw : affected) {
-    installer_.reconcileSwitch(sw, registry_.requiredFlows(sw));
-  }
+  reconcileChanges();
 }
 
 const dz::DzSet& Controller::interestDz(std::int64_t sid) const {
@@ -707,7 +711,7 @@ void Controller::onSwitchUp(net::NodeId switchNode) {
   rebuildTrees(ids);
   // Catch-all resync from registered intent for anything the rebuilds did
   // not touch on this switch.
-  installer_.reconcileSwitch(switchNode, registry_.requiredFlows(switchNode));
+  installer_.reconcileSwitch(switchNode, registry_);
   if (intentObserver_) {
     IntentCommand cmd;
     cmd.kind = IntentCommand::Kind::kSwitchUp;
@@ -855,7 +859,7 @@ void Controller::reindex(const std::vector<int>& dims) {
   registry_.clear();
   for (auto& tree : trees_) retireTree(std::move(tree));
   trees_.clear();
-  for (const net::NodeId sw : switches) installer_.reconcileSwitch(sw, {});
+  for (const net::NodeId sw : switches) installer_.reconcileSwitch(sw, registry_);
   for (const auto& [id, adv] : advertisements_) runAdvertise(id);
   mergeTreesIfNeeded();
   if (intentObserver_) {

@@ -291,15 +291,19 @@ class Controller {
     };
     /// Each old tree's paths in id order, trees in the order given.
     std::vector<PathId> ids;
-    /// Switches the old paths cross, reconciled once the new tree stands.
-    std::vector<net::NodeId> switches;
     /// Every old path, sorted.
     std::vector<Entry> byPair;
   };
-  ReplacedPaths replacedPaths(std::vector<PathId> ids) const;
+  /// Also starts recording the registry's changes, which retireReplaced
+  /// reconciles.
+  ReplacedPaths replacedPaths(std::vector<PathId> ids);
   /// Unregisters the old paths no derived path replaced, then reconciles
-  /// every switch the old paths crossed.
+  /// what the rebuild changed.
   void retireReplaced(const ReplacedPaths& replaced);
+  /// Ends a recording of the registry's changes: reconciles the dz
+  /// subtrees whose contributions crossed zero on each switch, and nothing
+  /// else (PathRegistry::takeChanges).
+  void reconcileChanges();
 
   /// Algorithm 1's addFlowMultSub: connects publisher `p` to every
   /// subscription overlapping `dzSet` on tree `t`.
@@ -332,7 +336,7 @@ class Controller {
   EndpointAggregate& aggregateFor(const Endpoint& endpoint);
   /// Pushes an aggregate delta into spatial index, registry and switches:
   /// shrinks/removes paths carrying removed pieces, installs added pieces
-  /// through the Algorithm-1 machinery, reconciles affected switches.
+  /// through the Algorithm-1 machinery, reconciles what changed.
   void applyAggregateDelta(EndpointAggregate& agg,
                            const dz::AggregationDelta& delta);
   /// Interest lookups valid for real subscription ids and aggregate ids

@@ -125,29 +125,7 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
     mergeActions(updated, fln);
     ++caseStats_.extend;
     apply(openflow::FlowModType::kModify, hop.switchNode, d, updated);
-    // The extended action set must propagate to the finer flows this one
-    // covers — they shadow it in the TCAM. Finer flows that the extended
-    // flow now subsumes are deleted (case 3); the rest gain the new
-    // actions (case 5).
-    std::vector<dz::DzExpression> toDelete;
-    std::vector<std::pair<dz::DzExpression, net::FlowEntry>> toModify;
-    for (auto it = m.upper_bound(d); it != m.end() && d.covers(it->first); ++it) {
-      if (actionsSubset(it->second, updated)) {
-        toDelete.push_back(it->first);
-      } else if (!actionsSubset(fln, it->second)) {
-        net::FlowEntry merged = it->second;
-        mergeActions(merged, fln);
-        toModify.emplace_back(it->first, std::move(merged));
-      }
-    }
-    for (const dz::DzExpression& key : toDelete) {
-      ++caseStats_.subsumedDelete;
-      apply(openflow::FlowModType::kDelete, hop.switchNode, key, m.at(key));
-    }
-    for (auto& [key, entry] : toModify) {
-      ++caseStats_.shadowModify;
-      apply(openflow::FlowModType::kModify, hop.switchNode, key, entry);
-    }
+    updateFinerFlows(hop.switchNode, d, updated, fln, /*modifyHeld=*/false);
     return;
   }
 
@@ -171,66 +149,97 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
   for (const net::FlowEntry* fle : coarser) mergeActions(fln, *fle);
 
   // Finer flows: the contiguous trie range covered by d.
+  const bool finerChanged =
+      updateFinerFlows(hop.switchNode, d, fln, fln, /*modifyHeld=*/true);
+  // Case 1 (or the add concluding cases 3-5).
+  if (coarser.empty() && !finerChanged) ++caseStats_.freshAdd;
+  apply(openflow::FlowModType::kAdd, hop.switchNode, d, fln);
+}
+
+bool FlowInstaller::updateFinerFlows(net::NodeId sw, const dz::DzExpression& d,
+                                     const net::FlowEntry& covering,
+                                     const net::FlowEntry& added,
+                                     bool modifyHeld) {
+  const SwitchMirror& m = mirrors_[sw];
+  auto it = m.upper_bound(d);
+  if (it == m.end() || !d.covers(it->first)) return false;
   std::vector<dz::DzExpression> toDelete;
   std::vector<std::pair<dz::DzExpression, net::FlowEntry>> toModify;
-  for (auto it = m.upper_bound(d); it != m.end() && d.covers(it->first); ++it) {
-    if (actionsSubset(it->second, fln)) {
-      // Case 3: the new flow subsumes this finer flow — delete it.
+  // The kept flows covering the current one, innermost last, each with the
+  // actions it will carry: its mirror entry's or, once modified, those of
+  // toModify[modified].
+  struct Kept {
+    dz::DzExpression d;
+    const net::ActionList* unchanged;
+    std::size_t modified;
+  };
+  std::vector<Kept> chain{{d, &covering.actions, 0}};
+  const auto keptActions = [&toModify](const Kept& k) -> const net::ActionList& {
+    return k.unchanged != nullptr ? *k.unchanged : toModify[k.modified].second.actions;
+  };
+  for (; it != m.end() && d.covers(it->first); ++it) {
+    while (!chain.back().d.covers(it->first)) chain.pop_back();
+    // Case 3: the covering flow subsumes this finer flow — delete it.
+    if (actionsSubset(it->second, covering)) {
+      toDelete.push_back(it->first);
+      continue;
+    }
+    // Case 5: the finer flow shadows the covering one for its subspace, so
+    // it must additionally forward to the added actions. Left equal to its
+    // nearest kept covering flow, it is redundant: that flow forwards its
+    // subspace alike, so it is deleted instead.
+    if (!modifyHeld && actionsSubset(added, it->second)) {
+      if (it->second.actions == keptActions(chain.back())) {
+        toDelete.push_back(it->first);
+      } else {
+        chain.push_back({it->first, &it->second.actions, 0});
+      }
+      continue;
+    }
+    net::FlowEntry merged = it->second;
+    mergeActions(merged, added);
+    if (merged.actions == keptActions(chain.back())) {
       toDelete.push_back(it->first);
     } else {
-      // Case 5: the finer flow shadows the new one for its subspace, so it
-      // must additionally forward to the new flow's ports.
-      net::FlowEntry updated = it->second;
-      mergeActions(updated, fln);
-      toModify.emplace_back(it->first, std::move(updated));
+      toModify.emplace_back(it->first, std::move(merged));
+      chain.push_back({it->first, nullptr, toModify.size() - 1});
     }
   }
   for (const dz::DzExpression& key : toDelete) {
     ++caseStats_.subsumedDelete;
-    apply(openflow::FlowModType::kDelete, hop.switchNode, key, m.at(key));
+    apply(openflow::FlowModType::kDelete, sw, key, m.at(key));
   }
-  for (auto& [key, updated] : toModify) {
+  for (auto& [key, entry] : toModify) {
     ++caseStats_.shadowModify;
-    apply(openflow::FlowModType::kModify, hop.switchNode, key, updated);
+    apply(openflow::FlowModType::kModify, sw, key, entry);
   }
-  // Case 1 (or the add concluding cases 3-5).
-  if (coarser.empty() && toDelete.empty() && toModify.empty()) {
-    ++caseStats_.freshAdd;
-  }
-  apply(openflow::FlowModType::kAdd, hop.switchNode, d, fln);
+  return !toDelete.empty() || !toModify.empty();
 }
 
-void FlowInstaller::reconcileSwitch(net::NodeId sw,
-                                    const std::vector<net::FlowEntry>& required) {
+void FlowInstaller::reconcileSwitch(net::NodeId sw, const PathRegistry& registry,
+                                    std::vector<dz::DzExpression> roots) {
   ++caseStats_.reconcilePasses;
   SwitchMirror& m = mirrors_[sw];
-
-  // Required flows are exact intent; a coarsened switch holds their
-  // length-capped projection instead (actions union per truncated key), so
-  // a reconcile pass never resurrects entries past the budget.
+  // A coarsened switch holds the length-capped projection of the required
+  // flows, so a root finer than the cap stands for the whole subtree of its
+  // truncation. Truncation keeps minimal roots in trie order; it can only
+  // make neighbours equal.
   const int cap = lengthCapFor(sw);
-  std::map<dz::DzExpression, net::FlowEntry> wanted;
-  for (const net::FlowEntry& e : required) {
-    const auto dOpt = dz::prefixToDz(e.match);
-    assert(dOpt.has_value());
-    const dz::DzExpression d = dOpt->truncated(cap);
-    const auto [it, fresh] = wanted.try_emplace(d, e);
-    if (d.length() != dOpt->length() && fresh) {
-      it->second.match = dz::dzToPrefix(d);
-      it->second.priority = d.length();
-    } else if (!fresh) {
-      mergeActions(it->second, e);
-    }
-  }
+  for (dz::DzExpression& root : roots) root = root.truncated(cap);
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  const SwitchMirror wanted = projectRequired(sw, registry, roots);
 
   std::vector<dz::DzExpression> toDelete;
   std::vector<std::pair<dz::DzExpression, const net::FlowEntry*>> toModify;
-  for (const auto& [d, entry] : m) {
-    const auto it = wanted.find(d);
-    if (it == wanted.end()) {
-      toDelete.push_back(d);
-    } else if (it->second != entry) {
-      toModify.emplace_back(d, &it->second);
+  for (const dz::DzExpression& root : roots) {
+    for (auto it = m.lower_bound(root); it != m.end() && root.covers(it->first);
+         ++it) {
+      const auto w = wanted.find(it->first);
+      if (w == wanted.end()) {
+        toDelete.push_back(it->first);
+      } else if (w->second != it->second) {
+        toModify.emplace_back(it->first, &w->second);
+      }
     }
   }
   for (const dz::DzExpression& d : toDelete) {
@@ -244,6 +253,34 @@ void FlowInstaller::reconcileSwitch(net::NodeId sw,
   }
   enforceBudget(sw);
   maybeFlush();
+}
+
+FlowInstaller::SwitchMirror FlowInstaller::projectRequired(
+    net::NodeId sw, const PathRegistry& registry,
+    const std::vector<dz::DzExpression>& roots) const {
+  // Required flows are exact intent; a coarsened switch holds their
+  // length-capped projection instead (actions union per truncated key), so
+  // a reconcile pass never resurrects entries past the budget.
+  const int cap = lengthCapFor(sw);
+  SwitchMirror wanted;
+  for (const net::FlowEntry& e : registry.requiredFlows(sw, roots)) {
+    const auto dOpt = dz::prefixToDz(e.match);
+    assert(dOpt.has_value());
+    const dz::DzExpression d = dOpt->truncated(cap);
+    const auto [it, fresh] = wanted.try_emplace(d, e);
+    if (d.length() != dOpt->length() && fresh) {
+      it->second.match = dz::dzToPrefix(d);
+      it->second.priority = d.length();
+    } else if (!fresh) {
+      mergeActions(it->second, e);
+    }
+  }
+  return wanted;
+}
+
+bool FlowInstaller::mirrorsRequired(net::NodeId sw,
+                                    const PathRegistry& registry) const {
+  return mirror(sw) == projectRequired(sw, registry, {dz::DzExpression{}});
 }
 
 // ---- TCAM budget / coarsening (Sec 3 + Sec 5) -----------------------------

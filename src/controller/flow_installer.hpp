@@ -3,7 +3,7 @@
 // cases as flows are added for a new (publisher, subscriber) route; the
 // `reconcileSwitch` pass diffs a switch against its required flow set and
 // is used for removals — producing exactly the delete/downgrade behaviour
-// of Sec 3.3.3 — as well as for tree merges and re-indexing.
+// of Sec 3.3.3 — as well as for tree rebuilds, merges and re-indexing.
 //
 // Priorities: a flow's priority is its dz length. Longer-dz flows thereby
 // always rank above any covering (shorter-dz) flow, which is the invariant
@@ -13,6 +13,13 @@
 // in trie order. Covering flows are found by walking the dz's prefixes;
 // covered flows are a contiguous range after the dz — so the five cases
 // cost O(log n + answers) instead of a full TCAM scan per install.
+//
+// The mirror stays canonical: it equals the registry's required flows
+// (their length-capped projection on a coarsened switch), entry for entry
+// and with actions in port order. Algorithm 1 keeps it so by deleting a
+// finer flow left equal to its nearest covering flow, and a reconcile
+// therefore needs to diff only the dz subtrees whose contributions changed
+// (PathRegistry::takeChanges); the rest already matches.
 #pragma once
 
 #include <map>
@@ -47,10 +54,19 @@ class FlowInstaller {
   /// flowAddition for (d, hop) would stop at case 2.
   bool forwards(const dz::DzExpression& d, const RouteHop& hop) const;
 
-  /// Brings a switch's flow table to exactly `required` (match-keyed diff:
-  /// missing entries are added, differing ones modified, surplus deleted).
-  /// Entries must stem from dz encodings (priority = dz length).
-  void reconcileSwitch(net::NodeId sw, const std::vector<net::FlowEntry>& required);
+  /// Brings the entries of `sw` under `roots` (minimal, in trie order) to
+  /// exactly what `registry` requires there (match-keyed diff: missing
+  /// entries are added, differing ones modified, surplus deleted), then
+  /// enforces the budget. On a coarsened switch each root first widens to
+  /// its truncation. The whole-space root, the default, reconciles the
+  /// whole table.
+  void reconcileSwitch(net::NodeId sw, const PathRegistry& registry,
+                       std::vector<dz::DzExpression> roots = {dz::DzExpression{}});
+
+  /// True when the mirror of `sw` equals the full recompute of what
+  /// `registry` requires there (projected on a coarsened switch): the state
+  /// every reconcile leaves and that Algorithm 1 keeps.
+  bool mirrorsRequired(net::NodeId sw, const PathRegistry& registry) const;
 
   /// Widens the batching unit from a single installPath / reconcileSwitch
   /// call to a whole controller operation: while a scope is open, deferred
@@ -139,6 +155,22 @@ class FlowInstaller {
   using SwitchMirror = std::map<dz::DzExpression, net::FlowEntry>;
 
   void installOne(const dz::DzExpression& d, const RouteHop& hop);
+  /// Cases 3 and 5 for the flows strictly inside `d`, whose flow now
+  /// carries `covering`: a finer flow that `covering` subsumes is deleted;
+  /// the others gain `added`'s actions, and one left equal to its nearest
+  /// kept covering flow is deleted instead. Without `modifyHeld` a flow
+  /// that already holds `added`'s actions keeps its entry; with it, such a
+  /// flow is still sent its unchanged entry, as flowAddition for a new dz
+  /// always did. True when any finer flow changed.
+  bool updateFinerFlows(net::NodeId sw, const dz::DzExpression& d,
+                        const net::FlowEntry& covering,
+                        const net::FlowEntry& added, bool modifyHeld);
+  /// The required flows of `sw` under `roots`, keyed by dz, as the switch
+  /// holds them: length-capped on a coarsened switch, actions merged per
+  /// truncated key.
+  std::map<dz::DzExpression, net::FlowEntry> projectRequired(
+      net::NodeId sw, const PathRegistry& registry,
+      const std::vector<dz::DzExpression>& roots) const;
   void apply(openflow::FlowModType type, net::NodeId sw, const dz::DzExpression& d,
              const net::FlowEntry& entry);
   /// The dz length cap installs to `sw` are truncated to (kMaxDzLength

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "dz/ip_encoding.hpp"
 
@@ -24,25 +25,35 @@ std::size_t PathRegistry::ContributionHash::operator()(
 }
 
 void PathRegistry::countContributions(const std::vector<RouteHop>& hops,
-                                      const dz::DzSet& dz, int delta) {
+                                      const std::vector<dz::DzExpression>& dz,
+                                      int delta) {
   for (const RouteHop& hop : hops) countHop(hop, dz, delta);
 }
 
-void PathRegistry::countHop(const RouteHop& hop, const dz::DzSet& dz,
+void PathRegistry::countHop(const RouteHop& hop,
+                            const std::vector<dz::DzExpression>& dz,
                             int delta) {
   const auto si = delta > 0 ? contributions_.try_emplace(hop.switchNode).first
                             : contributions_.find(hop.switchNode);
   assert(si != contributions_.end());
   SwitchContributions& contribs = si->second;
+#ifndef NDEBUG
+  if (recording_) touched_.push_back(hop.switchNode);
+#endif
   for (const dz::DzExpression& d : dz) {
     const Contribution c{d, hop.outPort, hop.rewrite};
     if (delta > 0) {
-      ++contribs[c];
+      if (++contribs[c] == 1 && recording_) {
+        changed_.emplace_back(hop.switchNode, d);
+      }
       continue;
     }
     const auto ci = contribs.find(c);
     assert(ci != contribs.end() && ci->second > 0);
-    if (--ci->second == 0) contribs.erase(ci);
+    if (--ci->second == 0) {
+      contribs.erase(ci);
+      if (recording_) changed_.emplace_back(hop.switchNode, d);
+    }
   }
   if (contribs.empty()) contributions_.erase(si);
 }
@@ -58,7 +69,7 @@ PathId PathRegistry::add(InstalledPath path) {
   assert(!path.dz.empty());
   const PathId id = next_++;
   path.id = id;
-  countContributions(path.hops, path.dz, +1);
+  countContributions(path.hops, path.dz.items(), +1);
   bySubscription_[path.subscription].insert(id);
   byPublisher_[path.publisher].insert(id);
   treeOf_.emplace(id, path.treeId);
@@ -74,7 +85,7 @@ void PathRegistry::remove(PathId id) {
   const auto it = si->second.find(id);
   assert(it != si->second.end());
   const InstalledPath& p = it->second;
-  countContributions(p.hops, p.dz, -1);
+  countContributions(p.hops, p.dz.items(), -1);
   auto dropFrom = [id](auto& index, std::int64_t key) {
     const auto ii = index.find(key);
     if (ii != index.end()) {
@@ -94,9 +105,16 @@ void PathRegistry::setDz(PathId id, dz::DzSet dz) {
   const auto ti = treeOf_.find(id);
   assert(ti != treeOf_.end());
   InstalledPath& path = byTree_.at(ti->second).at(id);
-  countContributions(path.hops, path.dz, -1);
+  // Members in both sets keep their counts; both member lists are sorted.
+  std::vector<dz::DzExpression> gone;
+  std::vector<dz::DzExpression> added;
+  std::set_difference(path.dz.begin(), path.dz.end(), dz.begin(), dz.end(),
+                      std::back_inserter(gone));
+  std::set_difference(dz.begin(), dz.end(), path.dz.begin(), path.dz.end(),
+                      std::back_inserter(added));
+  countContributions(path.hops, gone, -1);
+  countContributions(path.hops, added, +1);
   path.dz = std::move(dz);
-  countContributions(path.hops, path.dz, +1);
 }
 
 PathId PathRegistry::move(PathId id, int treeId, std::vector<RouteHop> hops) {
@@ -116,11 +134,11 @@ PathId PathRegistry::move(PathId id, int treeId, std::vector<RouteHop> hops) {
     if (j < hops.size()) {
       paired[j] = true;
     } else {
-      countHop(hop, path.dz, -1);
+      countHop(hop, path.dz.items(), -1);
     }
   }
   for (std::size_t j = 0; j < hops.size(); ++j) {
-    if (!paired[j]) countHop(hops[j], path.dz, +1);
+    if (!paired[j]) countHop(hops[j], path.dz.items(), +1);
   }
   path.hops = std::move(hops);
 
@@ -158,6 +176,29 @@ void PathRegistry::clear() {
   contributions_.clear();
   bySubscription_.clear();
   byPublisher_.clear();
+  recording_ = false;
+  changed_.clear();
+  touched_.clear();
+}
+
+PathRegistry::Changes PathRegistry::takeChanges() {
+  recording_ = false;
+  Changes out;
+  std::sort(changed_.begin(), changed_.end());
+  for (const auto& [sw, d] : changed_) {
+    if (out.roots.empty() || out.roots.back().first != sw) {
+      out.roots.emplace_back(sw, std::vector<dz::DzExpression>{});
+    }
+    // In trie order, a kept root covering d is the last one kept: every dz
+    // between it and d lies in its subtree too.
+    std::vector<dz::DzExpression>& roots = out.roots.back().second;
+    if (roots.empty() || !roots.back().covers(d)) roots.push_back(d);
+  }
+  changed_.clear();
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+  out.touched.swap(touched_);
+  return out;
 }
 
 std::vector<PathId> PathRegistry::sortedIds(
@@ -188,19 +229,6 @@ std::vector<PathId> PathRegistry::pathsOfTree(int treeId) const {
   return out;
 }
 
-std::vector<net::NodeId> PathRegistry::switchesOf(
-    const std::vector<PathId>& ids) const {
-  std::vector<net::NodeId> out;
-  for (const PathId id : ids) {
-    const InstalledPath* path = findPath(id);
-    if (path == nullptr) continue;
-    for (const RouteHop& hop : path->hops) out.push_back(hop.switchNode);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 bool PathRegistry::alreadyCovered(PublisherId p, SubscriptionId s, int treeId,
                                   const dz::DzSet& dz) const {
   const auto it = bySubscription_.find(s);
@@ -214,25 +242,43 @@ bool PathRegistry::alreadyCovered(PublisherId p, SubscriptionId s, int treeId,
   return false;
 }
 
-std::vector<net::FlowEntry> PathRegistry::requiredFlows(net::NodeId sw) const {
+std::vector<net::FlowEntry> PathRegistry::requiredFlows(
+    net::NodeId sw, const std::vector<dz::DzExpression>& roots) const {
+  assert(std::adjacent_find(roots.begin(), roots.end(),
+                            [](const auto& a, const auto& b) {
+                              return !(a < b) || a.covers(b);
+                            }) == roots.end());
   const auto si = contributions_.find(sw);
   if (si == contributions_.end()) return {};
 
-  // 1. The switch's contributions in trie order (prefixes before what they
-  //    cover), then by port, then by rewrite with none first.
-  std::vector<const Contribution*> sorted;
-  sorted.reserve(si->second.size());
-  for (const auto& [c, n] : si->second) sorted.push_back(&c);
+  // 1. The contributions whose entries are wanted (under a root) or whose
+  //    actions those entries inherit (above a root), in trie order
+  //    (prefixes before what they cover), then by port, then by rewrite
+  //    with none first. Only the first root not before a dz can lie in its
+  //    subtree, and only the root before that one can cover it.
+  struct Collected {
+    const Contribution* c;
+    bool under;
+  };
+  std::vector<Collected> sorted;
+  for (const auto& [c, n] : si->second) {
+    const auto next = std::lower_bound(roots.begin(), roots.end(), c.dz);
+    if (next != roots.end() && c.dz.covers(*next)) {
+      sorted.push_back({&c, c.dz == *next});
+    } else if (next != roots.begin() && std::prev(next)->covers(c.dz)) {
+      sorted.push_back({&c, true});
+    }
+  }
   std::sort(sorted.begin(), sorted.end(),
-            [](const Contribution* a, const Contribution* b) { return *a < *b; });
+            [](const Collected& a, const Collected& b) { return *a.c < *b.c; });
 #ifndef NDEBUG
   // One (switch, port) leads to one host, so it carries at most one
   // rewrite; otherwise which rewrite wins below would be arbitrary.
   std::unordered_map<net::PortId, dz::Ipv6Address> rewriteOfPort;
-  for (const Contribution* c : sorted) {
-    if (!c->rewrite) continue;
-    const auto [it, fresh] = rewriteOfPort.emplace(c->port, *c->rewrite);
-    assert(fresh || it->second == *c->rewrite);
+  for (const Collected& k : sorted) {
+    if (!k.c->rewrite) continue;
+    const auto [it, fresh] = rewriteOfPort.emplace(k.c->port, *k.c->rewrite);
+    assert(fresh || it->second == *k.c->rewrite);
   }
 #endif
 
@@ -250,12 +296,13 @@ std::vector<net::FlowEntry> PathRegistry::requiredFlows(net::NodeId sw) const {
   std::vector<net::FlowEntry> out;
 
   for (std::size_t i = 0; i < sorted.size();) {
-    const dz::DzExpression d = sorted[i]->dz;
+    const dz::DzExpression d = sorted[i].c->dz;
+    const bool wanted = sorted[i].under;
     // This dz's own actions, one per port. Within a port the rewrites sort
     // none-first, so a set rewrite overrides an unset one.
     own.clear();
-    for (; i < sorted.size() && sorted[i]->dz == d; ++i) {
-      const Contribution& c = *sorted[i];
+    for (; i < sorted.size() && sorted[i].c->dz == d; ++i) {
+      const Contribution& c = *sorted[i].c;
       if (own.empty() || own.back().port != c.port) {
         own.push_back(net::FlowAction{c.port, c.rewrite});
       } else if (c.rewrite) {
@@ -291,7 +338,7 @@ std::vector<net::FlowEntry> PathRegistry::requiredFlows(net::NodeId sw) const {
     }
     while (j < inheritedEnd) chain.push_back(chain[j++]);
 
-    if (!redundant) {
+    if (wanted && !redundant) {
       net::FlowEntry entry;
       entry.match = dz::dzToPrefix(d);
       entry.priority = d.length();

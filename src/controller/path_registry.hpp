@@ -24,12 +24,21 @@
 // switch's contributions, so its cost follows the switch's distinct
 // actions, not the number of paths crossing it (at a tree root, nearly
 // every path).
+//
+// Only a contribution whose count crosses zero can change a required flow,
+// and only the flows of its dz's subtree: a flow's actions come from its
+// own dz and the dz's prefixes. While a removal or rebuild runs, the
+// registry records those (switch, dz) pieces (recordChanges / takeChanges),
+// and requiredFlows(sw, roots) recomputes just the subtrees under them, so
+// the controller reconciles what changed instead of every switch table the
+// old paths crossed (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "controller/tree.hpp"
@@ -85,8 +94,6 @@ class PathRegistry {
   std::vector<PathId> pathsOfSubscription(SubscriptionId s) const;
   std::vector<PathId> pathsOfPublisher(PublisherId p) const;
   std::vector<PathId> pathsOfTree(int treeId) const;
-  /// Switches traversed by a set of paths (deduplicated).
-  std::vector<net::NodeId> switchesOf(const std::vector<PathId>& ids) const;
 
   /// True when a path for this (publisher, subscription, tree) already
   /// forwards a superset of `dz` — used to avoid duplicate installs.
@@ -94,9 +101,35 @@ class PathRegistry {
                       const dz::DzSet& dz) const;
 
   /// The canonical flow set switch `sw` must hold so that every registered
-  /// path's traffic is forwarded (and nothing more). Priorities are the dz
-  /// length, matching the controller's installation discipline.
-  std::vector<net::FlowEntry> requiredFlows(net::NodeId sw) const;
+  /// path's traffic is forwarded (and nothing more), restricted to the
+  /// entries under `roots`: minimal roots (none covers another) in trie
+  /// order. The whole-space root, the default, gives every entry.
+  /// Priorities are the dz length, matching the controller's installation
+  /// discipline. Entries come in trie order, each with its actions in port
+  /// order.
+  std::vector<net::FlowEntry> requiredFlows(
+      net::NodeId sw,
+      const std::vector<dz::DzExpression>& roots = {dz::DzExpression{}}) const;
+
+  // ---- change recording ------------------------------------------------
+
+  /// Starts recording the (switch, dz) pieces whose contribution count
+  /// crosses zero, in either direction, until takeChanges. Removals and
+  /// rebuilds record; Algorithm 1's installs (advertise, subscribe) do not.
+  void recordChanges() noexcept { recording_ = true; }
+
+  struct Changes {
+    /// Per switch, in ascending id: the minimal roots (trie order, none
+    /// covering another) of the recorded pieces. No required flow outside
+    /// these subtrees changed while recording.
+    std::vector<std::pair<net::NodeId, std::vector<dz::DzExpression>>> roots;
+    /// Every switch whose counts changed at all while recording, ascending.
+    /// Kept only in builds with assertions, for the check that a delta
+    /// reconcile leaves each of them as a full one would.
+    std::vector<net::NodeId> touched;
+  };
+  /// Stops recording and hands over (and forgets) what it recorded.
+  Changes takeChanges();
 
   /// All switches that appear in any registered path.
   std::vector<net::NodeId> allSwitches() const;
@@ -123,9 +156,11 @@ class PathRegistry {
   /// Adds `delta` (+1 or -1) to the count of every (hop, dz member) pair
   /// of a path.
   void countContributions(const std::vector<RouteHop>& hops,
-                          const dz::DzSet& dz, int delta);
-  /// The same for the pairs of one hop.
-  void countHop(const RouteHop& hop, const dz::DzSet& dz, int delta);
+                          const std::vector<dz::DzExpression>& dz, int delta);
+  /// The same for the pairs of one hop; while recording, notes each piece
+  /// whose count crosses zero.
+  void countHop(const RouteHop& hop, const std::vector<dz::DzExpression>& dz,
+                int delta);
 
   static std::vector<PathId> sortedIds(
       const std::unordered_map<std::int64_t, std::unordered_set<PathId>>& index,
@@ -141,6 +176,12 @@ class PathRegistry {
   std::unordered_map<std::int64_t, std::unordered_set<PathId>> bySubscription_;
   std::unordered_map<std::int64_t, std::unordered_set<PathId>> byPublisher_;
   PathId next_ = 0;
+
+  bool recording_ = false;
+  /// Pieces whose count crossed zero while recording, in update order.
+  std::vector<std::pair<net::NodeId, dz::DzExpression>> changed_;
+  /// Switches whose counts changed while recording (assertion builds only).
+  std::vector<net::NodeId> touched_;
 };
 
 }  // namespace pleroma::ctrl

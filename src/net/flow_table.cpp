@@ -8,13 +8,17 @@
 namespace pleroma::net {
 
 void FlowEntry::addOutPort(PortId port, std::optional<dz::Ipv6Address> rewrite) {
-  for (auto& a : actions) {
-    if (a.port == port) {
-      if (rewrite) a.setDestination = rewrite;
-      return;
-    }
+  std::size_t i = 0;
+  while (i < actions.size() && actions[i].port < port) ++i;
+  if (i < actions.size() && actions[i].port == port) {
+    if (rewrite) actions[i].setDestination = rewrite;
+    return;
   }
   actions.push_back(FlowAction{port, rewrite});
+  // Shift the new action down to its place in port order.
+  for (std::size_t j = actions.size() - 1; j > i; --j) {
+    std::swap(actions[j], actions[j - 1]);
+  }
 }
 
 std::vector<PortId> FlowEntry::outPorts() const {

@@ -195,7 +195,9 @@ struct FlowEntry {
   mutable std::uint64_t matchedPackets = 0;
 
   /// Adds `port` to the action list if absent; when present and `rewrite`
-  /// is set, updates the rewrite.
+  /// is set, updates the rewrite. A port-ordered list stays port-ordered,
+  /// the order the controller's required-flow computation emits, so
+  /// merging the same actions in any order gives the same entry.
   void addOutPort(PortId port, std::optional<dz::Ipv6Address> rewrite = std::nullopt);
   std::vector<PortId> outPorts() const;
 

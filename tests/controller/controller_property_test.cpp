@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "controller/controller.hpp"
+#include "dz/ip_encoding.hpp"
 #include "workload/workload.hpp"
 
 namespace pleroma::ctrl {
@@ -63,6 +64,34 @@ void expectForwardsLikeRegistry(const Controller& controller,
     ASSERT_TRUE(byPort(*actual) == byPort(*required))
         << "switch " << sw << " step " << step;
   }
+}
+
+/// Whether the switches of `scope` outside `deadSwitches` are connected
+/// over its internal links outside `deadLinks`.
+bool connected(const net::Topology& topo, const Scope& scope,
+               const std::set<net::LinkId>& deadLinks,
+               const std::set<net::NodeId>& deadSwitches) {
+  std::vector<net::NodeId> up;
+  for (const net::NodeId s : scope.switches) {
+    if (!deadSwitches.contains(s)) up.push_back(s);
+  }
+  if (up.empty()) return false;
+  std::set<net::NodeId> seen{up.front()};
+  std::vector<net::NodeId> stack{up.front()};
+  while (!stack.empty()) {
+    const net::NodeId at = stack.back();
+    stack.pop_back();
+    for (const net::LinkId l : scope.internalLinks) {
+      const net::Link& ln = topo.link(l);
+      if (deadLinks.contains(l)) continue;
+      if (ln.a.node != at && ln.b.node != at) continue;
+      const net::NodeId next = ln.a.node == at ? ln.b.node : ln.a.node;
+      if (!deadSwitches.contains(next) && seen.insert(next).second) {
+        stack.push_back(next);
+      }
+    }
+  }
+  return seen.size() == up.size();
 }
 
 class ControllerPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -391,32 +420,6 @@ TEST_P(ControllerPropertyTest, TablesAndDeliveryHoldThroughRebuilds) {
   auto live = [&](net::NodeId host) {
     return !downSwitches.contains(topo.hostAttachment(host).switchNode);
   };
-  // Whether the switches outside `deadSwitches` are connected over the
-  // internal links outside `deadLinks`.
-  auto connected = [&](const std::set<net::LinkId>& deadLinks,
-                       const std::set<net::NodeId>& deadSwitches) {
-    std::vector<net::NodeId> up;
-    for (const net::NodeId s : scope.switches) {
-      if (!deadSwitches.contains(s)) up.push_back(s);
-    }
-    if (up.empty()) return false;
-    std::set<net::NodeId> seen{up.front()};
-    std::vector<net::NodeId> stack{up.front()};
-    while (!stack.empty()) {
-      const net::NodeId at = stack.back();
-      stack.pop_back();
-      for (const net::LinkId l : scope.internalLinks) {
-        const net::Link& ln = topo.link(l);
-        if (deadLinks.contains(l)) continue;
-        if (ln.a.node != at && ln.b.node != at) continue;
-        const net::NodeId next = ln.a.node == at ? ln.b.node : ln.a.node;
-        if (!deadSwitches.contains(next) && seen.insert(next).second) {
-          stack.push_back(next);
-        }
-      }
-    }
-    return seen.size() == up.size();
-  };
   auto congestionCosts = [&] {
     std::vector<net::SimTime> costs;
     for (net::LinkId l = 0; l < topo.linkCount(); ++l) {
@@ -479,7 +482,9 @@ TEST_P(ControllerPropertyTest, TablesAndDeliveryHoldThroughRebuilds) {
     } else if (dice < 78) {
       const net::LinkId l = pick(scope.internalLinks);
       std::set<net::LinkId> after = downLinks;
-      if (!after.insert(l).second || !connected(after, downSwitches)) continue;
+      if (!after.insert(l).second || !connected(topo, scope, after, downSwitches)) {
+        continue;
+      }
       downLinks = std::move(after);
       network.setLinkUp(l, false);
       controller.onLinkDown(l);
@@ -491,7 +496,9 @@ TEST_P(ControllerPropertyTest, TablesAndDeliveryHoldThroughRebuilds) {
     } else if (dice < 92) {
       const net::NodeId sw = pick(scope.switches);
       std::set<net::NodeId> after = downSwitches;
-      if (!after.insert(sw).second || !connected(downLinks, after)) continue;
+      if (!after.insert(sw).second || !connected(topo, scope, downLinks, after)) {
+        continue;
+      }
       downSwitches = std::move(after);
       network.setNodeUp(sw, false);
       controller.onSwitchDown(sw);
@@ -499,7 +506,7 @@ TEST_P(ControllerPropertyTest, TablesAndDeliveryHoldThroughRebuilds) {
       const net::NodeId sw = pick(downSwitches);
       std::set<net::NodeId> after = downSwitches;
       after.erase(sw);
-      if (!connected(downLinks, after)) continue;
+      if (!connected(topo, scope, downLinks, after)) continue;
       downSwitches = std::move(after);
       network.setNodeUp(sw, true);
       controller.onSwitchUp(sw);
@@ -519,6 +526,149 @@ TEST_P(ControllerPropertyTest, TablesAndDeliveryHoldThroughRebuilds) {
   }
   EXPECT_GT(controller.stats().treeMerges, 0u);
   EXPECT_GT(controller.stats().treeReroots, 0u);
+}
+
+/// The full recompute of what `sw` must hold, as the installer holds it:
+/// the registry's required flows, on a coarsened switch truncated to its
+/// length with the actions of entries that meet merged.
+std::map<dz::DzExpression, net::FlowEntry> fullRecompute(const Controller& controller,
+                                                         net::NodeId sw) {
+  const int cap = controller.installer().coarsenLength(sw);
+  std::map<dz::DzExpression, net::FlowEntry> out;
+  for (const net::FlowEntry& e : controller.registry().requiredFlows(sw)) {
+    const dz::DzExpression exact = *dz::prefixToDz(e.match);
+    const dz::DzExpression d = cap < 0 ? exact : exact.truncated(cap);
+    const auto [it, fresh] = out.try_emplace(d);
+    if (fresh) {
+      it->second.match = dz::dzToPrefix(d);
+      it->second.priority = d.length();
+    }
+    for (const net::FlowAction& a : e.actions) {
+      it->second.addOutPort(a.port, a.setDestination);
+    }
+  }
+  return out;
+}
+
+TEST_P(ControllerPropertyTest, MirrorsEqualFullRecomputeAfterEveryOperation) {
+  // Removals and rebuilds reconcile only the dz subtrees whose
+  // contributions crossed zero. That is exact only while every mirror
+  // stays canonical, so after every operation of a random mix — every
+  // registration kind, reroots, link and switch failure and repair, tree
+  // merges, with and without aggregation and a TCAM budget — each switch's
+  // mirror must equal the full recompute entry for entry, and its table
+  // must equal the mirror.
+  const std::uint64_t seed = GetParam();
+  for (const bool aggregate : {false, true}) {
+    for (const std::size_t budget : {std::size_t{0}, std::size_t{12}}) {
+      SCOPED_TRACE(::testing::Message() << "aggregate " << aggregate << " budget "
+                                        << budget);
+      net::Topology topo = net::Topology::testbedFatTree();
+      net::Simulator sim;
+      net::Network network(topo, sim, {});
+      ControllerConfig cfg;
+      cfg.maxDzLength = 8;
+      cfg.maxCellsPerRequest = 6;
+      cfg.maxTrees = 2;  // merges happen
+      cfg.aggregateSubscriptions = aggregate;
+      cfg.tcamBudget = budget;
+      const Scope scope = Scope::wholeTopology(topo);
+      Controller controller(dz::EventSpace(2, 10), network, scope, cfg);
+
+      workload::WorkloadConfig wcfg;
+      wcfg.numAttributes = 2;
+      wcfg.subscriptionSelectivity = 0.3;
+      wcfg.advertisementWidthFactor = 1.0;
+      wcfg.seed = seed * 7 + (aggregate ? 1 : 0) + budget;
+      workload::WorkloadGenerator gen(wcfg);
+      util::Rng& rng = gen.rng();
+      const auto hosts = topo.hosts();
+
+      std::vector<SubscriptionId> subs;
+      std::vector<PublisherId> pubs;
+      std::set<net::LinkId> downLinks;
+      std::set<net::NodeId> downSwitches;
+      auto pick = [&](const auto& items) {
+        auto it = items.begin();
+        std::advance(it, rng.uniformInt(0, items.size() - 1));
+        return *it;
+      };
+
+      for (int step = 0; step < 160; ++step) {
+        const auto dice = rng.uniformInt(0, 99);
+        const net::NodeId h = pick(hosts);
+        if (dice < 18 || pubs.empty()) {
+          pubs.push_back(controller.advertise(h, gen.makeAdvertisement()));
+        } else if (dice < 42) {
+          subs.push_back(controller.subscribe(h, gen.makeSubscription()));
+        } else if (dice < 56 && !subs.empty()) {
+          const std::size_t v = rng.uniformInt(0, subs.size() - 1);
+          ASSERT_TRUE(controller.unsubscribe(subs[v]));
+          subs.erase(subs.begin() + static_cast<std::ptrdiff_t>(v));
+        } else if (dice < 62) {
+          const std::size_t v = rng.uniformInt(0, pubs.size() - 1);
+          ASSERT_TRUE(controller.unadvertise(pubs[v]));
+          pubs.erase(pubs.begin() + static_cast<std::ptrdiff_t>(v));
+        } else if (dice < 76 && controller.treeCount() > 0) {
+          std::vector<net::NodeId> liveSwitches;
+          for (const net::NodeId sw : scope.switches) {
+            if (!downSwitches.contains(sw)) liveSwitches.push_back(sw);
+          }
+          ASSERT_TRUE(controller.rerootTree(pick(controller.trees())->id(),
+                                            pick(liveSwitches)));
+        } else if (dice < 82) {
+          const net::LinkId l = pick(scope.internalLinks);
+          std::set<net::LinkId> after = downLinks;
+          if (!after.insert(l).second || !connected(topo, scope, after, downSwitches)) {
+            continue;
+          }
+          downLinks = std::move(after);
+          network.setLinkUp(l, false);
+          controller.onLinkDown(l);
+        } else if (dice < 87 && !downLinks.empty()) {
+          const net::LinkId l = pick(downLinks);
+          downLinks.erase(l);
+          network.setLinkUp(l, true);
+          controller.onLinkUp(l);
+        } else if (dice < 94) {
+          const net::NodeId sw = pick(scope.switches);
+          std::set<net::NodeId> after = downSwitches;
+          if (!after.insert(sw).second || !connected(topo, scope, downLinks, after)) {
+            continue;
+          }
+          downSwitches = std::move(after);
+          network.setNodeUp(sw, false);
+          controller.onSwitchDown(sw);
+        } else if (!downSwitches.empty()) {
+          const net::NodeId sw = pick(downSwitches);
+          std::set<net::NodeId> after = downSwitches;
+          after.erase(sw);
+          if (!connected(topo, scope, downLinks, after)) continue;
+          downSwitches = std::move(after);
+          network.setNodeUp(sw, true);
+          controller.onSwitchUp(sw);
+        }
+
+        for (const net::NodeId sw : topo.switches()) {
+          const auto& mirror = controller.installer().mirror(sw);
+          ASSERT_TRUE(mirror == fullRecompute(controller, sw))
+              << "switch " << sw << " step " << step;
+          const net::FlowTable& table = network.flowTable(sw);
+          ASSERT_EQ(table.size(), mirror.size()) << "switch " << sw << " step " << step;
+          for (const auto& [d, entry] : mirror) {
+            const net::FlowEntry* installed = table.find(entry.match);
+            ASSERT_NE(installed, nullptr) << "switch " << sw << " step " << step;
+            ASSERT_TRUE(*installed == entry) << "switch " << sw << " step " << step;
+          }
+        }
+      }
+      EXPECT_GT(controller.stats().treeMerges, 0u);
+      EXPECT_GT(controller.stats().treeReroots, 0u);
+      if (budget != 0) {
+        EXPECT_GT(controller.installer().coarsenStats().events, 0u);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ControllerPropertyTest,

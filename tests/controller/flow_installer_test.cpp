@@ -1,6 +1,7 @@
 // Tests of Algorithm 1's flowAddition cases 1-5 (Sec 3.3.2) against the
 // worked example of Fig 4, plus reconcile-based removal.
 #include "controller/flow_installer.hpp"
+#include "controller/path_registry.hpp"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,11 @@ struct InstallerFixture : ::testing::Test {
         channel(network),
         installer(channel) {
     sw = topo.switches()[0];
+  }
+
+  /// Registers a one-hop path at the fixture's switch.
+  void addPath(PathRegistry& reg, std::string_view dzs, net::PortId port) {
+    reg.add(InstalledPath{-1, 0, 0, 0, set(dzs), {RouteHop{sw, port, std::nullopt}}});
   }
 
   std::vector<net::PortId> portsAt(std::string_view dzStr) {
@@ -94,6 +100,37 @@ TEST_F(InstallerFixture, Case5ExistingFinerFlowGainsNewPorts) {
   EXPECT_EQ(hit->match, dz::dzToPrefix(dz("100")));
 }
 
+TEST_F(InstallerFixture, Case5FinerFlowLeftEqualToItsCoverIsDeleted) {
+  // Exact dz: 1 -> {1}, 10 -> {1,2}, 100 -> {1,2,3}. Extending 1 with port
+  // 3 extends 10 to {1,2,3}, which leaves 100 equal to it: 100 is deleted
+  // instead of kept (it already holds port 3, so it needs no modify).
+  PathRegistry reg;
+  for (const auto& [d, port] : {std::pair{"1", 1}, {"10", 2}, {"100", 3}, {"1", 3}}) {
+    installer.installPath(set(d), {RouteHop{sw, port, std::nullopt}});
+    addPath(reg, d, port);
+    EXPECT_TRUE(installer.mirrorsRequired(sw, reg)) << d << " -> " << port;
+  }
+  EXPECT_EQ(portsAt("1"), (std::vector<net::PortId>{1, 3}));
+  EXPECT_EQ(portsAt("10"), (std::vector<net::PortId>{1, 2, 3}));
+  EXPECT_FALSE(hasFlow("100"));
+  EXPECT_EQ(installer.caseStats().shadowModify, 1u);
+
+  // New dz: 10 -> {2}, 100 -> {2,3}. Adding 1 -> 3 extends 10 to {2,3},
+  // equal to 100, so 100 is deleted rather than modified.
+  const net::NodeId other = topo.switches()[1];
+  PathRegistry reg2;
+  for (const auto& [d, port] : {std::pair{"10", 2}, {"100", 3}, {"1", 3}}) {
+    installer.installPath(set(d), {RouteHop{other, port, std::nullopt}});
+    reg2.add(InstalledPath{-1, 0, 0, 0, set(d), {RouteHop{other, port, std::nullopt}}});
+    EXPECT_TRUE(installer.mirrorsRequired(other, reg2)) << d << " -> " << port;
+  }
+  EXPECT_EQ(installer.mirror(other).size(), 2u);
+  EXPECT_FALSE(installer.mirror(other).contains(dz("100")));
+  const auto* hit = network.flowTable(other).lookup(dz::dzToAddress(dz("1000")));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->outPorts(), (std::vector<net::PortId>{2, 3}));
+}
+
 TEST_F(InstallerFixture, ExactDzMergesPorts) {
   installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
   installer.installPath(set("10"), {RouteHop{sw, 3, std::nullopt}});
@@ -160,17 +197,10 @@ TEST_F(InstallerFixture, ReconcileAddsModifiesDeletes) {
   installer.installPath(set("01"), {RouteHop{sw, 3, std::nullopt}});
 
   // Target: 10 -> {2,4} (modify), 11 -> {5} (add); 01 gone (delete).
-  std::vector<net::FlowEntry> required;
-  net::FlowEntry f1;
-  f1.match = dz::dzToPrefix(dz("10"));
-  f1.priority = 2;
-  f1.actions = {net::FlowAction{2, std::nullopt}, net::FlowAction{4, std::nullopt}};
-  net::FlowEntry f2;
-  f2.match = dz::dzToPrefix(dz("11"));
-  f2.priority = 2;
-  f2.actions = {net::FlowAction{5, std::nullopt}};
-  required.push_back(f1);
-  required.push_back(f2);
+  PathRegistry required;
+  addPath(required, "10", 2);
+  addPath(required, "10", 4);
+  addPath(required, "11", 5);
 
   installer.reconcileSwitch(sw, required);
   EXPECT_EQ(portsAt("10"), (std::vector<net::PortId>{2, 4}));
@@ -182,17 +212,43 @@ TEST_F(InstallerFixture, ReconcileAddsModifiesDeletes) {
 
 TEST_F(InstallerFixture, ReconcileToEmptyClearsSwitch) {
   installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
-  installer.reconcileSwitch(sw, {});
+  installer.reconcileSwitch(sw, PathRegistry{});
   EXPECT_TRUE(network.flowTable(sw).empty());
   EXPECT_TRUE(installer.mirror(sw).empty());
 }
 
 TEST_F(InstallerFixture, ReconcileNoChangesSendsNothing) {
+  PathRegistry required;
+  addPath(required, "10", 2);
   installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
-  const auto required = network.flowTable(sw).entries();
   const auto before = channel.stats().flowModsSent;
   installer.reconcileSwitch(sw, required);
   EXPECT_EQ(channel.stats().flowModsSent, before);
+}
+
+TEST_F(InstallerFixture, ReconcileUnderRootsLeavesTheRest) {
+  // Only the entries under the roots are diffed: 0's stale entry stays, 10's
+  // and 110's subtrees follow the registry.
+  installer.installPath(set("0"), {RouteHop{sw, 1, std::nullopt}});
+  installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
+  installer.installPath(set("101"), {RouteHop{sw, 3, std::nullopt}});
+  PathRegistry required;
+  addPath(required, "1", 4);
+  addPath(required, "101", 3);
+  addPath(required, "110", 5);
+
+  installer.reconcileSwitch(sw, required, {dz("10"), dz("110")});
+  EXPECT_EQ(portsAt("0"), std::vector<net::PortId>{1});
+  EXPECT_FALSE(hasFlow("10"));
+  EXPECT_EQ(portsAt("101"), (std::vector<net::PortId>{3, 4}));
+  EXPECT_EQ(portsAt("110"), (std::vector<net::PortId>{4, 5}));
+  EXPECT_FALSE(hasFlow("1"));  // above the roots: not reconciled
+  EXPECT_FALSE(installer.mirrorsRequired(sw, required));
+
+  installer.reconcileSwitch(sw, required);
+  EXPECT_TRUE(installer.mirrorsRequired(sw, required));
+  EXPECT_FALSE(hasFlow("0"));
+  EXPECT_EQ(portsAt("1"), std::vector<net::PortId>{4});
 }
 
 }  // namespace

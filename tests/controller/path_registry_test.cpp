@@ -52,7 +52,6 @@ TEST(PathRegistry, AddRemoveAndIndexes) {
   EXPECT_EQ(reg.pathsOfSubscription(10), std::vector<PathId>{a});
   EXPECT_EQ(reg.pathsOfPublisher(1), (std::vector<PathId>{a, b}));
   EXPECT_EQ(reg.pathsOfTree(0), (std::vector<PathId>{a, b}));
-  EXPECT_EQ(reg.switchesOf({a, b}), (std::vector<net::NodeId>{5, 6}));
 
   reg.remove(a);
   EXPECT_FALSE(reg.contains(a));
@@ -357,6 +356,35 @@ dz::DzSet randomDzSet(util::Rng& rng, const std::vector<dz::DzExpression>& pool)
   return out;
 }
 
+/// The entries of `flows` whose dz some root covers (`under`), or the rest.
+std::vector<net::FlowEntry> byRoots(const std::vector<net::FlowEntry>& flows,
+                                    const std::vector<dz::DzExpression>& roots,
+                                    bool under = true) {
+  std::vector<net::FlowEntry> out;
+  for (const net::FlowEntry& f : flows) {
+    const dz::DzExpression d = *dz::prefixToDz(f.match);
+    const bool covered = std::any_of(roots.begin(), roots.end(),
+                                     [&](const auto& r) { return r.covers(d); });
+    if (covered == under) out.push_back(f);
+  }
+  return out;
+}
+
+/// Random minimal roots in trie order: dz drawn like path members, those
+/// covered by another dropped.
+std::vector<dz::DzExpression> randomRoots(util::Rng& rng,
+                                          const std::vector<dz::DzExpression>& pool) {
+  std::vector<dz::DzExpression> drawn;
+  const auto count = rng.uniformInt(1, 4);
+  for (std::uint64_t i = 0; i < count; ++i) drawn.push_back(randomDz(rng, pool));
+  std::sort(drawn.begin(), drawn.end());
+  std::vector<dz::DzExpression> roots;
+  for (const dz::DzExpression& d : drawn) {
+    if (roots.empty() || !roots.back().covers(d)) roots.push_back(d);
+  }
+  return roots;
+}
+
 TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
   constexpr net::NodeId kSwitches = 6;
   constexpr net::PortId kPorts = 4;
@@ -394,7 +422,11 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
   };
 
   std::size_t adds = 0, removes = 0, setDzs = 0, moves = 0, clears = 0;
+  std::map<net::NodeId, std::vector<net::FlowEntry>> before;
+  util::Rng rootRng(7);
   for (int step = 0; step < 3000; ++step) {
+    reg.recordChanges();
+    bool cleared = false;
     const double op = rng.uniformReal();
     if (live.empty() || op < 0.40) {
       InstalledPath path;
@@ -436,15 +468,34 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
     } else {
       reg.clear();
       live.clear();
+      cleared = true;
       ++clears;
     }
 
+    // Outside the recorded roots no required flow changed (clear forgets
+    // what it recorded: everything changed).
+    const PathRegistry::Changes changes = reg.takeChanges();
+    std::map<net::NodeId, std::vector<dz::DzExpression>> changed(
+        changes.roots.begin(), changes.roots.end());
     for (net::NodeId sw = 0; sw < kSwitches; ++sw) {
       const auto expected = scanRequiredFlows(live, sw);
       const auto actual = reg.requiredFlows(sw);
       ASSERT_TRUE(actual == expected)
           << "step " << step << " switch " << sw << "\nexpected:\n"
           << render(expected) << "actual:\n" << render(actual);
+      const std::vector<dz::DzExpression>& roots = changed[sw];
+      if (!cleared) {
+        ASSERT_TRUE(byRoots(expected, roots, false) == byRoots(before[sw], roots, false))
+            << "step " << step << " switch " << sw << ": a change outside "
+            << roots.size() << " recorded roots";
+      }
+      before[sw] = expected;
+      // requiredFlows under roots is the full result filtered to them.
+      const std::vector<dz::DzExpression> sample = randomRoots(rootRng, pool);
+      ASSERT_TRUE(reg.requiredFlows(sw, sample) == byRoots(expected, sample))
+          << "step " << step << " switch " << sw;
+      ASSERT_TRUE(reg.requiredFlows(sw, roots) == byRoots(expected, roots))
+          << "step " << step << " switch " << sw;
     }
     std::set<net::NodeId> switches;
     for (const auto& [id, path] : live) {

@@ -4,6 +4,7 @@
 // never misses), reconcile passes respect the coarsened projection, and
 // the coarsening decision is deterministic.
 #include "controller/flow_installer.hpp"
+#include "controller/path_registry.hpp"
 
 #include <gtest/gtest.h>
 
@@ -94,19 +95,27 @@ TEST_F(TcamBudgetFixture, ReconcileRespectsCoarsenedProjection) {
 
   // Reconcile against fine-grained required intent: the pass must keep the
   // mirror within the projection (never resurrect finer entries).
-  std::vector<net::FlowEntry> required;
+  PathRegistry required;
   for (const auto d : {"000", "010", "100", "110"}) {
-    net::FlowEntry e;
-    e.match = dz::dzToPrefix(dz(d));
-    e.priority = dz(d).length();
-    e.actions.push_back(net::FlowAction{2, std::nullopt});
-    required.push_back(e);
+    required.add(InstalledPath{-1, 0, 0, 0, set(d), {RouteHop{sw, 2, std::nullopt}}});
   }
   installer.reconcileSwitch(sw, required);
   for (const auto& [d, entry] : installer.mirror(sw)) {
     EXPECT_LE(d.length(), cap);
   }
   EXPECT_LE(installer.mirror(sw).size(), 2u);
+  EXPECT_TRUE(installer.mirrorsRequired(sw, required));
+
+  // A root finer than the cap reconciles the subtree of its truncation:
+  // moving 010 to port 3 widens the coarsened entry holding it, so 011
+  // (covered by no required flow) gains port 3 too.
+  PathRegistry changed;
+  for (const auto& [d, port] : {std::pair{"000", 2}, {"010", 3}, {"100", 2}, {"110", 2}}) {
+    changed.add(InstalledPath{-1, 0, 0, 0, set(d), {RouteHop{sw, port, std::nullopt}}});
+  }
+  installer.reconcileSwitch(sw, changed, {dz("010")});
+  EXPECT_TRUE(installer.mirrorsRequired(sw, changed));
+  EXPECT_EQ(portsFor("011"), (std::vector<net::PortId>{2, 3}));
 }
 
 TEST_F(TcamBudgetFixture, LaterInstallsFoldIntoCoarsenedPrefixes) {

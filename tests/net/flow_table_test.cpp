@@ -26,6 +26,23 @@ TEST(FlowEntry, AddOutPortDeduplicates) {
   EXPECT_EQ(e.outPorts(), (std::vector<PortId>{2, 3}));
 }
 
+TEST(FlowEntry, AddOutPortKeepsPortOrder) {
+  // Merging the same actions in any order yields the same entry, so a
+  // reconcile never rewrites an entry only to reorder its actions.
+  const dz::Ipv6Address addr = hostAddress(7);
+  FlowEntry a = entry("10", {4});
+  a.addOutPort(1);
+  a.addOutPort(3, addr);
+  a.addOutPort(2);
+  a.addOutPort(5);
+  EXPECT_EQ(a.outPorts(), (std::vector<PortId>{1, 2, 3, 4, 5}));
+  FlowEntry b = entry("10", {5});
+  for (const PortId p : {2, 4, 1}) b.addOutPort(p);
+  b.addOutPort(3, addr);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(b.actions[2].setDestination, addr);
+}
+
 TEST(FlowEntry, AddOutPortUpdatesRewrite) {
   FlowEntry e = entry("10", {2});
   const dz::Ipv6Address addr = hostAddress(7);
