@@ -68,6 +68,23 @@ void BM_Subscribe(benchmark::State& state) {
 }
 BENCHMARK(BM_Subscribe)->Arg(0)->Arg(1000)->Arg(10000);
 
+/// Subscribe alone with 1 or 16 whole-space advertisers over 500
+/// pre-deployed subscriptions: each subscription embeds one path per
+/// publisher, most of whose (dz, hop) pieces the registry already counts,
+/// so its cost should follow what it adds, not the paths it embeds.
+void BM_SubscribeFanIn(benchmark::State& state) {
+  const auto advertisers = static_cast<std::size_t>(state.range(0));
+  Harness h(500, 11, advertisers);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(h.controller.subscribe(
+        h.hosts[1 + i % (h.hosts.size() - 1)], h.gen.makeSubscription()));
+    ++i;
+  }
+  state.SetLabel(std::to_string(advertisers) + " advertisers");
+}
+BENCHMARK(BM_SubscribeFanIn)->Arg(1)->Arg(16);
+
 void BM_SubscribeUnsubscribeCycle(benchmark::State& state) {
   Harness h(500);
   for (auto _ : state) {

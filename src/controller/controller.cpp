@@ -273,13 +273,13 @@ void Controller::installPathRecord(PublisherId p, SubscriptionId s,
   std::vector<RouteHop> hops =
       t.route(adv.endpoint, subEndpoint, network_.topology());
   if (hops.empty()) return;  // endpoints not connected within this partition
+  // Only the contributions no registered path counts yet are installed; the
+  // switches already forward the rest (DESIGN.md §15).
   if (replaced == nullptr) {
-    installer_.installPath(overlap, hops);
+    installer_.installPath(overlap, hops, &registry_);
     registry_.add(InstalledPath{-1, p, s, t.id(), overlap, std::move(hops)});
     return;
   }
-  // A rebuild installs only the contributions no registered path counts
-  // yet; the switches already forward the rest (DESIGN.md §15).
   const auto pairLess = [](const ReplacedPaths::Entry& a,
                            const ReplacedPaths::Entry& b) {
     return std::tie(a.publisher, a.subscription) <

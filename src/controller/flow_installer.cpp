@@ -75,6 +75,7 @@ void FlowInstaller::installPath(const dz::DzSet& dzSet,
     for (const RouteHop& hop : hops) {
       if (counted != nullptr && counted->counts(d, hop)) {
         assert(forwards(d, hop));
+        ++caseStats_.covered;
         continue;
       }
       installOne(d, hop);
@@ -125,7 +126,7 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
     mergeActions(updated, fln);
     ++caseStats_.extend;
     apply(openflow::FlowModType::kModify, hop.switchNode, d, updated);
-    updateFinerFlows(hop.switchNode, d, updated, fln, /*modifyHeld=*/false);
+    updateFinerFlows(hop.switchNode, d, updated, fln);
     return;
   }
 
@@ -149,8 +150,7 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
   for (const net::FlowEntry* fle : coarser) mergeActions(fln, *fle);
 
   // Finer flows: the contiguous trie range covered by d.
-  const bool finerChanged =
-      updateFinerFlows(hop.switchNode, d, fln, fln, /*modifyHeld=*/true);
+  const bool finerChanged = updateFinerFlows(hop.switchNode, d, fln, fln);
   // Case 1 (or the add concluding cases 3-5).
   if (coarser.empty() && !finerChanged) ++caseStats_.freshAdd;
   apply(openflow::FlowModType::kAdd, hop.switchNode, d, fln);
@@ -158,8 +158,7 @@ void FlowInstaller::installOne(const dz::DzExpression& dRaw, const RouteHop& hop
 
 bool FlowInstaller::updateFinerFlows(net::NodeId sw, const dz::DzExpression& d,
                                      const net::FlowEntry& covering,
-                                     const net::FlowEntry& added,
-                                     bool modifyHeld) {
+                                     const net::FlowEntry& added) {
   const SwitchMirror& m = mirrors_[sw];
   auto it = m.upper_bound(d);
   if (it == m.end() || !d.covers(it->first)) return false;
@@ -185,10 +184,11 @@ bool FlowInstaller::updateFinerFlows(net::NodeId sw, const dz::DzExpression& d,
       continue;
     }
     // Case 5: the finer flow shadows the covering one for its subspace, so
-    // it must additionally forward to the added actions. Left equal to its
-    // nearest kept covering flow, it is redundant: that flow forwards its
-    // subspace alike, so it is deleted instead.
-    if (!modifyHeld && actionsSubset(added, it->second)) {
+    // it must additionally forward to the added actions; one that already
+    // does is sent nothing. Left equal to its nearest kept covering flow, it
+    // is redundant: that flow forwards its subspace alike, so it is deleted
+    // instead.
+    if (actionsSubset(added, it->second)) {
       if (it->second.actions == keptActions(chain.back())) {
         toDelete.push_back(it->first);
       } else {

@@ -39,13 +39,14 @@ class FlowInstaller {
 
   /// Installs flows for forwarding the subspaces of `dzSet` along `hops`
   /// (Algorithm 1's flowAddition, one invocation per dz per hop). With
-  /// `counted`, a (dz, hop) piece whose contribution that registry already
-  /// counts is skipped: the mirror forwards every counted contribution, so
-  /// flowAddition would stop at case 2 and send nothing. Only forgetSwitch
-  /// breaks that invariant, and only for a down switch, where no path is
-  /// ever registered: no new path asks about it, and by the time it comes
-  /// back its old paths are gone (DESIGN.md §15). Debug builds check each
-  /// skip.
+  /// `counted` (the controller passes its registry on every install), a
+  /// (dz, hop) piece whose contribution that registry already counts is
+  /// skipped and booked as case 2: the mirror forwards every counted
+  /// contribution, so flowAddition would stop at case 2 and send nothing.
+  /// Only forgetSwitch breaks that invariant, and only for a down switch,
+  /// where no path is ever registered: no new path asks about it, and by
+  /// the time it comes back its old paths are gone (DESIGN.md §15). Debug
+  /// builds check each skip.
   void installPath(const dz::DzSet& dzSet, const std::vector<RouteHop>& hops,
                    const PathRegistry* counted = nullptr);
 
@@ -158,13 +159,12 @@ class FlowInstaller {
   /// Cases 3 and 5 for the flows strictly inside `d`, whose flow now
   /// carries `covering`: a finer flow that `covering` subsumes is deleted;
   /// the others gain `added`'s actions, and one left equal to its nearest
-  /// kept covering flow is deleted instead. Without `modifyHeld` a flow
-  /// that already holds `added`'s actions keeps its entry; with it, such a
-  /// flow is still sent its unchanged entry, as flowAddition for a new dz
-  /// always did. True when any finer flow changed.
+  /// kept covering flow is deleted instead. A flow that already holds
+  /// `added`'s actions keeps its entry and is sent nothing. True when any
+  /// finer flow changed.
   bool updateFinerFlows(net::NodeId sw, const dz::DzExpression& d,
                         const net::FlowEntry& covering,
-                        const net::FlowEntry& added, bool modifyHeld);
+                        const net::FlowEntry& added);
   /// The required flows of `sw` under `roots`, keyed by dz, as the switch
   /// holds them: length-capped on a coarsened switch, actions merged per
   /// truncated key.

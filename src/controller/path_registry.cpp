@@ -8,12 +8,6 @@
 
 namespace pleroma::ctrl {
 
-const InstalledPath* PathRegistry::findPath(PathId id) const {
-  const auto ti = treeOf_.find(id);
-  if (ti == treeOf_.end()) return nullptr;
-  return &byTree_.at(ti->second).at(id);
-}
-
 std::size_t PathRegistry::ContributionHash::operator()(
     const Contribution& c) const noexcept {
   const std::uint64_t salt =
@@ -70,8 +64,8 @@ PathId PathRegistry::add(InstalledPath path) {
   const PathId id = next_++;
   path.id = id;
   countContributions(path.hops, path.dz.items(), +1);
-  bySubscription_[path.subscription].insert(id);
-  byPublisher_[path.publisher].insert(id);
+  bySubscription_[path.subscription].push_back(
+      PathRef{id, path.publisher, path.treeId});
   treeOf_.emplace(id, path.treeId);
   byTree_[path.treeId].emplace(id, std::move(path));
   return id;
@@ -86,15 +80,11 @@ void PathRegistry::remove(PathId id) {
   assert(it != si->second.end());
   const InstalledPath& p = it->second;
   countContributions(p.hops, p.dz.items(), -1);
-  auto dropFrom = [id](auto& index, std::int64_t key) {
-    const auto ii = index.find(key);
-    if (ii != index.end()) {
-      ii->second.erase(id);
-      if (ii->second.empty()) index.erase(ii);
-    }
-  };
-  dropFrom(bySubscription_, p.subscription);
-  dropFrom(byPublisher_, p.publisher);
+  const auto refs = bySubscription_.find(p.subscription);
+  assert(refs != bySubscription_.end());
+  refIn(refs->second, id) = refs->second.back();
+  refs->second.pop_back();
+  if (refs->second.empty()) bySubscription_.erase(refs);
   si->second.erase(it);
   if (si->second.empty()) byTree_.erase(si);
   treeOf_.erase(ti);
@@ -143,13 +133,9 @@ PathId PathRegistry::move(PathId id, int treeId, std::vector<RouteHop> hops) {
   path.hops = std::move(hops);
 
   const PathId fresh = next_++;
-  const auto refile = [&](auto& index, std::int64_t key) {
-    auto& ids = index.at(key);
-    ids.erase(id);
-    ids.insert(fresh);
-  };
-  refile(bySubscription_, path.subscription);
-  refile(byPublisher_, path.publisher);
+  PathRef& ref = refIn(bySubscription_.at(path.subscription), id);
+  ref.id = fresh;
+  ref.treeId = treeId;
   path.id = fresh;
   path.treeId = treeId;
   node.key() = fresh;
@@ -175,7 +161,6 @@ void PathRegistry::clear() {
   treeOf_.clear();
   contributions_.clear();
   bySubscription_.clear();
-  byPublisher_.clear();
   recording_ = false;
   changed_.clear();
   touched_.clear();
@@ -201,22 +186,33 @@ PathRegistry::Changes PathRegistry::takeChanges() {
   return out;
 }
 
-std::vector<PathId> PathRegistry::sortedIds(
-    const std::unordered_map<std::int64_t, std::unordered_set<PathId>>& index,
-    std::int64_t key) {
-  const auto it = index.find(key);
-  if (it == index.end()) return {};
-  std::vector<PathId> out(it->second.begin(), it->second.end());
+PathRegistry::PathRef& PathRegistry::refIn(std::vector<PathRef>& refs,
+                                           PathId id) {
+  const auto it = std::find_if(refs.begin(), refs.end(),
+                               [id](const PathRef& r) { return r.id == id; });
+  assert(it != refs.end());
+  return *it;
+}
+
+std::vector<PathId> PathRegistry::pathsOfSubscription(SubscriptionId s) const {
+  const auto it = bySubscription_.find(s);
+  if (it == bySubscription_.end()) return {};
+  std::vector<PathId> out;
+  out.reserve(it->second.size());
+  for (const PathRef& ref : it->second) out.push_back(ref.id);
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::vector<PathId> PathRegistry::pathsOfSubscription(SubscriptionId s) const {
-  return sortedIds(bySubscription_, s);
-}
-
 std::vector<PathId> PathRegistry::pathsOfPublisher(PublisherId p) const {
-  return sortedIds(byPublisher_, p);
+  std::vector<PathId> out;
+  for (const auto& [treeId, paths] : byTree_) {
+    for (const auto& [id, path] : paths) {
+      if (path.publisher == p) out.push_back(id);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<PathId> PathRegistry::pathsOfTree(int treeId) const {
@@ -233,9 +229,9 @@ bool PathRegistry::alreadyCovered(PublisherId p, SubscriptionId s, int treeId,
                                   const dz::DzSet& dz) const {
   const auto it = bySubscription_.find(s);
   if (it == bySubscription_.end()) return false;
-  for (const PathId id : it->second) {
-    const InstalledPath& path = *findPath(id);
-    if (path.publisher == p && path.treeId == treeId && path.dz.coversSet(dz)) {
+  for (const PathRef& ref : it->second) {
+    if (ref.publisher == p && ref.treeId == treeId &&
+        byTree_.at(treeId).at(ref.id).dz.coversSet(dz)) {
       return true;
     }
   }

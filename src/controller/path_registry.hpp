@@ -14,8 +14,12 @@
 //
 // Storage is split by tree id: each tree's paths live in their own map, so
 // pathsOfTree — where every tree rebuild, merge and re-index starts — reads
-// one map instead of scanning every path. The cross-tree indexes (by
-// subscription / publisher) are maintained alongside.
+// one map instead of scanning every path. The one cross-tree index lists,
+// per subscription, a (path id, publisher, tree) reference to each of its
+// paths in one contiguous array: alreadyCovered, on every install, compares
+// publisher and tree in place and looks up only the paths that match, and
+// remove and move edit one entry. pathsOfPublisher, needed only when a
+// publisher leaves, scans the tree maps instead of keeping an index.
 //
 // The per-switch index counts, for each switch, how many registered
 // (path hop, dz member) pairs contribute each distinct (dz, out-port,
@@ -37,7 +41,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -91,6 +94,7 @@ class PathRegistry {
   /// per-switch index), for the bench memory series.
   std::size_t stateBytes() const noexcept;
 
+  /// Ids in ascending order.
   std::vector<PathId> pathsOfSubscription(SubscriptionId s) const;
   std::vector<PathId> pathsOfPublisher(PublisherId p) const;
   std::vector<PathId> pathsOfTree(int treeId) const;
@@ -162,19 +166,23 @@ class PathRegistry {
   void countHop(const RouteHop& hop, const std::vector<dz::DzExpression>& dz,
                 int delta);
 
-  static std::vector<PathId> sortedIds(
-      const std::unordered_map<std::int64_t, std::unordered_set<PathId>>& index,
-      std::int64_t key);
-
-  /// nullptr when unknown; the only internal path-by-id lookup.
-  const InstalledPath* findPath(PathId id) const;
+  /// What a subscription's index entry keeps of one of its paths: enough
+  /// for alreadyCovered to pick the paths of one (publisher, tree) without
+  /// looking any other up.
+  struct PathRef {
+    PathId id = -1;
+    PublisherId publisher = kInvalidPublisher;
+    int treeId = -1;
+  };
+  /// The entry of path `id` among one subscription's references.
+  static PathRef& refIn(std::vector<PathRef>& refs, PathId id);
 
   /// Per-tree path maps (see file comment); treeOf_ routes id lookups.
   std::unordered_map<int, std::unordered_map<PathId, InstalledPath>> byTree_;
   std::unordered_map<PathId, int> treeOf_;
   std::unordered_map<net::NodeId, SwitchContributions> contributions_;
-  std::unordered_map<std::int64_t, std::unordered_set<PathId>> bySubscription_;
-  std::unordered_map<std::int64_t, std::unordered_set<PathId>> byPublisher_;
+  /// Per subscription, its paths in no particular order.
+  std::unordered_map<SubscriptionId, std::vector<PathRef>> bySubscription_;
   PathId next_ = 0;
 
   bool recording_ = false;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 #include <queue>
-#include <unordered_set>
 
 namespace pleroma::ctrl {
 
@@ -120,22 +119,19 @@ std::vector<net::NodeId> SpanningTree::pathBetween(net::NodeId from,
     }
     return chain;
   };
-  const std::vector<net::NodeId> upFrom = chainToRoot(from);
+  std::vector<net::NodeId> path = chainToRoot(from);
   const std::vector<net::NodeId> upTo = chainToRoot(to);
 
-  // Find the LCA: deepest node present in both chains.
-  std::unordered_set<net::NodeId> onFromChain(upFrom.begin(), upFrom.end());
-  std::size_t lcaIdxInTo = 0;
-  while (!onFromChain.contains(upTo[lcaIdxInTo])) ++lcaIdxInTo;
-  const net::NodeId lca = upTo[lcaIdxInTo];
-
-  std::vector<net::NodeId> path;
-  for (const net::NodeId nid : upFrom) {
-    path.push_back(nid);
-    if (nid == lca) break;
+  // Both chains end in the LCA's own chain to the root: drop that common
+  // tail but for the LCA, then descend to `to` (reverse of upTo's prefix).
+  std::size_t i = path.size() - 1;
+  std::size_t j = upTo.size() - 1;
+  while (i > 0 && j > 0 && path[i - 1] == upTo[j - 1]) {
+    --i;
+    --j;
   }
-  // Descend from the LCA to `to` (reverse of upTo's prefix).
-  for (std::size_t i = lcaIdxInTo; i-- > 0;) path.push_back(upTo[i]);
+  path.resize(i + 1);
+  while (j-- > 0) path.push_back(upTo[j]);
   return path;
 }
 
@@ -145,9 +141,12 @@ std::vector<RouteHop> SpanningTree::route(const Endpoint& publisher,
   if (!reaches(publisher.attachSwitch) || !reaches(subscriber.attachSwitch)) {
     return {};
   }
-  std::vector<RouteHop> hops;
   const std::vector<net::NodeId> nodes =
       pathBetween(publisher.attachSwitch, subscriber.attachSwitch);
+  // Exactly one hop per switch on the path: the registry keeps this
+  // vector, so it gets no spare capacity.
+  std::vector<RouteHop> hops;
+  hops.reserve(nodes.size());
   for (std::size_t i = 0; i + 1 < nodes.size(); ++i) {
     // Out-port of nodes[i] toward nodes[i+1]: the tree edge between them is
     // one of the two parent links (whichever of the pair is the child).

@@ -131,6 +131,27 @@ TEST_F(InstallerFixture, Case5FinerFlowLeftEqualToItsCoverIsDeleted) {
   EXPECT_EQ(hit->outPorts(), (std::vector<net::PortId>{2, 3}));
 }
 
+TEST_F(InstallerFixture, NewCoveringFlowLeavesAFinerFlowThatAlreadyForwardsIt) {
+  // 100 -> {2,3}. A new flow 10 -> 2 covers it; 100 already forwards port
+  // 2 and still needs port 3 of its own, so it keeps its entry and is sent
+  // nothing: the install is the one add.
+  installer.installPath(set("100"), {RouteHop{sw, 2, std::nullopt}});
+  installer.installPath(set("100"), {RouteHop{sw, 3, std::nullopt}});
+  const auto before = channel.stats();
+  const FlowInstaller::CaseStats cases = installer.caseStats();
+  installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
+  EXPECT_EQ(channel.stats().flowModsSent, before.flowModsSent + 1);
+  EXPECT_EQ(channel.stats().flowAdds, before.flowAdds + 1);
+  EXPECT_EQ(installer.caseStats().shadowModify, cases.shadowModify);
+  EXPECT_EQ(portsAt("10"), std::vector<net::PortId>{2});
+  EXPECT_EQ(portsAt("100"), (std::vector<net::PortId>{2, 3}));
+  PathRegistry reg;
+  addPath(reg, "100", 2);
+  addPath(reg, "100", 3);
+  addPath(reg, "10", 2);
+  EXPECT_TRUE(installer.mirrorsRequired(sw, reg));
+}
+
 TEST_F(InstallerFixture, ExactDzMergesPorts) {
   installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
   installer.installPath(set("10"), {RouteHop{sw, 3, std::nullopt}});
@@ -144,6 +165,31 @@ TEST_F(InstallerFixture, ExactDzSamePortNoOp) {
   const auto before = channel.stats().flowModsSent;
   installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
   EXPECT_EQ(channel.stats().flowModsSent, before);
+}
+
+TEST_F(InstallerFixture, CountedPieceIsSkippedAsCase2) {
+  // The registry counts 10 -> 2. A path asking for 10 -> 2 and 10 -> 3 at
+  // the same switch sends nothing for the counted piece and books it as
+  // case 2; the uncounted one still runs flowAddition and extends 10.
+  PathRegistry reg;
+  installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}}, &reg);
+  addPath(reg, "10", 2);
+  const auto before = channel.stats();
+  const FlowInstaller::CaseStats cases = installer.caseStats();
+  installer.installPath(
+      set("10"), {RouteHop{sw, 2, std::nullopt}, RouteHop{sw, 3, std::nullopt}},
+      &reg);
+  EXPECT_EQ(channel.stats().flowModsSent, before.flowModsSent + 1);
+  EXPECT_EQ(channel.stats().flowModifies, before.flowModifies + 1);
+  EXPECT_EQ(installer.caseStats().covered, cases.covered + 1);
+  EXPECT_EQ(installer.caseStats().extend, cases.extend + 1);
+  EXPECT_EQ(portsAt("10"), (std::vector<net::PortId>{2, 3}));
+
+  // Without the registry the same counted piece runs flowAddition, which
+  // stops at case 2 alike: the skip changes no flow-mod.
+  installer.installPath(set("10"), {RouteHop{sw, 2, std::nullopt}});
+  EXPECT_EQ(channel.stats().flowModsSent, before.flowModsSent + 1);
+  EXPECT_EQ(installer.caseStats().covered, cases.covered + 2);
 }
 
 TEST_F(InstallerFixture, TerminalRewritePreserved) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -421,12 +422,25 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
     return hops;
   };
 
+  // alreadyCovered as a scan of every live path.
+  const auto scanCovered = [&live](PublisherId p, SubscriptionId s, int tree,
+                                   const dz::DzSet& d) {
+    return std::any_of(live.begin(), live.end(), [&](const auto& entry) {
+      const InstalledPath& path = entry.second;
+      return path.publisher == p && path.subscription == s &&
+             path.treeId == tree && path.dz.coversSet(d);
+    });
+  };
+
   std::size_t adds = 0, removes = 0, setDzs = 0, moves = 0, clears = 0;
+  std::size_t coveredHits = 0;
   std::map<net::NodeId, std::vector<net::FlowEntry>> before;
   util::Rng rootRng(7);
+  util::Rng queryRng(11);
   for (int step = 0; step < 3000; ++step) {
     reg.recordChanges();
     bool cleared = false;
+    std::optional<std::pair<int, InstalledPath>> refiled;  // old tree, path
     const double op = rng.uniformReal();
     if (live.empty() || op < 0.40) {
       InstalledPath path;
@@ -459,11 +473,13 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
       for (const RouteHop& hop : path.hops) {
         if (rng.chance(0.6)) hops.insert(hops.begin(), hop);
       }
+      const int oldTree = path.treeId;
       path.treeId = static_cast<int>(rng.uniformInt(0, 2));
       path.hops = hops;
       path.id = reg.move(id, path.treeId, std::move(hops));
       live.erase(id);
-      live.emplace(path.id, std::move(path));
+      live.emplace(path.id, path);
+      refiled.emplace(oldTree, std::move(path));
       ++moves;
     } else {
       reg.clear();
@@ -507,15 +523,42 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
     ASSERT_EQ(reg.size(), live.size()) << "step " << step;
     std::map<int, std::vector<PathId>> byTree;
     std::map<SubscriptionId, std::vector<PathId>> bySubscription;
+    std::map<PublisherId, std::vector<PathId>> byPublisher;
     for (const auto& [id, path] : live) {
       byTree[path.treeId].push_back(id);
       bySubscription[path.subscription].push_back(id);
+      byPublisher[path.publisher].push_back(id);
     }
     for (int tree = 0; tree < 3; ++tree) {
       ASSERT_EQ(reg.pathsOfTree(tree), byTree[tree]) << "step " << step;
     }
     for (SubscriptionId sub = 0; sub <= 20; ++sub) {
       ASSERT_EQ(reg.pathsOfSubscription(sub), bySubscription[sub])
+          << "step " << step;
+    }
+    for (PublisherId pub = 0; pub <= 3; ++pub) {
+      ASSERT_EQ(reg.pathsOfPublisher(pub), byPublisher[pub]) << "step " << step;
+    }
+    for (int q = 0; q < 8; ++q) {
+      const auto pub = static_cast<PublisherId>(queryRng.uniformInt(0, 3));
+      const auto sub = static_cast<SubscriptionId>(queryRng.uniformInt(0, 20));
+      const auto tree = static_cast<int>(queryRng.uniformInt(0, 2));
+      const dz::DzSet d = randomDzSet(queryRng, pool);
+      const bool expected = scanCovered(pub, sub, tree, d);
+      coveredHits += expected ? 1 : 0;
+      ASSERT_EQ(reg.alreadyCovered(pub, sub, tree, d), expected)
+          << "step " << step << " query " << q;
+    }
+    if (refiled) {
+      // The re-filed path answers under its new tree, and under its old one
+      // only if another path there covers it.
+      const auto& [oldTree, path] = *refiled;
+      ASSERT_TRUE(reg.alreadyCovered(path.publisher, path.subscription,
+                                     path.treeId, path.dz))
+          << "step " << step;
+      ASSERT_EQ(reg.alreadyCovered(path.publisher, path.subscription, oldTree,
+                                   path.dz),
+                scanCovered(path.publisher, path.subscription, oldTree, path.dz))
           << "step " << step;
     }
   }
@@ -525,6 +568,8 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
   EXPECT_GT(setDzs, 500u);
   EXPECT_GT(moves, 200u);
   EXPECT_GT(clears, 3u);
+  // Random queries found covering paths, not only their absence.
+  EXPECT_GT(coveredHits, 500u);
 }
 
 }  // namespace
