@@ -277,7 +277,7 @@ void Controller::installPathRecord(PublisherId p, SubscriptionId s,
   // switches already forward the rest (DESIGN.md §15).
   if (replaced == nullptr) {
     installer_.installPath(overlap, hops, &registry_);
-    registry_.add(InstalledPath{-1, p, s, t.id(), overlap, std::move(hops)});
+    registry_.addOrExtend(PathSpec{p, s, t.id(), overlap, std::move(hops)});
     return;
   }
   const auto pairLess = [](const ReplacedPaths::Entry& a,
@@ -296,7 +296,7 @@ void Controller::installPathRecord(PublisherId p, SubscriptionId s,
     const InstalledPath& path = registry_.at(old);
     if (path.dz == overlap) {
       // Unchanged hops are kept as they are, changed ones recounted in place.
-      if (path.hops != hops) installer_.installPath(overlap, hops, &registry_);
+      if (path.hops() != hops) installer_.installPath(overlap, hops, &registry_);
       registry_.move(old, t.id(), std::move(hops));
       return;
     }
@@ -305,7 +305,7 @@ void Controller::installPathRecord(PublisherId p, SubscriptionId s,
   for (auto it = first; it != last; ++it) {
     if (replaces(*it)) registry_.remove(it->id);
   }
-  registry_.add(InstalledPath{-1, p, s, t.id(), overlap, std::move(hops)});
+  registry_.add(PathSpec{p, s, t.id(), overlap, std::move(hops)});
 }
 
 Controller::ReplacedPaths Controller::replacedPaths(std::vector<PathId> ids) {

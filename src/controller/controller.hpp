@@ -309,11 +309,13 @@ class Controller {
   /// subscription overlapping `dzSet` on tree `t`.
   void addFlowMultSub(PublisherId p, const dz::DzSet& dzSet, SpanningTree& t,
                       ReplacedPaths* replaced = nullptr);
-  /// Routes and registers the (p, s) path on `t`. Inside a rebuild or merge
-  /// (`replaced` set) it replaces the pair's old paths whose dz it covers:
-  /// the one old path with the same dz is re-filed under `t`, or else
-  /// those old ones are unregistered and the new path registered. Either
-  /// way only contributions no registered path counts yet are installed.
+  /// Routes and registers the (p, s) path on `t`, extending the pair's
+  /// path on `t` when it can (PathRegistry::addOrExtend). Inside a rebuild
+  /// or merge (`replaced` set) it replaces the pair's old paths whose dz it
+  /// covers: the one old path with the same dz is re-filed under `t`, or
+  /// else those old ones are unregistered and the new path registered.
+  /// Either way only contributions no registered path counts yet are
+  /// installed.
   void installPathRecord(PublisherId p, SubscriptionId s, SpanningTree& t,
                          const dz::DzSet& overlap,
                          ReplacedPaths* replaced = nullptr);

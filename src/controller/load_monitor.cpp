@@ -85,18 +85,16 @@ LoadReport LoadMonitor::sample() {
 
 int LoadMonitor::busiestTreeOn(net::LinkId link) const {
   const net::Topology& topo = controller_.network().topology();
+  const auto crosses = [&](const RouteHop& hop) {
+    return topo.linkAt(hop.switchNode, hop.outPort) == link;
+  };
   int best = -1;
   std::size_t bestCount = 0;
   for (const SpanningTree* tree : controller_.trees()) {
     std::size_t count = 0;
-    for (const PathId id : controller_.registry().pathsOfTree(tree->id())) {
-      const InstalledPath& path = controller_.registry().at(id);
-      for (const RouteHop& hop : path.hops) {
-        if (topo.linkAt(hop.switchNode, hop.outPort) == link) {
-          ++count;
-          break;
-        }
-      }
+    for (const auto& [hops, paths] :
+         controller_.registry().routesOfTree(tree->id())) {
+      if (std::any_of(hops->begin(), hops->end(), crosses)) count += paths;
     }
     if (count > bestCount) {
       bestCount = count;

@@ -59,42 +59,123 @@ bool PathRegistry::counts(const dz::DzExpression& d,
          si->second.contains(Contribution{d, hop.outPort, hop.rewrite});
 }
 
-PathId PathRegistry::add(InstalledPath path) {
-  assert(!path.dz.empty());
+std::size_t PathRegistry::RouteHash::operator()(
+    const std::vector<RouteHop>& hops) const noexcept {
+  std::uint64_t h = hops.size();
+  for (const RouteHop& hop : hops) {
+    h = dz::mix64(h ^ (static_cast<std::uint64_t>(
+                           static_cast<std::uint32_t>(hop.switchNode))
+                       << 32) ^
+                  static_cast<std::uint32_t>(hop.outPort));
+    if (hop.rewrite) h = dz::u128Hash(hop.rewrite->value, h);
+  }
+  return static_cast<std::size_t>(h);
+}
+
+Route& PathRegistry::intern(std::vector<RouteHop> hops) {
+  return *routes_.try_emplace(std::move(hops), 0).first;
+}
+
+void PathRegistry::release(Route& route) {
+  assert(route.second > 0);
+  if (--route.second == 0) routes_.erase(routes_.find(route.first));
+}
+
+void PathRegistry::fileUnderTree(std::uint32_t slot) {
+  std::vector<std::uint32_t>& list = slotsOfTree_[slots_[slot].treeId];
+  slots_[slot].treePos_ = static_cast<std::uint32_t>(list.size());
+  list.push_back(slot);
+}
+
+void PathRegistry::unfileFromTree(std::uint32_t slot) {
+  const auto it = slotsOfTree_.find(slots_[slot].treeId);
+  assert(it != slotsOfTree_.end());
+  std::vector<std::uint32_t>& list = it->second;
+  const std::uint32_t pos = slots_[slot].treePos_;
+  list[pos] = list.back();
+  slots_[list[pos]].treePos_ = pos;
+  list.pop_back();
+  if (list.empty()) slotsOfTree_.erase(it);
+}
+
+PathId PathRegistry::file(PathSpec& spec, Route& route) {
+  std::uint32_t slot;
+  if (freeSlots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = freeSlots_.back();
+    freeSlots_.pop_back();
+  }
   const PathId id = next_++;
+  ++route.second;
+  InstalledPath& path = slots_[slot];
   path.id = id;
-  countContributions(path.hops, path.dz.items(), +1);
-  bySubscription_[path.subscription].push_back(
-      PathRef{id, path.publisher, path.treeId});
-  treeOf_.emplace(id, path.treeId);
-  byTree_[path.treeId].emplace(id, std::move(path));
+  path.publisher = spec.publisher;
+  path.subscription = spec.subscription;
+  path.treeId = spec.treeId;
+  path.dz = std::move(spec.dz);
+  path.route_ = &route;
+  fileUnderTree(slot);
+  slotsOfSubscription_[path.subscription].push_back(slot);
+  slotOf_.emplace(id, slot);
   return id;
 }
 
+PathId PathRegistry::add(PathSpec path) {
+  assert(!path.dz.empty());
+  Route& route = intern(std::move(path.hops));
+  countContributions(route.first, path.dz.items(), +1);
+  return file(path, route);
+}
+
+PathId PathRegistry::addOrExtend(PathSpec path) {
+  assert(!path.dz.empty());
+  Route& route = intern(std::move(path.hops));
+  countContributions(route.first, path.dz.items(), +1);
+  if (const auto refs = slotsOfSubscription_.find(path.subscription);
+      refs != slotsOfSubscription_.end()) {
+    for (const std::uint32_t slot : refs->second) {
+      InstalledPath& p = slots_[slot];
+      if (p.route_ != &route || p.publisher != path.publisher ||
+          p.treeId != path.treeId) {
+        continue;
+      }
+      // Merging siblings or dropping a covered member shrinks the union,
+      // so it merges nothing iff it keeps every member of both sets.
+      dz::DzSet merged = p.dz;
+      merged.unionWith(path.dz);
+      if (merged.size() == p.dz.size() + path.dz.size()) {
+        p.dz = std::move(merged);
+        return p.id;
+      }
+    }
+  }
+  return file(path, route);
+}
+
 void PathRegistry::remove(PathId id) {
-  const auto ti = treeOf_.find(id);
-  if (ti == treeOf_.end()) return;
-  const auto si = byTree_.find(ti->second);
-  assert(si != byTree_.end());
-  const auto it = si->second.find(id);
-  assert(it != si->second.end());
-  const InstalledPath& p = it->second;
-  countContributions(p.hops, p.dz.items(), -1);
-  const auto refs = bySubscription_.find(p.subscription);
-  assert(refs != bySubscription_.end());
-  refIn(refs->second, id) = refs->second.back();
-  refs->second.pop_back();
-  if (refs->second.empty()) bySubscription_.erase(refs);
-  si->second.erase(it);
-  if (si->second.empty()) byTree_.erase(si);
-  treeOf_.erase(ti);
+  const auto it = slotOf_.find(id);
+  if (it == slotOf_.end()) return;
+  const std::uint32_t slot = it->second;
+  slotOf_.erase(it);
+  InstalledPath& p = slots_[slot];
+  countContributions(p.hops(), p.dz.items(), -1);
+  const auto refs = slotsOfSubscription_.find(p.subscription);
+  assert(refs != slotsOfSubscription_.end());
+  std::vector<std::uint32_t>& slots = refs->second;
+  *std::find(slots.begin(), slots.end(), slot) = slots.back();
+  slots.pop_back();
+  if (slots.empty()) slotsOfSubscription_.erase(refs);
+  unfileFromTree(slot);
+  release(*p.route_);
+  p = InstalledPath{};
+  freeSlots_.push_back(slot);
 }
 
 void PathRegistry::setDz(PathId id, dz::DzSet dz) {
   assert(!dz.empty());
-  const auto ti = treeOf_.find(id);
-  assert(ti != treeOf_.end());
-  InstalledPath& path = byTree_.at(ti->second).at(id);
+  InstalledPath& path = slots_[slotOf_.at(id)];
   // Members in both sets keep their counts; both member lists are sorted.
   std::vector<dz::DzExpression> gone;
   std::vector<dz::DzExpression> added;
@@ -102,65 +183,69 @@ void PathRegistry::setDz(PathId id, dz::DzSet dz) {
                       std::back_inserter(gone));
   std::set_difference(dz.begin(), dz.end(), path.dz.begin(), path.dz.end(),
                       std::back_inserter(added));
-  countContributions(path.hops, gone, -1);
-  countContributions(path.hops, added, +1);
+  countContributions(path.hops(), gone, -1);
+  countContributions(path.hops(), added, +1);
   path.dz = std::move(dz);
 }
 
 PathId PathRegistry::move(PathId id, int treeId, std::vector<RouteHop> hops) {
-  const auto ti = treeOf_.find(id);
-  assert(ti != treeOf_.end());
-  const auto si = byTree_.find(ti->second);
-  auto node = si->second.extract(id);
-  if (si->second.empty()) byTree_.erase(si);
-  treeOf_.erase(ti);
-  InstalledPath& path = node.mapped();
+  const auto it = slotOf_.find(id);
+  assert(it != slotOf_.end());
+  const std::uint32_t slot = it->second;
+  slotOf_.erase(it);
+  InstalledPath& path = slots_[slot];
 
-  // Hops in both lists, paired one to one, keep their counts.
-  std::vector<bool> paired(hops.size(), false);
-  for (const RouteHop& hop : path.hops) {
-    std::size_t j = 0;
-    while (j < hops.size() && (paired[j] || hops[j] != hop)) ++j;
-    if (j < hops.size()) {
-      paired[j] = true;
-    } else {
-      countHop(hop, path.dz.items(), -1);
+  Route& route = intern(std::move(hops));
+  if (&route != path.route_) {
+    // Hops in both lists, paired one to one, keep their counts.
+    const std::vector<RouteHop>& from = path.hops();
+    const std::vector<RouteHop>& to = route.first;
+    std::vector<bool> paired(to.size(), false);
+    for (const RouteHop& hop : from) {
+      std::size_t j = 0;
+      while (j < to.size() && (paired[j] || to[j] != hop)) ++j;
+      if (j < to.size()) {
+        paired[j] = true;
+      } else {
+        countHop(hop, path.dz.items(), -1);
+      }
     }
+    for (std::size_t j = 0; j < to.size(); ++j) {
+      if (!paired[j]) countHop(to[j], path.dz.items(), +1);
+    }
+    ++route.second;
+    release(*path.route_);
+    path.route_ = &route;
   }
-  for (std::size_t j = 0; j < hops.size(); ++j) {
-    if (!paired[j]) countHop(hops[j], path.dz.items(), +1);
-  }
-  path.hops = std::move(hops);
 
-  const PathId fresh = next_++;
-  PathRef& ref = refIn(bySubscription_.at(path.subscription), id);
-  ref.id = fresh;
-  ref.treeId = treeId;
-  path.id = fresh;
+  unfileFromTree(slot);
   path.treeId = treeId;
-  node.key() = fresh;
-  treeOf_.emplace(fresh, treeId);
-  byTree_[treeId].insert(std::move(node));
-  return fresh;
+  fileUnderTree(slot);
+  path.id = next_++;
+  slotOf_.emplace(path.id, slot);
+  return path.id;
 }
 
 std::size_t PathRegistry::stateBytes() const noexcept {
   std::size_t bytes = 0;
-  for (const auto& [treeId, paths] : byTree_) {
-    for (const auto& [id, path] : paths) {
-      bytes += sizeof(InstalledPath);
-      bytes += path.hops.size() * sizeof(RouteHop);
-      bytes += path.dz.size() * sizeof(dz::DzExpression);
-    }
+  for (const InstalledPath& path : slots_) {
+    if (path.id < 0) continue;
+    bytes += sizeof(InstalledPath) + path.dz.size() * sizeof(dz::DzExpression);
+  }
+  for (const auto& [hops, paths] : routes_) {
+    bytes += sizeof(Route) + hops.size() * sizeof(RouteHop);
   }
   return bytes;
 }
 
 void PathRegistry::clear() {
-  byTree_.clear();
-  treeOf_.clear();
+  slots_.clear();
+  freeSlots_.clear();
+  slotOf_.clear();
+  slotsOfTree_.clear();
+  slotsOfSubscription_.clear();
+  routes_.clear();
   contributions_.clear();
-  bySubscription_.clear();
   recording_ = false;
   changed_.clear();
   touched_.clear();
@@ -186,56 +271,63 @@ PathRegistry::Changes PathRegistry::takeChanges() {
   return out;
 }
 
-PathRegistry::PathRef& PathRegistry::refIn(std::vector<PathRef>& refs,
-                                           PathId id) {
-  const auto it = std::find_if(refs.begin(), refs.end(),
-                               [id](const PathRef& r) { return r.id == id; });
-  assert(it != refs.end());
-  return *it;
-}
-
 std::vector<PathId> PathRegistry::pathsOfSubscription(SubscriptionId s) const {
-  const auto it = bySubscription_.find(s);
-  if (it == bySubscription_.end()) return {};
+  const auto it = slotsOfSubscription_.find(s);
+  if (it == slotsOfSubscription_.end()) return {};
   std::vector<PathId> out;
   out.reserve(it->second.size());
-  for (const PathRef& ref : it->second) out.push_back(ref.id);
+  for (const std::uint32_t slot : it->second) out.push_back(slots_[slot].id);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<PathId> PathRegistry::pathsOfPublisher(PublisherId p) const {
   std::vector<PathId> out;
-  for (const auto& [treeId, paths] : byTree_) {
-    for (const auto& [id, path] : paths) {
-      if (path.publisher == p) out.push_back(id);
-    }
+  for (const InstalledPath& path : slots_) {
+    if (path.id >= 0 && path.publisher == p) out.push_back(path.id);
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<PathId> PathRegistry::pathsOfTree(int treeId) const {
-  const auto it = byTree_.find(treeId);
-  if (it == byTree_.end()) return {};
+  const auto it = slotsOfTree_.find(treeId);
+  if (it == slotsOfTree_.end()) return {};
   std::vector<PathId> out;
   out.reserve(it->second.size());
-  for (const auto& [id, path] : it->second) out.push_back(id);
+  for (const std::uint32_t slot : it->second) out.push_back(slots_[slot].id);
   std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::pair<const std::vector<RouteHop>*, std::size_t>>
+PathRegistry::routesOfTree(int treeId) const {
+  const auto it = slotsOfTree_.find(treeId);
+  if (it == slotsOfTree_.end()) return {};
+  std::vector<const Route*> routes;
+  routes.reserve(it->second.size());
+  for (const std::uint32_t slot : it->second) routes.push_back(slots_[slot].route_);
+  std::sort(routes.begin(), routes.end());
+  std::vector<std::pair<const std::vector<RouteHop>*, std::size_t>> out;
+  for (std::size_t i = 0; i < routes.size();) {
+    std::size_t j = i + 1;
+    while (j < routes.size() && routes[j] == routes[i]) ++j;
+    out.emplace_back(&routes[i]->first, j - i);
+    i = j;
+  }
   return out;
 }
 
 bool PathRegistry::alreadyCovered(PublisherId p, SubscriptionId s, int treeId,
                                   const dz::DzSet& dz) const {
-  const auto it = bySubscription_.find(s);
-  if (it == bySubscription_.end()) return false;
-  for (const PathRef& ref : it->second) {
-    if (ref.publisher == p && ref.treeId == treeId &&
-        byTree_.at(treeId).at(ref.id).dz.coversSet(dz)) {
-      return true;
-    }
-  }
-  return false;
+  const auto it = slotsOfSubscription_.find(s);
+  if (it == slotsOfSubscription_.end()) return false;
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [&](const std::uint32_t slot) {
+                       const InstalledPath& path = slots_[slot];
+                       return path.publisher == p && path.treeId == treeId &&
+                              path.dz.coversSet(dz);
+                     });
 }
 
 std::vector<net::FlowEntry> PathRegistry::requiredFlows(

@@ -12,22 +12,31 @@
 // every contributed coarser prefix; and a flow whose own ports are already
 // covered by its prefixes' union is unnecessary (that's the "downgrade").
 //
-// Storage is split by tree id: each tree's paths live in their own map, so
-// pathsOfTree — where every tree rebuild, merge and re-index starts — reads
-// one map instead of scanning every path. The one cross-tree index lists,
-// per subscription, a (path id, publisher, tree) reference to each of its
-// paths in one contiguous array: alreadyCovered, on every install, compares
-// publisher and tree in place and looks up only the paths that match, and
-// remove and move edit one entry. pathsOfPublisher, needed only when a
-// publisher leaves, scans the tree maps instead of keeping an index.
+// Storage is dense. Records sit in one slot vector (a removed record's
+// slot is reused) with a hash index from path id to slot. Each tree keeps
+// a list of its records' slots, and each record its position in that
+// list, so pathsOfTree, where every tree rebuild, merge and re-index
+// starts, reads one list, and a removal swap-removes one entry. The one
+// cross-tree index lists, per subscription, the slots of its paths:
+// alreadyCovered, on every install, reads those records only.
+// pathsOfPublisher, needed only when a publisher leaves, scans the slots.
+//
+// A route is stored once. The route table interns every distinct hop list
+// with a count of the paths along it; a path points at its route, and the
+// route is released when its last path leaves (a rebuild mints new hop
+// lists on every reroot). Paths are kept at the paper's granularity, one
+// per (publisher, subscription, tree): addOrExtend, which Algorithm 1's
+// installs use, extends the pair's path on the same route by the new dz
+// members instead of registering another, as long as the union merges
+// none of them, so the counts below stay what separate paths give.
 //
 // The per-switch index counts, for each switch, how many registered
 // (path hop, dz member) pairs contribute each distinct (dz, out-port,
-// rewrite) action — a refcount kept by add, remove, setDz, move and clear
-// with one hashed update per (hop, dz member). requiredFlows reads only that
-// switch's contributions, so its cost follows the switch's distinct
-// actions, not the number of paths crossing it (at a tree root, nearly
-// every path).
+// rewrite) action — a refcount kept by add, addOrExtend, remove, setDz,
+// move and clear with one hashed update per (hop, dz member).
+// requiredFlows reads only that switch's contributions, so its cost
+// follows the switch's distinct actions, not the number of paths crossing
+// it (at a tree root, nearly every path).
 //
 // Only a contribution whose count crosses zero can change a required flow,
 // and only the flows of its dz's subtree: a flow's actions come from its
@@ -52,12 +61,34 @@ namespace pleroma::ctrl {
 
 using PathId = std::int64_t;
 
+/// An interned route: its hops, and how many registered paths run along
+/// them.
+using Route = std::pair<const std::vector<RouteHop>, std::uint32_t>;
+
+/// A registered path: the subspaces one publisher sends one subscription
+/// along one tree, and the route they take.
 struct InstalledPath {
   PathId id = -1;
   PublisherId publisher = kInvalidPublisher;
   SubscriptionId subscription = kInvalidSubscription;
-  int treeId = -1;
   /// The subspaces forwarded along this path: the DZ^t(s) ∩ DZ^t(p) pieces.
+  dz::DzSet dz;
+  int treeId = -1;
+
+  /// The hops, held once for every path along the same route.
+  const std::vector<RouteHop>& hops() const noexcept { return route_->first; }
+
+ private:
+  friend class PathRegistry;
+  std::uint32_t treePos_ = 0;  ///< position in its tree's slot list
+  Route* route_ = nullptr;
+};
+
+/// What add and addOrExtend register.
+struct PathSpec {
+  PublisherId publisher = kInvalidPublisher;
+  SubscriptionId subscription = kInvalidSubscription;
+  int treeId = -1;
   dz::DzSet dz;
   std::vector<RouteHop> hops;
 };
@@ -65,13 +96,16 @@ struct InstalledPath {
 class PathRegistry {
  public:
   /// Registers a path; its dz must be non-empty.
-  PathId add(InstalledPath path);
+  PathId add(PathSpec path);
+  /// Registers a path like add, unless a path of the same (publisher,
+  /// subscription, tree) runs along the same hops and the union of the two
+  /// dz sets merges no members: that path then forwards the union, only
+  /// the new members are counted, and its id is returned.
+  PathId addOrExtend(PathSpec path);
   void remove(PathId id);
-  bool contains(PathId id) const { return treeOf_.contains(id); }
-  const InstalledPath& at(PathId id) const {
-    return byTree_.at(treeOf_.at(id)).at(id);
-  }
-  std::size_t size() const noexcept { return treeOf_.size(); }
+  bool contains(PathId id) const { return slotOf_.contains(id); }
+  const InstalledPath& at(PathId id) const { return slots_[slotOf_.at(id)]; }
+  std::size_t size() const noexcept { return slotOf_.size(); }
   void clear();
 
   /// Replaces the (non-empty) dz set a path forwards, re-counting its
@@ -89,15 +123,21 @@ class PathRegistry {
   /// forward `d` out of `hop.outPort` with `hop.rewrite`.
   bool counts(const dz::DzExpression& d, const RouteHop& hop) const;
 
-  /// Deterministic byte accounting of the registry's element payload
-  /// (paths, hops, dz members — no container overhead, capacity or
-  /// per-switch index), for the bench memory series.
+  /// Deterministic byte accounting of the registry's resident payload:
+  /// each path's record and dz members once, each interned route's hops
+  /// once (no container overhead, capacity or per-switch index), for the
+  /// bench memory series.
   std::size_t stateBytes() const noexcept;
 
   /// Ids in ascending order.
   std::vector<PathId> pathsOfSubscription(SubscriptionId s) const;
   std::vector<PathId> pathsOfPublisher(PublisherId p) const;
   std::vector<PathId> pathsOfTree(int treeId) const;
+
+  /// Each distinct route of the tree's paths, with how many of them run
+  /// along it, in no particular order.
+  std::vector<std::pair<const std::vector<RouteHop>*, std::size_t>>
+  routesOfTree(int treeId) const;
 
   /// True when a path for this (publisher, subscription, tree) already
   /// forwards a superset of `dz` — used to avoid duplicate installs.
@@ -166,23 +206,30 @@ class PathRegistry {
   void countHop(const RouteHop& hop, const std::vector<dz::DzExpression>& dz,
                 int delta);
 
-  /// What a subscription's index entry keeps of one of its paths: enough
-  /// for alreadyCovered to pick the paths of one (publisher, tree) without
-  /// looking any other up.
-  struct PathRef {
-    PathId id = -1;
-    PublisherId publisher = kInvalidPublisher;
-    int treeId = -1;
+  struct RouteHash {
+    std::size_t operator()(const std::vector<RouteHop>& hops) const noexcept;
   };
-  /// The entry of path `id` among one subscription's references.
-  static PathRef& refIn(std::vector<PathRef>& refs, PathId id);
+  /// The route with these hops, interned (with no path yet) when new.
+  Route& intern(std::vector<RouteHop> hops);
+  /// Drops one path from the route's count; the last one erases it.
+  void release(Route& route);
+  /// Files a path along `route` in a free slot under a fresh id; counting
+  /// its contributions is the caller's.
+  PathId file(PathSpec& spec, Route& route);
+  /// Appends the record in `slot` to its tree's slot list, or takes it out.
+  void fileUnderTree(std::uint32_t slot);
+  void unfileFromTree(std::uint32_t slot);
 
-  /// Per-tree path maps (see file comment); treeOf_ routes id lookups.
-  std::unordered_map<int, std::unordered_map<PathId, InstalledPath>> byTree_;
-  std::unordered_map<PathId, int> treeOf_;
+  std::vector<InstalledPath> slots_;  ///< a free slot has id -1
+  std::vector<std::uint32_t> freeSlots_;
+  std::unordered_map<PathId, std::uint32_t> slotOf_;
+  std::unordered_map<int, std::vector<std::uint32_t>> slotsOfTree_;
+  /// Per subscription, the slots of its paths in no particular order.
+  std::unordered_map<SubscriptionId, std::vector<std::uint32_t>>
+      slotsOfSubscription_;
+  /// Node-based, so a Route stays where it is while others come and go.
+  std::unordered_map<std::vector<RouteHop>, std::uint32_t, RouteHash> routes_;
   std::unordered_map<net::NodeId, SwitchContributions> contributions_;
-  /// Per subscription, its paths in no particular order.
-  std::unordered_map<SubscriptionId, std::vector<PathRef>> bySubscription_;
   PathId next_ = 0;
 
   bool recording_ = false;

@@ -455,6 +455,65 @@ TEST(ControllerCapacity, TcamExhaustionDegradesGracefully) {
   EXPECT_TRUE(got.contains(hosts[5]));
 }
 
+struct KAryFatTreeFixture : ControllerFixture {
+  KAryFatTreeFixture() : ControllerFixture(net::Topology::kAryFatTree(4)) {}
+};
+
+TEST_F(KAryFatTreeFixture, OnePathPerPublisherSubscriptionPairAlongSharedRoutes) {
+  // Whole-space advertisers share one tree, and every subscription's pieces
+  // (one per dz member) reach it from each advertiser along one route: the
+  // registry keeps one path per (publisher, subscription) pair, stores
+  // each route once, and so holds less than one hop per path.
+  Controller c = makeController();
+  const auto hosts = topo.hosts();
+  std::vector<PublisherId> publishers;
+  for (std::size_t h = 0; h < hosts.size(); h += 5) {
+    publishers.push_back(c.advertise(hosts[h], rect(0, 1023, 0, 1023)));
+  }
+  ASSERT_EQ(publishers.size(), 4u);
+  std::size_t pairs = 0;
+  std::size_t pieces = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto lo = static_cast<dz::AttributeValue>((i * 151) % 700);
+    const auto lo2 = static_cast<dz::AttributeValue>((i * 67) % 500);
+    const std::size_t at = static_cast<std::size_t>(i * 7) % hosts.size();
+    const SubscriptionId s =
+        c.subscribe(hosts[at], rect(lo, lo + 300, lo2, lo2 + 500));
+    const std::size_t members = c.subscriptionDz(s).size();
+    std::set<PublisherId> seen;
+    for (const PathId id : c.registry().pathsOfSubscription(s)) {
+      const InstalledPath& path = c.registry().at(id);
+      EXPECT_TRUE(seen.insert(path.publisher).second)
+          << "subscription " << s << " has two paths from " << path.publisher;
+      EXPECT_EQ(path.dz, c.subscriptionDz(s));
+    }
+    // A subscriber is not connected to a publisher on its own host.
+    const std::size_t expected = at % 5 == 0 ? 3 : 4;
+    EXPECT_EQ(seen.size(), expected) << "subscription " << s;
+    pairs += expected;
+    pieces += members * expected;
+  }
+  const PathRegistry& registry = c.registry();
+  EXPECT_EQ(registry.size(), pairs);
+  EXPECT_GT(pieces, 2 * pairs);  // most subscriptions decompose into several members
+
+  std::set<const std::vector<RouteHop>*> routes;
+  std::size_t recordBytes = 0;
+  for (const SpanningTree* tree : c.trees()) {
+    for (const auto& [hops, paths] : registry.routesOfTree(tree->id())) {
+      routes.insert(hops);
+    }
+    for (const PathId id : registry.pathsOfTree(tree->id())) {
+      recordBytes += sizeof(InstalledPath) +
+                     registry.at(id).dz.size() * sizeof(dz::DzExpression);
+    }
+  }
+  EXPECT_LE(routes.size(), publishers.size() * hosts.size());
+  ASSERT_GE(registry.stateBytes(), recordBytes);
+  EXPECT_LT(registry.stateBytes() - recordBytes,
+            registry.size() * sizeof(RouteHop));
+}
+
 TEST_F(ControllerFixture, SwitchTablesMatchRegistryRequirements) {
   Controller c = makeController();
   const auto hosts = topo.hosts();

@@ -26,7 +26,7 @@ struct InstallerFixture : ::testing::Test {
 
   /// Registers a one-hop path at the fixture's switch.
   void addPath(PathRegistry& reg, std::string_view dzs, net::PortId port) {
-    reg.add(InstalledPath{-1, 0, 0, 0, set(dzs), {RouteHop{sw, port, std::nullopt}}});
+    reg.add(PathSpec{0, 0, 0, set(dzs), {RouteHop{sw, port, std::nullopt}}});
   }
 
   std::vector<net::PortId> portsAt(std::string_view dzStr) {
@@ -121,7 +121,7 @@ TEST_F(InstallerFixture, Case5FinerFlowLeftEqualToItsCoverIsDeleted) {
   PathRegistry reg2;
   for (const auto& [d, port] : {std::pair{"10", 2}, {"100", 3}, {"1", 3}}) {
     installer.installPath(set(d), {RouteHop{other, port, std::nullopt}});
-    reg2.add(InstalledPath{-1, 0, 0, 0, set(d), {RouteHop{other, port, std::nullopt}}});
+    reg2.add(PathSpec{0, 0, 0, set(d), {RouteHop{other, port, std::nullopt}}});
     EXPECT_TRUE(installer.mirrorsRequired(other, reg2)) << d << " -> " << port;
   }
   EXPECT_EQ(installer.mirror(other).size(), 2u);

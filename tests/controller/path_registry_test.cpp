@@ -17,11 +17,11 @@ namespace {
 dz::DzExpression dz(std::string_view s) { return *dz::DzExpression::fromString(s); }
 dz::DzSet set(std::string_view s) { return *dz::DzSet::fromString(s); }
 
-InstalledPath makePath(PublisherId p, SubscriptionId s, int tree,
-                       std::string_view dzs,
-                       std::vector<std::pair<net::NodeId, net::PortId>> hops,
-                       std::optional<dz::Ipv6Address> terminalRewrite = {}) {
-  InstalledPath path;
+PathSpec makePath(PublisherId p, SubscriptionId s, int tree,
+                  std::string_view dzs,
+                  std::vector<std::pair<net::NodeId, net::PortId>> hops,
+                  std::optional<dz::Ipv6Address> terminalRewrite = {}) {
+  PathSpec path;
   path.publisher = p;
   path.subscription = s;
   path.treeId = tree;
@@ -32,6 +32,17 @@ InstalledPath makePath(PublisherId p, SubscriptionId s, int tree,
         i + 1 == hops.size() ? terminalRewrite : std::nullopt});
   }
   return path;
+}
+
+/// A route as text, so routes can key ordered containers.
+std::string routeKey(const std::vector<RouteHop>& hops) {
+  std::string out;
+  for (const RouteHop& hop : hops) {
+    out += std::to_string(hop.switchNode) + ":" + std::to_string(hop.outPort);
+    if (hop.rewrite) out += "=" + hop.rewrite->toString();
+    out += " ";
+  }
+  return out;
 }
 
 /// Finds the required entry whose match equals the dz, or nullptr.
@@ -274,6 +285,59 @@ TEST(PathRegistry, MoveRefilesUnderFreshIdAndRecountsChangedHops) {
   EXPECT_TRUE(reg.allSwitches().empty());
 }
 
+TEST(PathRegistry, AddOrExtendGrowsThePairsPathUnlessTheUnionMerges) {
+  PathRegistry reg;
+  const PathId a = reg.add(makePath(1, 10, 0, "00", {{5, 1}, {6, 2}}));
+  // Same pair, tree and hops, and 10 merges with nothing: one path.
+  EXPECT_EQ(reg.addOrExtend(makePath(1, 10, 0, "10", {{5, 1}, {6, 2}})), a);
+  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(reg.at(a).dz, set("00,10"));
+  EXPECT_NE(findFlow(reg.requiredFlows(6), "10"), nullptr);
+  // 01 would merge with 00 into 0: a path of its own keeps the counts.
+  const PathId b = reg.addOrExtend(makePath(1, 10, 0, "01", {{5, 1}, {6, 2}}));
+  EXPECT_NE(b, a);
+  EXPECT_EQ(reg.at(a).dz, set("00,10"));
+  // Another route, publisher or tree never extends.
+  EXPECT_NE(reg.addOrExtend(makePath(1, 10, 0, "110", {{5, 1}, {6, 3}})), a);
+  EXPECT_NE(reg.addOrExtend(makePath(2, 10, 0, "110", {{5, 1}, {6, 2}})), a);
+  EXPECT_NE(reg.addOrExtend(makePath(1, 10, 1, "110", {{5, 1}, {6, 2}})), a);
+  EXPECT_EQ(reg.size(), 5u);
+  EXPECT_EQ(reg.pathsOfSubscription(10).size(), 5u);
+
+  // Tree 0's paths run along two routes; the first one carries three.
+  std::map<std::string, std::size_t> routes;
+  for (const auto& [hops, paths] : reg.routesOfTree(0)) {
+    routes[routeKey(*hops)] = paths;
+  }
+  EXPECT_EQ(routes, (std::map<std::string, std::size_t>{{"5:1 6:2 ", 3},
+                                                        {"5:1 6:3 ", 1}}));
+
+  // Removing the extended path uncounts both of its members.
+  reg.remove(a);
+  EXPECT_EQ(findFlow(reg.requiredFlows(6), "00"), nullptr);
+  EXPECT_EQ(findFlow(reg.requiredFlows(6), "10"), nullptr);
+  EXPECT_TRUE(reg.contains(b));
+}
+
+TEST(PathRegistry, RoutesAreStoredOnceAndReleasedWithTheirLastPath) {
+  PathRegistry reg;
+  constexpr std::size_t kPath = sizeof(InstalledPath) + sizeof(dz::DzExpression);
+  constexpr std::size_t kTwoHops = sizeof(Route) + 2 * sizeof(RouteHop);
+  const PathId a = reg.add(makePath(1, 10, 0, "10", {{5, 1}, {6, 2}}));
+  const PathId b = reg.add(makePath(2, 11, 0, "0", {{5, 1}, {6, 2}}));
+  EXPECT_EQ(reg.stateBytes(), 2 * kPath + kTwoHops);
+  // Moving onto new hops interns them; the old route stays for b.
+  const PathId moved = reg.move(a, 1, {{5, 1, std::nullopt}, {6, 3, std::nullopt}});
+  EXPECT_EQ(reg.stateBytes(), 2 * kPath + 2 * kTwoHops);
+  reg.remove(b);
+  EXPECT_EQ(reg.stateBytes(), kPath + kTwoHops);
+  reg.remove(moved);
+  EXPECT_EQ(reg.stateBytes(), 0u);
+  reg.add(makePath(1, 10, 0, "10", {{5, 1}}));
+  reg.clear();
+  EXPECT_EQ(reg.stateBytes(), 0u);
+}
+
 // ---- differential test against a path-scanning oracle ---------------------
 
 using Actions = std::map<net::PortId, std::optional<dz::Ipv6Address>>;
@@ -281,7 +345,7 @@ using Actions = std::map<net::PortId, std::optional<dz::Ipv6Address>>;
 /// The required flow set of `sw`, derived by scanning every live path: the
 /// reference the registry's per-switch index must match.
 std::vector<net::FlowEntry> scanRequiredFlows(
-    const std::map<PathId, InstalledPath>& live, net::NodeId sw) {
+    const std::map<PathId, PathSpec>& live, net::NodeId sw) {
   std::map<dz::DzExpression, Actions> contrib;
   for (const auto& [id, path] : live) {
     for (const RouteHop& hop : path.hops) {
@@ -398,7 +462,7 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
   }
 
   PathRegistry reg;
-  std::map<PathId, InstalledPath> live;
+  std::map<PathId, PathSpec> live;
   auto pickLive = [&]() {
     auto it = live.begin();
     std::advance(it, static_cast<long>(rng.uniformInt(0, live.size() - 1)));
@@ -426,40 +490,79 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
   const auto scanCovered = [&live](PublisherId p, SubscriptionId s, int tree,
                                    const dz::DzSet& d) {
     return std::any_of(live.begin(), live.end(), [&](const auto& entry) {
-      const InstalledPath& path = entry.second;
+      const PathSpec& path = entry.second;
       return path.publisher == p && path.subscription == s &&
              path.treeId == tree && path.dz.coversSet(d);
     });
   };
 
+  // The union of two dz sets merges no members: no member of one overlaps,
+  // or is the sibling of, a member of the other.
+  const auto unmerged = [](const dz::DzSet& a, const dz::DzSet& b) {
+    return std::none_of(a.begin(), a.end(), [&](const dz::DzExpression& x) {
+      return std::any_of(b.begin(), b.end(), [&](const dz::DzExpression& y) {
+        return x.covers(y) || y.covers(x) ||
+               (x.length() > 0 && x.length() == y.length() &&
+                x.sibling() == y);
+      });
+    });
+  };
+
   std::size_t adds = 0, removes = 0, setDzs = 0, moves = 0, clears = 0;
+  std::size_t extends = 0, extendsDeclined = 0;
   std::size_t coveredHits = 0;
   std::map<net::NodeId, std::vector<net::FlowEntry>> before;
   util::Rng rootRng(7);
   util::Rng queryRng(11);
-  for (int step = 0; step < 3000; ++step) {
+  for (int step = 0; step < 3500; ++step) {
     reg.recordChanges();
     bool cleared = false;
-    std::optional<std::pair<int, InstalledPath>> refiled;  // old tree, path
+    std::optional<std::pair<int, PathSpec>> refiled;  // old tree, path
     const double op = rng.uniformReal();
-    if (live.empty() || op < 0.40) {
-      InstalledPath path;
+    if (live.empty() || op < 0.36) {
+      PathSpec path;
       path.publisher = static_cast<PublisherId>(rng.uniformInt(0, 3));
       path.subscription = static_cast<SubscriptionId>(rng.uniformInt(0, 20));
       path.treeId = static_cast<int>(rng.uniformInt(0, 2));
       path.dz = randomDzSet(rng, pool);
       path.hops = randomHops();
-      InstalledPath copy = path;
-      const PathId id = reg.add(std::move(path));
-      copy.id = id;
-      live.emplace(id, std::move(copy));
+      live.emplace(reg.add(path), path);
       ++adds;
-    } else if (op < 0.65) {
+    } else if (op < 0.46) {
+      // Another piece of a live path's pair on its route, mostly disjoint
+      // from that path's dz: extended into a path of the pair whose union
+      // merges nothing, else registered on its own.
+      const PathSpec& source = live.at(pickLive());
+      PathSpec piece = source;
+      piece.dz = randomDzSet(rng, pool);
+      for (int tries = 0; tries < 4 && piece.dz.overlaps(source.dz); ++tries) {
+        piece.dz = randomDzSet(rng, pool);
+      }
+      const auto fits = [&](const PathSpec& path) {
+        return path.publisher == piece.publisher &&
+               path.subscription == piece.subscription &&
+               path.treeId == piece.treeId && path.hops == piece.hops &&
+               unmerged(path.dz, piece.dz);
+      };
+      const PathId id = reg.addOrExtend(piece);
+      if (const auto it = live.find(id); it != live.end()) {
+        ASSERT_TRUE(fits(it->second)) << "step " << step << ": extended path "
+                                      << id << " across a merge or pair";
+        it->second.dz.unionWith(piece.dz);
+        ++extends;
+      } else {
+        ASSERT_TRUE(std::none_of(live.begin(), live.end(),
+                                 [&](const auto& e) { return fits(e.second); }))
+            << "step " << step << ": a path could have been extended";
+        live.emplace(id, piece);
+        ++extendsDeclined;
+      }
+    } else if (op < 0.68) {
       const PathId id = pickLive();
       reg.remove(id);
       live.erase(id);
       ++removes;
-    } else if (op < 0.875) {
+    } else if (op < 0.88) {
       const PathId id = pickLive();
       dz::DzSet next = randomDzSet(rng, pool);
       live.at(id).dz = next;
@@ -468,7 +571,7 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
     } else if (op < 0.995) {
       // A rebuild's re-file: some hops kept, some replaced, some added.
       const PathId id = pickLive();
-      InstalledPath path = live.at(id);
+      PathSpec path = live.at(id);
       std::vector<RouteHop> hops = randomHops();
       for (const RouteHop& hop : path.hops) {
         if (rng.chance(0.6)) hops.insert(hops.begin(), hop);
@@ -476,9 +579,9 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
       const int oldTree = path.treeId;
       path.treeId = static_cast<int>(rng.uniformInt(0, 2));
       path.hops = hops;
-      path.id = reg.move(id, path.treeId, std::move(hops));
+      const PathId fresh = reg.move(id, path.treeId, std::move(hops));
       live.erase(id);
-      live.emplace(path.id, path);
+      live.emplace(fresh, path);
       refiled.emplace(oldTree, std::move(path));
       ++moves;
     } else {
@@ -521,6 +624,32 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
               std::vector<net::NodeId>(switches.begin(), switches.end()))
         << "step " << step;
     ASSERT_EQ(reg.size(), live.size()) << "step " << step;
+    // Every path points at its hops, each route of a tree carries as many
+    // of its paths as run along it, and the route table holds exactly the
+    // distinct hop lists of the live paths, each once (a route its last
+    // path left would still show in the bytes; clear leaves none).
+    std::map<int, std::map<std::string, std::size_t>> routesByTree;
+    std::set<std::string> distinctRoutes;
+    std::size_t expectedBytes = 0;
+    for (const auto& [id, path] : live) {
+      ASSERT_TRUE(reg.at(id).hops() == path.hops) << "step " << step;
+      ASSERT_EQ(reg.at(id).dz, path.dz) << "step " << step;
+      ++routesByTree[path.treeId][routeKey(path.hops)];
+      expectedBytes +=
+          sizeof(InstalledPath) + path.dz.size() * sizeof(dz::DzExpression);
+      if (distinctRoutes.insert(routeKey(path.hops)).second) {
+        expectedBytes += sizeof(Route) + path.hops.size() * sizeof(RouteHop);
+      }
+    }
+    ASSERT_EQ(reg.stateBytes(), expectedBytes) << "step " << step;
+    for (int tree = 0; tree < 3; ++tree) {
+      std::map<std::string, std::size_t> routes;
+      for (const auto& [hops, paths] : reg.routesOfTree(tree)) {
+        ASSERT_TRUE(routes.emplace(routeKey(*hops), paths).second)
+            << "step " << step;
+      }
+      ASSERT_TRUE(routes == routesByTree[tree]) << "step " << step;
+    }
     std::map<int, std::vector<PathId>> byTree;
     std::map<SubscriptionId, std::vector<PathId>> bySubscription;
     std::map<PublisherId, std::vector<PathId>> byPublisher;
@@ -568,6 +697,8 @@ TEST(PathRegistry, RandomOpsMatchPathScanningOracle) {
   EXPECT_GT(setDzs, 500u);
   EXPECT_GT(moves, 200u);
   EXPECT_GT(clears, 3u);
+  EXPECT_GT(extends, 100u);
+  EXPECT_GT(extendsDeclined, 100u);
   // Random queries found covering paths, not only their absence.
   EXPECT_GT(coveredHits, 500u);
 }

@@ -97,7 +97,7 @@ TEST_F(TcamBudgetFixture, ReconcileRespectsCoarsenedProjection) {
   // mirror within the projection (never resurrect finer entries).
   PathRegistry required;
   for (const auto d : {"000", "010", "100", "110"}) {
-    required.add(InstalledPath{-1, 0, 0, 0, set(d), {RouteHop{sw, 2, std::nullopt}}});
+    required.add(PathSpec{0, 0, 0, set(d), {RouteHop{sw, 2, std::nullopt}}});
   }
   installer.reconcileSwitch(sw, required);
   for (const auto& [d, entry] : installer.mirror(sw)) {
@@ -111,7 +111,7 @@ TEST_F(TcamBudgetFixture, ReconcileRespectsCoarsenedProjection) {
   // (covered by no required flow) gains port 3 too.
   PathRegistry changed;
   for (const auto& [d, port] : {std::pair{"000", 2}, {"010", 3}, {"100", 2}, {"110", 2}}) {
-    changed.add(InstalledPath{-1, 0, 0, 0, set(d), {RouteHop{sw, port, std::nullopt}}});
+    changed.add(PathSpec{0, 0, 0, set(d), {RouteHop{sw, port, std::nullopt}}});
   }
   installer.reconcileSwitch(sw, changed, {dz("010")});
   EXPECT_TRUE(installer.mirrorsRequired(sw, changed));
