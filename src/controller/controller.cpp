@@ -574,7 +574,8 @@ auto findTree(std::vector<std::unique_ptr<SpanningTree>>& trees, int treeId) {
 
 bool Controller::rerootTree(int treeId, net::NodeId newRoot,
                             const std::vector<net::SimTime>* linkCosts) {
-  if (findTree(trees_, treeId) == trees_.end()) return false;
+  const auto it = findTree(trees_, treeId);
+  if (it == trees_.end()) return false;
   // A down switch has no active link: a tree rooted there reaches nothing.
   if (std::find(scope_.switches.begin(), scope_.switches.end(), newRoot) ==
           scope_.switches.end() ||
@@ -582,9 +583,17 @@ bool Controller::rerootTree(int treeId, net::NodeId newRoot,
     return false;
   }
   ++stats_.treeReroots;
-  linkCostOverride_ = linkCosts;
-  rebuildTreeAt(treeId, newRoot);
-  linkCostOverride_ = nullptr;
+  std::unique_ptr<SpanningTree> candidate = acquireTree(
+      nextTreeId_, (*it)->dzSet(), newRoot, activeInternalLinks(), linkCosts);
+  // The same root and edges route every path as the tree in place does:
+  // there is nothing to re-file or reconcile.
+  if (candidate->root() == (*it)->root() &&
+      candidate->edges() == (*it)->edges()) {
+    retireTree(std::move(candidate));
+    return true;
+  }
+  ++nextTreeId_;
+  replaceTree(it, std::move(candidate));
   return true;
 }
 
@@ -740,10 +749,6 @@ net::NodeId Controller::liveRoot(net::NodeId preferred) const {
   return preferred;  // no active switch left
 }
 
-void Controller::rebuildTreeAt(int treeId, net::NodeId root) {
-  rebuildTrees({{treeId, root}});
-}
-
 void Controller::rebuildTrees(
     const std::vector<std::pair<int, net::NodeId>>& idRoots) {
   if (idRoots.empty()) return;
@@ -751,24 +756,30 @@ void Controller::rebuildTrees(
   for (const auto& [treeId, root] : idRoots) {
     const auto it = findTree(trees_, treeId);
     if (it == trees_.end()) continue;
-    ++stats_.treeRebuilds;
-    std::unique_ptr<SpanningTree> old = std::move(*it);
-    trees_.erase(it);
-    // Routes are re-derived from the registered advertisements and
-    // subscriptions (not replayed from the registry), so paths that were
-    // dropped while endpoints were unreachable heal here.
-    ReplacedPaths replaced = replacedPaths(registry_.pathsOfTree(treeId));
-    trees_.push_back(acquireTree(nextTreeId_++, old->dzSet(), root,
-                                 activeLinks, linkCostOverride_));
-    SpanningTree& fresh = *trees_.back();
-    for (const auto& [pub, overlap] : old->publishers()) {
-      if (!advertisements_.contains(pub)) continue;
-      fresh.addPublisher(pub, overlap);
-      addFlowMultSub(pub, overlap, fresh, &replaced);
-    }
-    retireTree(std::move(old));
-    retireReplaced(replaced);
+    replaceTree(it, acquireTree(nextTreeId_++, (*it)->dzSet(), root,
+                                activeLinks));
   }
+}
+
+void Controller::replaceTree(
+    std::vector<std::unique_ptr<SpanningTree>>::iterator it,
+    std::unique_ptr<SpanningTree> fresh) {
+  ++stats_.treeRebuilds;
+  std::unique_ptr<SpanningTree> old = std::move(*it);
+  trees_.erase(it);
+  // Routes are re-derived from the registered advertisements and
+  // subscriptions (not replayed from the registry), so paths that were
+  // dropped while endpoints were unreachable heal here.
+  ReplacedPaths replaced = replacedPaths(registry_.pathsOfTree(old->id()));
+  trees_.push_back(std::move(fresh));
+  SpanningTree& tree = *trees_.back();
+  for (const auto& [pub, overlap] : old->publishers()) {
+    if (!advertisements_.contains(pub)) continue;
+    tree.addPublisher(pub, overlap);
+    addFlowMultSub(pub, overlap, tree, &replaced);
+  }
+  retireTree(std::move(old));
+  retireReplaced(replaced);
 }
 
 dz::DzSet Controller::coarsen(dz::DzSet dzSet, const SpanningTree* exclude) const {

@@ -117,7 +117,9 @@ class Controller {
   /// ephemeral by design (not intent-logged): a promoted standby rebuilds
   /// plain shortest-path trees and the rebalancer re-derives congestion
   /// from live counters. Returns false when the tree is unknown or the root
-  /// is not an active switch of this partition.
+  /// is not an active switch of this partition. A rebuild that would give
+  /// the same root and edges leaves the tree as it is (and its id) and
+  /// still returns true.
   bool rerootTree(int treeId, net::NodeId newRoot,
                   const std::vector<net::SimTime>* linkCosts = nullptr);
 
@@ -350,13 +352,14 @@ class Controller {
   bool interestActive(std::int64_t sid) const;
   void mergeTreesIfNeeded();
   void mergeTreePair(std::size_t idxA, std::size_t idxB);
-  /// Rebuilds a tree at `root` (same DZ and publishers) over the currently
-  /// active links, re-deriving its routes from the registered
-  /// subscriptions. Heals paths dropped during outages.
-  void rebuildTreeAt(int treeId, net::NodeId root);
-  /// Rebuilds several trees at given roots, one after another in list
-  /// order.
+  /// Rebuilds several trees at given roots (same DZ and publishers) over
+  /// the currently active links, one after another in list order.
   void rebuildTrees(const std::vector<std::pair<int, net::NodeId>>& idRoots);
+  /// Replaces the tree at `it` by `fresh` (built with the same DZ),
+  /// re-deriving its routes from the registered subscriptions. Heals
+  /// paths dropped during outages.
+  void replaceTree(std::vector<std::unique_ptr<SpanningTree>>::iterator it,
+                   std::unique_ptr<SpanningTree> fresh);
   /// The tree's root if still active, else a live fallback (the attach
   /// switch of one of its publishers, or any active scope switch).
   net::NodeId pickActiveRoot(const SpanningTree& tree) const;
@@ -387,9 +390,6 @@ class Controller {
   std::vector<std::unique_ptr<SpanningTree>> treePool_;
   std::vector<net::LinkId> downLinks_;
   std::vector<net::NodeId> downSwitches_;
-  /// Dijkstra edge-weight override for the rebuildTrees call currently on
-  /// the stack (set by rerootTree). nullptr = plain link latency.
-  const std::vector<net::SimTime>* linkCostOverride_ = nullptr;
   int nextTreeId_ = 0;
   std::map<PublisherId, AdvRecord> advertisements_;
   std::map<SubscriptionId, SubRecord> subscriptions_;

@@ -30,21 +30,14 @@ Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
                                             options.network);
   boxesByHost_.resize(
       static_cast<std::size_t>(network_->topology().nodeCount()));
-  dz::EventSpace space(options.numAttributes, options.bitsPerDim);
-  if (options.partitions > 1) {
-    domain_ = std::make_unique<interop::MultiDomain>(
-        *network_,
-        interop::contiguousPartitions(network_->topology(), options.partitions),
-        std::move(space), options.controller);
-    for (std::size_t p = 0; p < domain_->partitionCount(); ++p) {
-      domain_->controller(static_cast<interop::PartitionId>(p))
-          .setTracer(&tracer_);
-    }
-  } else {
-    controller_ = std::make_unique<ctrl::Controller>(
-        std::move(space), *network_,
-        ctrl::Scope::wholeTopology(network_->topology()), options.controller);
-    controller_->setTracer(&tracer_);
+  domain_ = std::make_unique<interop::MultiDomain>(
+      *network_,
+      interop::contiguousPartitions(network_->topology(), options.partitions),
+      dz::EventSpace(options.numAttributes, options.bitsPerDim),
+      options.controller);
+  for (std::size_t p = 0; p < domain_->partitionCount(); ++p) {
+    domain_->controller(static_cast<interop::PartitionId>(p))
+        .setTracer(&tracer_);
   }
   network_->setDeliverHandler(
       [this](net::NodeId host, const net::Packet& pkt) { onDeliver(host, pkt); });
@@ -53,21 +46,23 @@ Pleroma::Pleroma(net::Topology topology, PleromaOptions options)
   if (options.failover.enableStandby) {
     // The standby must attach before any registration (its replay starts
     // from an empty history); constructing it here guarantees that.
-    standby_ = std::make_unique<ctrl::StandbyController>(*controller_);
+    ctrl::Controller& primary = domain_->controller(0);
+    standby_ = std::make_unique<ctrl::StandbyController>(primary);
     failover_ = std::make_unique<ctrl::FailoverManager>(
-        *controller_, *standby_, options.failover.config);
-    failover_->setPromotionCallback(
-        [this](ctrl::Controller& promoted) { promoted.setTracer(&tracer_); });
+        primary, *standby_, options.failover.config);
+    // The promoted replica takes the partition over: registrations,
+    // stamping and controller() follow it.
+    failover_->setPromotionCallback([this](ctrl::Controller& promoted) {
+      promoted.setTracer(&tracer_);
+      domain_->setController(0, promoted);
+    });
   }
 }
 
 ctrl::PublisherId Pleroma::advertise(net::NodeId host, const dz::Rectangle& rect) {
   requireOneRangePerAttribute(rect, numAttributes_);
-  if (domain_) {
-    domain_->advertise(host, rect);
-    return domainPublishers_++;
-  }
-  return controller().advertise(host, rect);
+  domain_->advertise(host, rect);
+  return domainPublishers_++;
 }
 
 bool Pleroma::unadvertise(ctrl::PublisherId id) {
@@ -77,13 +72,8 @@ bool Pleroma::unadvertise(ctrl::PublisherId id) {
 ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
                                         const dz::Rectangle& rect) {
   requireOneRangePerAttribute(rect, numAttributes_);
-  ctrl::SubscriptionId id = 0;
-  if (domain_) {
-    id = static_cast<ctrl::SubscriptionId>(domainSubs_.size());
-    domainSubs_.push_back(domain_->subscribe(host, rect));
-  } else {
-    id = controller().subscribe(host, rect);
-  }
+  const auto id = static_cast<ctrl::SubscriptionId>(domainSubs_.size());
+  domainSubs_.push_back(domain_->subscribe(host, rect));
   subs_.emplace(id, std::make_pair(host, rect));
   HostBoxes& boxes = boxesByHost_[static_cast<std::size_t>(host)];
   boxes.ids.push_back(id);
@@ -93,36 +83,28 @@ ctrl::SubscriptionId Pleroma::subscribe(net::NodeId host,
 
 bool Pleroma::unsubscribe(ctrl::SubscriptionId id) {
   const auto it = subs_.find(id);
-  bool live = it != subs_.end();
-  if (!domain_) {
-    live = controller().unsubscribe(id);
-  } else if (live) {
-    domain_->unsubscribe(domainSubs_[static_cast<std::size_t>(id)]);
-  }
-  if (it != subs_.end()) {
-    // Swap-remove: the last subscription's id and box fill the hole.
-    HostBoxes& boxes = boxesByHost_[static_cast<std::size_t>(it->second.first)];
-    const std::size_t pos = static_cast<std::size_t>(
-        std::find(boxes.ids.begin(), boxes.ids.end(), id) - boxes.ids.begin());
-    const std::size_t last = boxes.ids.size() - 1;
-    boxes.ids[pos] = boxes.ids[last];
-    boxes.ids.pop_back();
-    std::copy_n(&boxes.ranges[last * numAttributes_], numAttributes_,
-                &boxes.ranges[pos * numAttributes_]);
-    boxes.ranges.resize(last * numAttributes_);
-    subs_.erase(it);
-  }
-  return live;
+  if (it == subs_.end()) return false;
+  domain_->unsubscribe(domainSubs_[static_cast<std::size_t>(id)]);
+  // Swap-remove: the last subscription's id and box fill the hole.
+  HostBoxes& boxes = boxesByHost_[static_cast<std::size_t>(it->second.first)];
+  const std::size_t pos = static_cast<std::size_t>(
+      std::find(boxes.ids.begin(), boxes.ids.end(), id) - boxes.ids.begin());
+  const std::size_t last = boxes.ids.size() - 1;
+  boxes.ids[pos] = boxes.ids[last];
+  boxes.ids.pop_back();
+  std::copy_n(&boxes.ranges[last * numAttributes_], numAttributes_,
+              &boxes.ranges[pos * numAttributes_]);
+  boxes.ranges.resize(last * numAttributes_);
+  subs_.erase(it);
+  return true;
 }
 
 net::EventId Pleroma::publish(net::NodeId host, const dz::Event& event,
                               net::EventId id) {
   if (id == 0) id = nextEventId_++;
   ++publishes_;
-  ctrl::Controller& stamping =
-      domain_ ? domain_->controller(domain_->partitionOfHost(host))
-              : controller();
-  net::Packet packet = stamping.makeEventPacket(host, event, id);
+  net::Packet packet = domain_->controller(domain_->partitionOfHost(host))
+                           .makeEventPacket(host, event, id);
   if (tracer_.enabled()) {
     // Root of the event's data-plane span tree: traceId = event id.
     const obs::SpanId root = tracer_.instant(id, obs::kNoSpan, "publish",
@@ -206,20 +188,16 @@ obs::MetricsRegistry Pleroma::snapshotMetrics() {
                                : static_cast<double>(tables.probes) /
                                      static_cast<double>(tables.lookups));
 
-  // The controller layer: the active controller, or every partition's.
-  std::vector<ctrl::Controller*> controllers;
-  if (domain_) {
-    for (std::size_t p = 0; p < domain_->partitionCount(); ++p) {
-      controllers.push_back(
-          &domain_->controller(static_cast<interop::PartitionId>(p)));
-    }
+  // The controller layer, summed over the partitions. On one partition
+  // totalControlMessages() counts only local requests.
+  if (domain_->partitionCount() > 1) {
     reg.counter("interop.control_messages")
         .inc(domain_->totalControlMessages());
-  } else {
-    controllers.push_back(&controller());
   }
-  for (ctrl::Controller* ctl : controllers) {
-    const openflow::ControlPlaneStats& cs = ctl->controlStats();
+  for (std::size_t p = 0; p < domain_->partitionCount(); ++p) {
+    const ctrl::Controller& ctl =
+        domain_->controller(static_cast<interop::PartitionId>(p));
+    const openflow::ControlPlaneStats& cs = ctl.controlStats();
     reg.counter("ctrl_channel.mods_sent").inc(cs.flowModsSent);
     reg.counter("ctrl_channel.mods_acked").inc(cs.flowModsAcked);
     reg.counter("ctrl_channel.mods_dropped").inc(cs.flowModsDropped);
@@ -228,7 +206,7 @@ obs::MetricsRegistry Pleroma::snapshotMetrics() {
     reg.counter("ctrl_channel.flow_stats_requests")
         .inc(cs.flowStatsRequests + cs.flowStatsBatches);
 
-    const ctrl::ControllerStats& ct = ctl->stats();
+    const ctrl::ControllerStats& ct = ctl.stats();
     reg.counter("controller.ops").inc(ct.ops);
     reg.counter("controller.trees_created").inc(ct.treesCreated);
     reg.counter("controller.trees_joined").inc(ct.treesJoined);
@@ -239,7 +217,7 @@ obs::MetricsRegistry Pleroma::snapshotMetrics() {
     reg.histogram("controller.flow_mods_per_op").merge(ct.flowModsPerOp);
     reg.histogram("controller.op_install_time_ns").merge(ct.opInstallTimeNs);
 
-    const ctrl::FlowInstaller::CaseStats& is = ctl->installer().caseStats();
+    const ctrl::FlowInstaller::CaseStats& is = ctl.installer().caseStats();
     reg.counter("flow_installer.case1_fresh_add").inc(is.freshAdd);
     reg.counter("flow_installer.case2_covered").inc(is.covered);
     reg.counter("flow_installer.case3_subsumed_delete").inc(is.subsumedDelete);
@@ -247,7 +225,7 @@ obs::MetricsRegistry Pleroma::snapshotMetrics() {
     reg.counter("flow_installer.case5_shadow_modify").inc(is.shadowModify);
     reg.counter("flow_installer.reconcile_passes").inc(is.reconcilePasses);
     reg.counter("flow_installer.coarsen_passes")
-        .inc(ctl->installer().coarsenStats().events);
+        .inc(ctl.installer().coarsenStats().events);
   }
 
   if (failover_) {

@@ -1,16 +1,18 @@
 // The public PLEROMA middleware API, one deployment facade for 1..N
 // independently controlled partitions. Wraps topology instantiation, the
-// SDN controller(s), and the data-plane simulation behind the
+// SDN controllers, and the data-plane simulation behind the
 // publish/subscribe operations of the paper: advertise / publish on the
 // producer side, subscribe / deliver on the consumer side, plus
 // false-positive accounting, latency metrics, tracing, metrics, and the
 // periodic dimension-selection hook (Sec 5).
 //
-// With PleromaOptions::partitions = k > 1 (Sec 4), an interop::MultiDomain
-// over this instance's own simulator and network runs one controller per
-// partition. Members that need the one controller (controller(),
-// unadvertise, reindex, dimension selection) throw std::logic_error there,
-// and failover() is null.
+// Every deployment is an interop::MultiDomain over this instance's own
+// simulator and network, one controller per partition (Sec 4). The default
+// PleromaOptions::partitions = 1 is a partition set of one: one controller,
+// no border ports and no relays. Members that need the one controller
+// (controller(), unadvertise, reindex, dimension selection) throw
+// std::logic_error on more than one partition, and failover() is null
+// there.
 #pragma once
 
 #include <cstdint>
@@ -88,16 +90,17 @@ class Pleroma {
  public:
   using DeliveryCallback = std::function<void(const DeliveryRecord&)>;
 
-  /// Throws std::invalid_argument for a standby with partitions > 1.
+  /// Throws std::invalid_argument for partitions < 1, or for a standby
+  /// with partitions > 1.
   Pleroma(net::Topology topology, PleromaOptions options = {});
 
   // ---- pub/sub operations ---------------------------------------------
 
   // With partitions > 1, advertise and subscribe relay the registration
-  // to the other partitions before they return, and the ids they return
-  // are this instance's own, unique across partitions. Both throw
-  // std::invalid_argument when `rect` does not have one range per
-  // attribute (PleromaOptions::numAttributes).
+  // to the other partitions before they return. The ids they return are
+  // this instance's own, unique across partitions; on one partition they
+  // equal the controller's. Both throw std::invalid_argument when `rect`
+  // does not have one range per attribute (PleromaOptions::numAttributes).
 
   ctrl::PublisherId advertise(net::NodeId host, const dz::Rectangle& rect);
   /// Returns whether `id` was a live publisher. Throws std::logic_error on
@@ -165,10 +168,10 @@ class Pleroma {
 
   /// The one metrics exporter: builds a registry from the layers' own
   /// stats — delivery stats and latency ("core.*"), flow tables summed over
-  /// the switches ("flow_table.*"), the active controller's channel,
-  /// controller and installer counters ("ctrl_channel.*", "controller.*",
-  /// "flow_installer.*"; summed over the partitions when there are
-  /// several, plus "interop.control_messages"), failover
+  /// the switches ("flow_table.*"), the channel, controller and installer
+  /// counters of each partition's controller in charge, summed
+  /// ("ctrl_channel.*", "controller.*", "flow_installer.*"; plus
+  /// "interop.control_messages" on more than one partition), failover
   /// ("failover.*", when enabled), the simulator ("sim.*") and the network
   /// counters ("net.*").
   obs::MetricsRegistry snapshotMetrics();
@@ -179,10 +182,10 @@ class Pleroma {
   /// promotion, the promoted replica after. Throws std::logic_error on a
   /// deployment of more than one partition.
   ctrl::Controller& controller() {
-    if (controller_ == nullptr) {
+    if (domain_->partitionCount() > 1) {
       throw std::logic_error("needs a single-partition deployment");
     }
-    return failover_ ? failover_->active() : *controller_;
+    return domain_->controller(0);
   }
   /// Failover layer, present only with FailoverOptions::enableStandby.
   ctrl::FailoverManager* failover() noexcept { return failover_.get(); }
@@ -208,16 +211,14 @@ class Pleroma {
   obs::Tracer tracer_;
   net::Simulator sim_;
   std::unique_ptr<net::Network> network_;
-  /// Exactly one of the two: the controller of a single partition, or the
-  /// partitions of a multi-partition deployment.
-  std::unique_ptr<ctrl::Controller> controller_;
   std::unique_ptr<interop::MultiDomain> domain_;
-  /// Multi-partition only: the partition-local handle of each id this
-  /// instance handed out (ids index this vector).
+  /// The partition-local handle of each subscription id this instance
+  /// handed out (ids index this vector). Publisher ids count the
+  /// advertisements; on one partition both equal the controller's ids.
   std::vector<interop::GlobalSubscriptionId> domainSubs_;
   ctrl::PublisherId domainPublishers_ = 0;
-  /// Failover layer (optional). Declared after controller_ / network_: the
-  /// standby and manager reference both.
+  /// Failover layer (optional). Declared after domain_: the standby and
+  /// manager reference partition 0's own controller.
   std::unique_ptr<ctrl::StandbyController> standby_;
   std::unique_ptr<ctrl::FailoverManager> failover_;
   std::map<ctrl::SubscriptionId, std::pair<net::NodeId, dz::Rectangle>> subs_;

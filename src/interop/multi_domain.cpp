@@ -1,6 +1,8 @@
 #include "interop/multi_domain.hpp"
 
 #include <deque>
+#include <stdexcept>
+#include <string>
 
 #include "net/packet.hpp"
 
@@ -8,6 +10,10 @@ namespace pleroma::interop {
 
 std::vector<PartitionId> contiguousPartitions(const net::Topology& topology,
                                               int k) {
+  if (k < 1) {
+    throw std::invalid_argument("partition count " + std::to_string(k) +
+                                " is not positive");
+  }
   std::vector<PartitionId> partitionOf(
       static_cast<std::size_t>(topology.nodeCount()), 0);
   const std::vector<net::NodeId> switches = topology.switches();
@@ -54,8 +60,9 @@ MultiDomain::MultiDomain(net::Network& network,
     auto part = std::make_unique<Partition>();
     part->id = disc.partition;
     ctrl::Scope scope{disc.switches, disc.internalLinks};
-    part->controller = std::make_unique<ctrl::Controller>(
+    part->ownController = std::make_unique<ctrl::Controller>(
         space, *network_, std::move(scope), controllerConfig);
+    part->controller = part->ownController.get();
     for (const openflow::BorderPort& bp : disc.borderPorts) {
       part->gatewayTo.try_emplace(bp.neighborPartition, bp);
     }
@@ -103,6 +110,10 @@ ctrl::Controller& MultiDomain::controller(PartitionId p) {
   return *partitions_.at(static_cast<std::size_t>(p))->controller;
 }
 
+void MultiDomain::setController(PartitionId p, ctrl::Controller& controller) {
+  partitions_.at(static_cast<std::size_t>(p))->controller = &controller;
+}
+
 const openflow::DiscoveryResult& MultiDomain::discovery(PartitionId p) const {
   return partitions_.at(static_cast<std::size_t>(p))->discovery;
 }
@@ -136,9 +147,10 @@ GlobalPublisherId MultiDomain::advertise(net::NodeId host,
   Partition& part = *partitions_.at(static_cast<std::size_t>(partitionOfHost(host)));
   ++part.stats.internalRequests;
   const ctrl::PublisherId local = part.controller->advertise(host, rect);
+  const std::uint64_t sent = part.stats.messagesSent;
   // Flood to every neighbouring partition (covering-suppressed).
   forwardAdvertisement(part, part.controller->advertisementDz(local), /*except=*/-1);
-  settle();
+  if (part.stats.messagesSent != sent) settle();
   return GlobalPublisherId{part.id, local};
 }
 
@@ -147,15 +159,15 @@ GlobalSubscriptionId MultiDomain::subscribe(net::NodeId host,
   Partition& part = *partitions_.at(static_cast<std::size_t>(partitionOfHost(host)));
   ++part.stats.internalRequests;
   const ctrl::SubscriptionId local = part.controller->subscribe(host, rect);
+  const std::uint64_t sent = part.stats.messagesSent;
   forwardSubscription(part, part.controller->subscriptionDz(local), /*except=*/-1);
-  settle();
+  if (part.stats.messagesSent != sent) settle();
   return GlobalSubscriptionId{part.id, local};
 }
 
 void MultiDomain::unsubscribe(GlobalSubscriptionId id) {
   if (id.partition < 0) return;
   controller(id.partition).unsubscribe(id.local);
-  settle();
 }
 
 void MultiDomain::publish(net::NodeId host, const dz::Event& event,

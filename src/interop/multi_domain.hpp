@@ -45,7 +45,8 @@ struct GlobalSubscriptionId {
 
 /// Contiguous assignment of switches to `k` partitions: switch i of the n
 /// in Topology::switches() belongs to partition floor(i*k/n). Host entries
-/// stay 0 (hosts belong to their access switch's partition).
+/// stay 0 (hosts belong to their access switch's partition). Throws
+/// std::invalid_argument for k < 1.
 std::vector<PartitionId> contiguousPartitions(const net::Topology& topology,
                                               int k);
 
@@ -84,6 +85,9 @@ class MultiDomain {
 
   std::size_t partitionCount() const noexcept { return partitions_.size(); }
   ctrl::Controller& controller(PartitionId p);
+  /// Hands partition `p` to a controller this object does not own (a
+  /// promoted standby); the partition's own controller stays alive.
+  void setController(PartitionId p, ctrl::Controller& controller);
   const openflow::DiscoveryResult& discovery(PartitionId p) const;
   const PartitionStats& stats(PartitionId p) const;
   PartitionId partitionOfHost(net::NodeId host) const;
@@ -91,9 +95,12 @@ class MultiDomain {
   net::Network& network() noexcept { return *network_; }
   net::Simulator& simulator() noexcept { return network_->simulator(); }
 
+  // advertise and subscribe run the simulator until idle only when they
+  // sent a relay, which must land before the next registration's covering
+  // suppression; otherwise pending events and periodic ticks keep waiting.
+
   /// Registers an advertisement at the host's local controller, then floods
-  /// it across partitions (with covering suppression). Runs the simulator
-  /// until all control traffic has settled.
+  /// it across partitions (with covering suppression).
   GlobalPublisherId advertise(net::NodeId host, const dz::Rectangle& rect);
 
   /// Registers a subscription locally, then forwards it along the reverse
@@ -134,7 +141,8 @@ class MultiDomain {
   struct Partition {
     PartitionId id = -1;
     openflow::DiscoveryResult discovery;
-    std::unique_ptr<ctrl::Controller> controller;
+    std::unique_ptr<ctrl::Controller> ownController;
+    ctrl::Controller* controller = nullptr;  ///< in charge; see setController
     PartitionStats stats;
     /// First border port towards each neighbouring partition on the
     /// spanning tree (used both as messaging gateway and as the

@@ -67,6 +67,25 @@ TEST_F(MonitorFixture, RerootPreservesDelivery) {
   EXPECT_TRUE(publish(hosts[0], {900, 100}).empty());
 }
 
+TEST_F(MonitorFixture, RerootOntoTheSameTreeLeavesItInPlace) {
+  controller.advertise(hosts[0], rect(0, 1023));
+  controller.subscribe(hosts[3], rect(0, 511));
+  controller.subscribe(hosts[6], rect(0, 511));
+  const int treeId = controller.trees()[0]->id();
+  const std::uint64_t modsBefore = controller.controlStats().flowModsSent;
+  const std::uint64_t rebuildsBefore = controller.stats().treeRebuilds;
+  const std::uint64_t rerootsBefore = controller.stats().treeReroots;
+
+  // Its own root and plain link latency give the tree already in place.
+  ASSERT_TRUE(controller.rerootTree(treeId, controller.trees()[0]->root()));
+  EXPECT_EQ(controller.trees()[0]->id(), treeId);
+  EXPECT_EQ(controller.stats().treeRebuilds, rebuildsBefore);
+  EXPECT_EQ(controller.stats().treeReroots, rerootsBefore + 1);
+  EXPECT_EQ(controller.controlStats().flowModsSent, modsBefore);
+  EXPECT_EQ(publish(hosts[0], {100, 100}),
+            (std::set<net::NodeId>{hosts[3], hosts[6]}));
+}
+
 TEST_F(MonitorFixture, RerootRejectsUnknownTreeOrRoot) {
   controller.advertise(hosts[0], rect(0, 1023));
   EXPECT_FALSE(controller.rerootTree(9999, topo.switches()[0]));

@@ -402,6 +402,32 @@ TEST(PleromaPartitions, DeliversLikeMultiDomainOnARingOfFour) {
   expectSameDeliveriesAsMultiDomain(net::Topology::ring(8), 4);
 }
 
+// One partition is the default deployment: a MultiDomain of one.
+TEST(PleromaPartitions, DeliversLikeMultiDomainOnALineOfOne) {
+  expectSameDeliveriesAsMultiDomain(net::Topology::line(6), 1);
+}
+
+TEST(PleromaPartitions, DeliversLikeMultiDomainOnAFatTreeOfOne) {
+  expectSameDeliveriesAsMultiDomain(net::Topology::testbedFatTree(), 1);
+}
+
+// A registration on one partition relays nothing, so it must not run the
+// simulator: an event in flight (or a periodic tick) keeps its timing.
+TEST(PleromaPartitions, SinglePartitionRegistrationsLeaveEventsPending) {
+  Pleroma p(net::Topology::testbedFatTree());
+  const auto h = p.topology().hosts();
+  p.advertise(h[0], rect(0, 1023, 0, 1023));
+  p.subscribe(h[5], rect(0, 511, 0, 1023));
+  p.publish(h[0], {100, 100});
+  p.advertise(h[3], rect(0, 1023, 0, 1023));
+  EXPECT_TRUE(p.unsubscribe(p.subscribe(h[7], rect(0, 511, 0, 1023))));
+  EXPECT_GT(p.simulator().pendingEvents(), 0u);
+  EXPECT_EQ(p.simulator().now(), 0);
+  EXPECT_EQ(p.deliveryStats().delivered, 0u);
+  p.settle();
+  EXPECT_EQ(p.deliveryStats().delivered, 1u);
+}
+
 TEST(PleromaPartitions, FalsePositivesAreDeliveriesNoLiveSubscriptionMatches) {
   PleromaOptions o;
   o.partitions = 4;
@@ -490,6 +516,44 @@ TEST(PleromaPartitions, StandbyNeedsASinglePartition) {
   o.partitions = 2;
   o.failover.enableStandby = true;
   EXPECT_THROW(Pleroma(net::Topology::ring(6), o), std::invalid_argument);
+}
+
+TEST(PleromaPartitions, PartitionCountMustBePositive) {
+  for (const int k : {0, -1}) {
+    PleromaOptions o;
+    o.partitions = k;
+    EXPECT_THROW(Pleroma(net::Topology::ring(6), o), std::invalid_argument);
+  }
+}
+
+// After a promotion the replica takes the partition over: registrations
+// through the facade reach it, not the dead primary (whose channel would
+// still install their flows, behind the replica's back).
+TEST(PleromaFailover, RegistrationsAfterAPromotionReachThePromotedController) {
+  PleromaOptions o;
+  o.failover.enableStandby = true;
+  Pleroma p(net::Topology::testbedFatTree(), o);
+  const auto h = p.topology().hosts();
+  p.advertise(h[0], rect(0, 1023, 0, 1023));
+  p.subscribe(h[5], rect(0, 511, 0, 1023));
+  p.settle();
+  p.failover()->killPrimary();
+  p.failover()->forcePromotion();
+  ASSERT_TRUE(p.failover()->promoted());
+  ctrl::Controller& promoted = p.failover()->active();
+  EXPECT_EQ(&p.controller(), &promoted);
+
+  p.subscribe(h[7], rect(256, 1023, 0, 511));
+  std::set<net::NodeId> got;
+  p.setDeliveryCallback([&](const DeliveryRecord& r) { got.insert(r.host); });
+  p.publish(h[0], {300, 100});
+  p.settle();
+  EXPECT_EQ(got, (std::set<net::NodeId>{h[5], h[7]}));
+  EXPECT_EQ(promoted.subscriptionCount(), 2u);
+  // The switches hold what the replica's mirror says: nothing to repair.
+  ctrl::Reconciler reconciler(promoted);
+  reconciler.reconcileAll();
+  EXPECT_EQ(reconciler.totalRepairMods(), 0u);
 }
 
 TEST(PleromaPartitions, SnapshotMetricsSumOverPartitions) {

@@ -142,6 +142,36 @@ TEST_F(ThreeDomainFixture, EventsDoNotEchoBackToOriginPartition) {
   EXPECT_EQ(all.size(), 2u);
 }
 
+// A registration drains the simulator only when it relayed: its relays
+// must land before the next registration's suppression decisions, and
+// nothing else needs draining.
+TEST_F(ThreeDomainFixture, RegistrationsDrainOnlyWhenTheyRelay) {
+  net::Simulator& sim = domain->simulator();
+  domain->publish(hosts[0], {100, 100}, 1);  // in flight until a drain
+  // No advertisement yet: the subscription has no reverse path to follow.
+  domain->unsubscribe(domain->subscribe(hosts[5], rect(0, 511, 0, 1023)));
+  EXPECT_EQ(domain->stats(2).messagesSent, 0u);
+  EXPECT_GT(sim.pendingEvents(), 0u);
+
+  // Floods to partitions 1 and 2, which hold it when the call returns.
+  domain->advertise(hosts[0], rect(0, 1023, 0, 1023));
+  EXPECT_EQ(sim.pendingEvents(), 0u);
+  EXPECT_EQ(domain->stats(1).externalRequests, 1u);
+  EXPECT_EQ(domain->stats(2).externalRequests, 1u);
+
+  domain->publish(hosts[0], {100, 100}, 2);
+  // Covered by what partition 0 already relayed: suppressed, no drain.
+  domain->advertise(hosts[1], rect(0, 511, 0, 1023));
+  EXPECT_GT(domain->stats(0).advsSuppressed, 0u);
+  EXPECT_GT(sim.pendingEvents(), 0u);
+
+  // Follows the advertisement back to partition 0 through partition 1.
+  domain->subscribe(hosts[5], rect(0, 511, 0, 1023));
+  EXPECT_EQ(sim.pendingEvents(), 0u);
+  EXPECT_EQ(domain->stats(1).externalRequests, 2u);
+  EXPECT_EQ(domain->stats(0).externalRequests, 1u);
+}
+
 TEST_F(ThreeDomainFixture, ControlTrafficAccounting) {
   domain->advertise(hosts[0], rect(0, 511, 0, 1023));
   domain->subscribe(hosts[5], rect(0, 255, 0, 1023));
