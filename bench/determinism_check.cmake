@@ -1,20 +1,23 @@
 # Determinism gate, run as a CTest:
 #
-#   cmake -DFIG7A=<bin> -DFIG7F=<bin> -DSCALE_AGG=<bin> -DHOTSPOT=<bin>
-#         -DCHURN=<bin> -DFAILOVER=<bin> -DSCHEMA_CHECK=<bin> -DWORK_DIR=<dir>
-#         -P determinism_check.cmake
+#   cmake -DFIG7A=<bin> -DFIG7C=<bin> -DFIG7F=<bin> -DSCALE_AGG=<bin>
+#         -DHOTSPOT=<bin> -DCHURN=<bin> -DFAILOVER=<bin> -DLOSS=<bin>
+#         -DREPAIR=<bin> -DACTIVATION=<bin> -DSCHEMA_CHECK=<bin>
+#         -DWORK_DIR=<dir> -P determinism_check.cmake
 #
-# Runs the fig7a, fig7f, scale_aggregation, hotspot_rebalance,
-# churn_reconfig and failover_window smoke benches twice each, in separate
-# processes with identical arguments, and asserts:
-#   * the TSV stdout of fig7a, scale_aggregation, hotspot_rebalance,
-#     churn_reconfig and failover_window is byte-identical (every cell is
-#     simulated-time derived or accounted state, so a same-seed replay must
-#     not move by a single byte);
+# Runs the fig7a, fig7c, fig7f, scale_aggregation, hotspot_rebalance,
+# churn_reconfig, failover_window, control_plane_loss, failure_repair and
+# activation_delay smoke benches twice each, in separate processes with
+# identical arguments, and asserts:
+#   * the TSV stdout of every bench but fig7f is byte-identical (every cell
+#     is simulated-time derived or accounted state, so a same-seed replay
+#     must not move by a single byte);
 #   * every bench's BENCH_*.json series are cell-identical via
-#     `schema_check --compare-series`, ignoring only fig7f's wall-clock
-#     columns (controller_wall_us, subs_per_sec), which vary run to run.
-foreach(v FIG7A FIG7F SCALE_AGG HOTSPOT CHURN FAILOVER SCHEMA_CHECK WORK_DIR)
+#     `schema_check --compare-series`, which also validates each report
+#     against the schema, ignoring only fig7f's wall-clock columns
+#     (controller_wall_us, subs_per_sec), which vary run to run.
+foreach(v FIG7A FIG7C FIG7F SCALE_AGG HOTSPOT CHURN FAILOVER LOSS REPAIR
+          ACTIVATION SCHEMA_CHECK WORK_DIR)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "determinism_check.cmake: -D${v}=... is required")
   endif()
@@ -42,6 +45,10 @@ foreach(run 1 2)
   run_bench("${HOTSPOT}" ${run} "${WORK_DIR}/hotspot_run${run}.tsv")
   run_bench("${CHURN}" ${run} "${WORK_DIR}/churn_run${run}.tsv")
   run_bench("${FAILOVER}" ${run} "${WORK_DIR}/failover_run${run}.tsv")
+  run_bench("${FIG7C}" ${run} "${WORK_DIR}/fig7c_run${run}.tsv")
+  run_bench("${LOSS}" ${run} "${WORK_DIR}/loss_run${run}.tsv")
+  run_bench("${REPAIR}" ${run} "${WORK_DIR}/repair_run${run}.tsv")
+  run_bench("${ACTIVATION}" ${run} "${WORK_DIR}/activation_run${run}.tsv")
 endforeach()
 
 # Byte-compares one bench's two TSV outputs.
@@ -91,5 +98,18 @@ require_same_series(churn_reconfig)
 # repair, miss-buffer release) replays identically from run to run.
 require_same_tsv(failover failover_window)
 require_same_series(failover_window)
+# fig7c_throughput: sustained publish load through the data plane.
+require_same_tsv(fig7c fig7c_throughput)
+require_same_series(fig7c)
+# The control channel's lossy and async paths: control_plane_loss (drops,
+# duplicates, retries and the repair pass), failure_repair (link and switch
+# failures repaired through the channel) and activation_delay (async
+# installs landing in FIFO order).
+require_same_tsv(loss control_plane_loss)
+require_same_series(control_plane_loss)
+require_same_tsv(repair failure_repair)
+require_same_series(failure_repair)
+require_same_tsv(activation activation_delay)
+require_same_series(activation_delay)
 
 message(STATUS "determinism check passed: two same-seed runs byte-identical")

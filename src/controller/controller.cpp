@@ -30,7 +30,7 @@ Controller::Controller(dz::EventSpace space, net::Network& network, Scope scope,
       config_(config),
       channel_(network_, config.flowModLatency),
       installer_(channel_) {
-  if (config_.tcamBudget != 0) installer_.setTcamBudget(config_.tcamBudget);
+  installer_.setTcamBudget(config_.tcamBudget);
 }
 
 int Controller::effectiveMaxDzLength() const noexcept {
@@ -514,8 +514,8 @@ void Controller::mergeTreePair(std::size_t idxA, std::size_t idxB) {
   ReplacedPaths replaced = replacedPaths(std::move(pathIds));
 
   // The merged DZ: exact union (canonicalisation already coarsens complete
-  // sibling sets, e.g. {0000,0010} ∪ {0001,0011} = {00}), optionally
-  // coarsened further while disjointness with other trees holds.
+  // sibling sets, e.g. {0000,0010} ∪ {0001,0011} = {00}), coarsened
+  // further below while disjointness with other trees holds.
   dz::DzSet mergedDz = ta.dzSet();
   mergedDz.unionWith(tb.dzSet());
 
@@ -539,7 +539,7 @@ void Controller::mergeTreePair(std::size_t idxA, std::size_t idxB) {
     return t == nullptr;
   });
 
-  if (config_.coarsenOnMerge) mergedDz = coarsen(std::move(mergedDz), nullptr);
+  mergedDz = coarsen(std::move(mergedDz));
 
   trees_.push_back(acquireTree(nextTreeId_++, std::move(mergedDz), root,
                                activeInternalLinks()));
@@ -782,7 +782,7 @@ void Controller::replaceTree(
   retireReplaced(replaced);
 }
 
-dz::DzSet Controller::coarsen(dz::DzSet dzSet, const SpanningTree* exclude) const {
+dz::DzSet Controller::coarsen(dz::DzSet dzSet) const {
   bool changed = true;
   while (changed) {
     changed = false;
@@ -791,7 +791,6 @@ dz::DzSet Controller::coarsen(dz::DzSet dzSet, const SpanningTree* exclude) cons
       const dz::DzExpression parent = member.parent();
       bool clash = false;
       for (const auto& tree : trees_) {
-        if (tree.get() == exclude) continue;
         if (tree->dzSet().overlaps(parent)) {
           clash = true;
           break;

@@ -35,9 +35,6 @@ struct ControllerConfig {
   std::size_t maxCellsPerRequest = 8;
   /// Tree-merge threshold: merging starts once |T| exceeds this (Sec 3.2).
   std::size_t maxTrees = 64;
-  /// During merges, opportunistically shorten the merged DZ members as long
-  /// as disjointness from other trees holds (the paper's coarsening).
-  bool coarsenOnMerge = true;
   /// Modelled switch-side latency of one flow-mod (reconfiguration delay).
   net::SimTime flowModLatency = net::kMillisecond;
   /// Aggregate same-endpoint subscriptions through a dz::AggregationIndex
@@ -47,7 +44,7 @@ struct ControllerConfig {
   /// then grows with the number of *distinct interest regions* instead of
   /// the number of subscriptions (sublinear under skew).
   bool aggregateSubscriptions = false;
-  /// Per-switch TCAM entry budget handed to the FlowInstaller (0 =
+  /// TCAM entry budget of every switch, handed to the FlowInstaller (0 =
   /// unlimited): exceeding installs coarsen the switch's flows (supersets,
   /// never misses) instead of failing. Part of the replicated config, so a
   /// promoted standby reproduces the same coarsening decisions.
@@ -366,7 +363,9 @@ class Controller {
   /// `preferred` if active, else the first active scope switch (else
   /// `preferred`).
   net::NodeId liveRoot(net::NodeId preferred) const;
-  dz::DzSet coarsen(dz::DzSet dzSet, const SpanningTree* exclude) const;
+  /// Shortens members of `dzSet` while their parents overlap no tree's DZ
+  /// (the paper's coarsening of a merged tree).
+  dz::DzSet coarsen(dz::DzSet dzSet) const;
   OpStats beginOp(const char* opName);
   void endOp(OpStats& snapshot);
   /// Reports a completed state-changing request to the intent observer.

@@ -44,7 +44,7 @@ void FlowInstaller::apply(openflow::FlowModType type, net::NodeId sw,
   // Callers pass references into the mirror itself (e.g. m.at(key) for a
   // delete), so the FlowMod must be built before the mirror mutation below
   // invalidates `entry`.
-  openflow::FlowMod mod{type, sw, entry};
+  batch_.push_back({type, sw, entry});
   SwitchMirror& m = mirrors_[sw];
   switch (type) {
     case openflow::FlowModType::kAdd:
@@ -55,15 +55,9 @@ void FlowInstaller::apply(openflow::FlowModType type, net::NodeId sw,
       m.erase(d);
       break;
   }
-  if (channel_.batchingEnabled()) {
-    batch_.push_back(std::move(mod));
-  } else {
-    channel_.send(mod);
-  }
 }
 
 void FlowInstaller::flushBatch() {
-  if (batch_.empty()) return;
   channel_.sendBatch(batch_);
   batch_.clear();
 }
@@ -71,6 +65,7 @@ void FlowInstaller::flushBatch() {
 void FlowInstaller::installPath(const dz::DzSet& dzSet,
                                 const std::vector<RouteHop>& hops,
                                 const PathRegistry* counted) {
+  assert(batchDepth_ > 0 || batch_.empty());
   for (const dz::DzExpression& d : dzSet) {
     for (const RouteHop& hop : hops) {
       if (counted != nullptr && counted->counts(d, hop)) {
@@ -218,6 +213,7 @@ bool FlowInstaller::updateFinerFlows(net::NodeId sw, const dz::DzExpression& d,
 
 void FlowInstaller::reconcileSwitch(net::NodeId sw, const PathRegistry& registry,
                                     std::vector<dz::DzExpression> roots) {
+  assert(batchDepth_ > 0 || batch_.empty());
   ++caseStats_.reconcilePasses;
   SwitchMirror& m = mirrors_[sw];
   // A coarsened switch holds the length-capped projection of the required
@@ -285,11 +281,6 @@ bool FlowInstaller::mirrorsRequired(net::NodeId sw,
 
 // ---- TCAM budget / coarsening (Sec 3 + Sec 5) -----------------------------
 
-std::size_t FlowInstaller::tcamBudget(net::NodeId sw) const {
-  const auto it = budgetOverride_.find(sw);
-  return it != budgetOverride_.end() ? it->second : defaultBudget_;
-}
-
 int FlowInstaller::coarsenLength(net::NodeId sw) const {
   const auto it = coarsenLen_.find(sw);
   return it != coarsenLen_.end() ? it->second : -1;
@@ -318,10 +309,9 @@ std::size_t FlowInstaller::stateBytes() const noexcept {
 }
 
 void FlowInstaller::enforceBudget(net::NodeId sw) {
-  const std::size_t budget = tcamBudget(sw);
-  if (budget == 0) return;
+  if (budget_ == 0) return;
   const auto mit = mirrors_.find(sw);
-  if (mit == mirrors_.end() || mit->second.size() <= budget) return;
+  if (mit == mirrors_.end() || mit->second.size() <= budget_) return;
   const SwitchMirror& m = mit->second;
 
   // Entries sharing a length-L prefix are adjacent in trie order, so the
@@ -342,7 +332,7 @@ void FlowInstaller::enforceBudget(net::NodeId sw) {
   // The longest truncation length that fits: precision degrades no more
   // than the budget demands. projectedCount(0) == 1, so the loop ends.
   int cap = maxLen - 1;
-  while (cap > 0 && projectedCount(cap) > budget) --cap;
+  while (cap > 0 && projectedCount(cap) > budget_) --cap;
   coarsenTo(sw, cap);
 }
 

@@ -69,12 +69,14 @@ class FlowInstaller {
   /// every reconcile leaves and that Algorithm 1 keeps.
   bool mirrorsRequired(net::NodeId sw, const PathRegistry& registry) const;
 
-  /// Widens the batching unit from a single installPath / reconcileSwitch
-  /// call to a whole controller operation: while a scope is open, deferred
-  /// mods keep accumulating, and the outermost scope's destructor flushes
-  /// them as one batch per touched switch. An operation whose routes cross
-  /// the same switch several times then sends one message to it instead of
-  /// one per visit. Nestable; a no-op when batching is disabled.
+  /// Widens the flush unit from a single installPath / reconcileSwitch
+  /// call to a whole controller operation: while a scope is open, mods
+  /// keep accumulating, and the outermost scope's destructor hands them to
+  /// ControlChannel::sendBatch. On a batching channel an operation whose
+  /// routes cross the same switch several times then sends it one message
+  /// instead of one per visit. No simulated time passes inside an
+  /// operation, so a deferred send keeps its xid, fault draws, FIFO install
+  /// time and order. Nestable.
   class BatchScope {
    public:
     explicit BatchScope(FlowInstaller& installer) : installer_(installer) {
@@ -90,9 +92,9 @@ class FlowInstaller {
     FlowInstaller& installer_;
   };
 
-  // ---- per-switch TCAM entry budget (Sec 3 coarsening) -----------------
+  // ---- TCAM entry budget (Sec 3 coarsening) -----------------------------
   //
-  // When a switch's mirror would exceed its budget, the installer coarsens
+  // When a switch's mirror would exceed the budget, the installer coarsens
   // that switch's flows: the switch gets a sticky truncation length L, and
   // every entry longer than L collapses into its length-L prefix carrying
   // the union of the collapsed actions. Forwarding becomes a spatial
@@ -102,13 +104,8 @@ class FlowInstaller {
   // projected entry count fits), so standby promotion replay and
   // Reconciler audits reproduce the identical coarsened mirror.
 
-  /// Default budget for every switch (0 = unlimited).
-  void setTcamBudget(std::size_t entries) { defaultBudget_ = entries; }
-  /// Per-switch override (0 = unlimited for that switch).
-  void setTcamBudget(net::NodeId sw, std::size_t entries) {
-    budgetOverride_[sw] = entries;
-  }
-  std::size_t tcamBudget(net::NodeId sw) const;
+  /// Entry budget of every switch (0 = unlimited).
+  void setTcamBudget(std::size_t entries) { budget_ = entries; }
 
   /// The switch's current truncation length; -1 while uncoarsened.
   int coarsenLength(net::NodeId sw) const;
@@ -181,8 +178,8 @@ class FlowInstaller {
   /// Rewrites `sw`'s mirror as the length-`cap` projection and emits the
   /// resulting flow-mod diff.
   void coarsenTo(net::NodeId sw, int cap);
-  /// Sends the mods accumulated while the channel had batching enabled as
-  /// coalesced per-switch batch messages. No-op otherwise.
+  /// Hands the buffered mods to ControlChannel::sendBatch, which alone
+  /// decides how they group into messages.
   void flushBatch();
   /// Flush point at the end of installPath / reconcileSwitch; deferred
   /// while a BatchScope is open.
@@ -192,14 +189,12 @@ class FlowInstaller {
 
   openflow::ControlChannel& channel_;
   std::unordered_map<net::NodeId, SwitchMirror> mirrors_;
-  /// Mods deferred by apply() while batching: one installPath() /
-  /// reconcileSwitch() call (or one enclosing BatchScope) flushes as one
-  /// batch per touched switch.
+  /// Mods of the current installPath() / reconcileSwitch() call, or of the
+  /// enclosing BatchScope, in apply() order. Empty while no scope is open.
   std::vector<openflow::FlowMod> batch_;
   int batchDepth_ = 0;
 
-  std::size_t defaultBudget_ = 0;  ///< 0 = unlimited
-  std::unordered_map<net::NodeId, std::size_t> budgetOverride_;
+  std::size_t budget_ = 0;  ///< 0 = unlimited
   /// Sticky per-switch truncation lengths; absent while uncoarsened.
   std::unordered_map<net::NodeId, int> coarsenLen_;
   CaseStats caseStats_;

@@ -55,7 +55,7 @@ void Simulator::enqueue(SimTime when, std::uint32_t taggedSlot) {
   ++pendingCount_;
 }
 
-void Simulator::scheduleAt(SimTime when, SmallTask action) {
+void Simulator::scheduleAt(SimTime when, std::function<void()> action) {
   const std::uint32_t slot = tasks_.put(std::move(action));
   assert((slot & kPacketLane) == 0);
   enqueue(when, slot);
@@ -121,7 +121,7 @@ void Simulator::dispatch(std::uint32_t taggedSlot) {
     packets_.freeList.push_back(slot);
     sink->onPacketEvent(kind, node, port, std::move(packet));
   } else {
-    SmallTask task = std::move(tasks_.slots[taggedSlot]);
+    std::function<void()> task = std::move(tasks_.slots[taggedSlot]);
     tasks_.freeList.push_back(taggedSlot);
     task();
   }

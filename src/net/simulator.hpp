@@ -4,9 +4,10 @@
 // event lanes.
 //
 // Two lanes share the queue:
-//  * Slow lane — SmallTask, a type-erased closure with a 64-byte inline
-//    buffer. Control-plane closures of any size go here; small ones are
-//    stored inline without touching the heap.
+//  * Slow lane — std::function<void()>, for timers: the control plane's
+//    (channel deliveries and retries, monitor and reconciler ticks, the
+//    failover heartbeat) and benches' publish schedules. None of them is
+//    on the per-hop path.
 //  * Fast lane — PacketEvent, a typed "packet arrives somewhere" record
 //    dispatched through a PacketSink interface. Data-plane hops are all
 //    shaped like this.
@@ -26,10 +27,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "net/packet.hpp"
-#include "net/small_task.hpp"
 #include "net/types.hpp"
 
 namespace pleroma::net {
@@ -68,12 +69,12 @@ class Simulator {
   SimTime now() const noexcept { return now_; }
 
   /// Schedules `action` to run `delay` from now (delay >= 0).
-  void schedule(SimTime delay, SmallTask action) {
+  void schedule(SimTime delay, std::function<void()> action) {
     scheduleAt(now_ + delay, std::move(action));
   }
 
   /// Schedules `action` at absolute time `when` (>= now).
-  void scheduleAt(SimTime when, SmallTask action);
+  void scheduleAt(SimTime when, std::function<void()> action);
 
   /// Fast lane: schedules a packet event `delay` from now.
   void schedulePacket(SimTime delay, PacketSink& sink, PacketEventKind kind,
@@ -237,7 +238,7 @@ class Simulator {
   bool cacheValid_ = false;
   SimTime cacheWhen_ = 0;
   std::uint32_t cacheRun_ = 0;
-  Slab<SmallTask> tasks_;
+  Slab<std::function<void()>> tasks_;
   Slab<PacketEvent> packets_;
 };
 

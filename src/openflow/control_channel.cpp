@@ -77,106 +77,50 @@ void ControlChannel::countSent(const FlowMod& mod) {
   }
 }
 
-bool ControlChannel::send(const FlowMod& mod) {
-  if (muted_) return true;  // promotion replay: intent only, no wire traffic
-  countSent(mod);
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-
-  if (!async_) {
-    // Synchronous channel: a dropped mod is lost for good (no retry timer
-    // can fire without the simulator running); the mirror/switch divergence
-    // is the reconciler's to repair.
-    const char* result;
-    bool ok = false;
-    if (!switchConnected(mod.switchNode) || rng_.chance(faults_.dropProbability)) {
-      ++stats_.flowModsDropped;
-      ++stats_.flowModsAbandoned;
-      result = "dropped";
-    } else {
-      ok = applyNow(mod);
-      if (ok) ++stats_.flowModsAcked;
-      if (faults_.duplicateProbability > 0.0 &&
-          rng_.chance(faults_.duplicateProbability)) {
-        ++stats_.flowModsDuplicated;
-        applyIdempotent(mod);
-      }
-      result = ok ? "applied" : "failed";
-    }
-    if (tracing) {
-      const obs::SpanId ctx = tracer_->currentContext();
-      const obs::SpanId span =
-          tracer_->instant(tracer_->traceIdOf(ctx), ctx, modTraceName(mod.type),
-                           network_.simulator().now(), mod.switchNode);
-      tracer_->annotate(span, "result", result);
-    }
-    return ok;
-  }
-
-  FlowMod tracked = mod;
-  tracked.xid = nextXid_++;
-  Pending p;
-  p.mod = tracked;
-  p.timeout = retry_.initialTimeout;
-  if (tracing) {
-    const obs::SpanId ctx = tracer_->currentContext();
-    p.span = tracer_->begin(tracer_->traceIdOf(ctx), ctx, modTraceName(mod.type),
-                            network_.simulator().now(), mod.switchNode);
-    tracer_->annotate(p.span, "xid", std::to_string(tracked.xid));
-  }
-  pending_.emplace(tracked.xid, std::move(p));
-  outstanding_[tracked.switchNode].insert(tracked.xid);
-  transmitAttempt(tracked.xid, /*isRetransmit=*/false);
-  return true;
-}
-
 std::size_t ControlChannel::sendBatch(std::span<const FlowMod> mods) {
-  if (mods.empty()) return 0;
+  std::size_t sent = 0;
   if (!batching_) {
-    // Degenerate to the single-mod path: same message count, same fault
-    // draws, same stats — callers can always route through sendBatch and
-    // let this flag decide.
-    std::size_t ok = 0;
-    for (const FlowMod& mod : mods) ok += send(mod) ? 1 : 0;
-    return ok;
-  }
-  // One batch message per destination switch, in first-appearance order;
-  // mod order within a switch's batch is the send order.
-  std::vector<net::NodeId> switches;
-  std::size_t ok = 0;
-  for (const FlowMod& mod : mods) {
-    if (std::find(switches.begin(), switches.end(), mod.switchNode) ==
-        switches.end()) {
-      switches.push_back(mod.switchNode);
+    for (std::size_t i = 0; i < mods.size(); ++i) {
+      sent += sendMessage(mods.subspan(i, 1));
     }
+    return sent;
   }
-  for (const net::NodeId sw : switches) {
-    std::vector<FlowMod> group;
-    for (const FlowMod& mod : mods) {
-      if (mod.switchNode == sw) group.push_back(mod);
-    }
-    ok += sendBatchToSwitch(sw, std::move(group));
+  // One message per destination switch, in first-appearance order; the
+  // stable partition keeps the send order within each message.
+  std::vector<FlowMod> grouped(mods.begin(), mods.end());
+  for (auto first = grouped.begin(); first != grouped.end();) {
+    const net::NodeId sw = first->switchNode;
+    const auto last = std::stable_partition(
+        first, grouped.end(), [sw](const FlowMod& m) { return m.switchNode == sw; });
+    sent += sendMessage({first, last});
+    first = last;
   }
-  return ok;
+  return sent;
 }
 
-std::size_t ControlChannel::sendBatchToSwitch(net::NodeId sw,
-                                              std::vector<FlowMod> mods) {
-  if (muted_) return mods.size();
-  ++stats_.flowModBatches;
-  stats_.batchedMods += mods.size();
+std::size_t ControlChannel::sendMessage(std::span<const FlowMod> mods) {
+  if (muted_) return mods.size();  // promotion replay: intent only, no wire traffic
+  if (batching_) {
+    ++stats_.flowModBatches;
+    stats_.batchedMods += mods.size();
+  }
   for (const FlowMod& mod : mods) countSent(mod);
+  const net::NodeId sw = mods.front().switchNode;
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
+  const char* name = batching_ ? "flow_mod.batch" : modTraceName(mods.front().type);
 
   if (!async_) {
-    // One fault draw for the whole message: the batch is delivered or lost
-    // as a unit.
-    std::size_t ok = 0;
-    if (!switchConnected(sw) || rng_.chance(faults_.dropProbability)) {
+    // Synchronous channel: a dropped message is lost for good (no retry
+    // timer can fire without the simulator running); the mirror/switch
+    // divergence is the reconciler's to repair.
+    const bool lost = !switchConnected(sw) || rng_.chance(faults_.dropProbability);
+    std::size_t applied = 0;
+    if (lost) {
       stats_.flowModsDropped += mods.size();
       stats_.flowModsAbandoned += mods.size();
     } else {
-      for (const FlowMod& mod : mods) ok += applyNow(mod) ? 1 : 0;
-      stats_.flowModsAcked += ok;
+      for (const FlowMod& mod : mods) applied += applyNow(mod) ? 1 : 0;
+      stats_.flowModsAcked += applied;
       if (faults_.duplicateProbability > 0.0 &&
           rng_.chance(faults_.duplicateProbability)) {
         ++stats_.flowModsDuplicated;
@@ -185,51 +129,47 @@ std::size_t ControlChannel::sendBatchToSwitch(net::NodeId sw,
     }
     if (tracing) {
       const obs::SpanId ctx = tracer_->currentContext();
-      const obs::SpanId span =
-          tracer_->instant(tracer_->traceIdOf(ctx), ctx, "flow_mod.batch",
-                           network_.simulator().now(), sw);
-      tracer_->annotate(span, "mods", std::to_string(mods.size()));
-      tracer_->annotate(span, "applied", std::to_string(ok));
+      const obs::SpanId span = tracer_->instant(tracer_->traceIdOf(ctx), ctx, name,
+                                                network_.simulator().now(), sw);
+      tracer_->annotate(span, "result",
+                        lost ? "dropped"
+                             : (applied == mods.size() ? "applied" : "failed"));
+      if (batching_) tracer_->annotate(span, "mods", std::to_string(mods.size()));
     }
-    return ok;
+    return applied;
   }
 
-  const std::size_t queued = mods.size();
-  Pending p;
-  p.mod = std::move(mods.front());
-  p.rest.assign(std::make_move_iterator(mods.begin() + 1),
-                std::make_move_iterator(mods.end()));
-  p.mod.xid = nextXid_++;
+  const std::uint64_t xid = nextXid_++;
+  auto owned = std::make_shared<std::vector<FlowMod>>(mods.begin(), mods.end());
+  for (FlowMod& mod : *owned) mod.xid = xid;
+  Pending p{std::move(owned)};
   p.timeout = retry_.initialTimeout;
   if (tracing) {
     const obs::SpanId ctx = tracer_->currentContext();
-    p.span = tracer_->begin(tracer_->traceIdOf(ctx), ctx, "flow_mod.batch",
+    p.span = tracer_->begin(tracer_->traceIdOf(ctx), ctx, name,
                             network_.simulator().now(), sw);
-    tracer_->annotate(p.span, "xid", std::to_string(p.mod.xid));
-    tracer_->annotate(p.span, "mods", std::to_string(queued));
+    tracer_->annotate(p.span, "xid", std::to_string(xid));
+    if (batching_) tracer_->annotate(p.span, "mods", std::to_string(mods.size()));
   }
-  const std::uint64_t xid = p.mod.xid;
   pending_.emplace(xid, std::move(p));
   outstanding_[sw].insert(xid);
   transmitAttempt(xid, /*isRetransmit=*/false);
-  return queued;
+  return mods.size();
 }
 
 void ControlChannel::transmitAttempt(std::uint64_t xid, bool isRetransmit) {
   const auto it = pending_.find(xid);
-  if (it == pending_.end() || it->second.resolved) return;
-  const FlowMod& mod = it->second.mod;
-  // The whole message — one mod or a batch — is lost with one draw.
-  const std::size_t modCount = 1 + it->second.rest.size();
+  if (it == pending_.end()) return;
+  const std::vector<FlowMod>& mods = *it->second.mods;
+  const net::NodeId sw = mods.front().switchNode;
 
-  const bool lost =
-      !switchConnected(mod.switchNode) || rng_.chance(faults_.dropProbability);
+  const bool lost = !switchConnected(sw) || rng_.chance(faults_.dropProbability);
   net::SimTime deliveryBasis = network_.simulator().now();
   if (lost) {
-    stats_.flowModsDropped += modCount;
+    stats_.flowModsDropped += mods.size();
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant(tracer_->traceIdOf(it->second.span), it->second.span,
-                       "flow_mod.drop", deliveryBasis, mod.switchNode);
+                       "flow_mod.drop", deliveryBasis, sw);
     }
   } else {
     deliveryBasis = scheduleDelivery(xid, it->second, /*chained=*/!isRetransmit);
@@ -238,8 +178,8 @@ void ControlChannel::transmitAttempt(std::uint64_t xid, bool isRetransmit) {
   if (retry_.maxRetries > 0) {
     armRetryTimer(xid, deliveryBasis);
   } else if (lost) {
-    // Fire-and-forget: a lost mod is abandoned immediately.
-    stats_.flowModsAbandoned += modCount;
+    // Fire-and-forget: a lost message is abandoned immediately.
+    stats_.flowModsAbandoned += mods.size();
     resolve(xid, false);
   }
 }
@@ -250,7 +190,7 @@ net::SimTime ControlChannel::scheduleDelivery(std::uint64_t xid,
   // A batch still pays the switch-side TCAM write per mod; what it saves
   // is per-message channel overhead (and fault exposure).
   const net::SimTime installTime =
-      flowModLatency_ * static_cast<net::SimTime>(1 + p.rest.size());
+      flowModLatency_ * static_cast<net::SimTime>(p.mods->size());
   net::SimTime when;
   if (chained) {
     // FIFO application: each message completes its installs after the
@@ -264,41 +204,23 @@ net::SimTime ControlChannel::scheduleDelivery(std::uint64_t xid,
     when += static_cast<net::SimTime>(rng_.uniformInt(
         0, static_cast<std::uint64_t>(faults_.maxExtraDelay)));
   }
-  if (p.rest.empty()) {
-    const FlowMod mod = p.mod;
-    sim.scheduleAt(when, [this, xid, mod] { deliver(xid, mod); });
-    if (faults_.duplicateProbability > 0.0 &&
-        rng_.chance(faults_.duplicateProbability)) {
-      ++stats_.flowModsDuplicated;
-      sim.scheduleAt(when + flowModLatency_,
-                     [this, xid, mod] { deliver(xid, mod); });
-    }
-    return when;
-  }
-  std::vector<FlowMod> mods;
-  mods.reserve(1 + p.rest.size());
-  mods.push_back(p.mod);
-  mods.insert(mods.end(), p.rest.begin(), p.rest.end());
-  sim.scheduleAt(when, [this, xid, mods] { deliverBatch(xid, mods); });
+  sim.scheduleAt(when, [this, xid, mods = p.mods] { deliver(xid, *mods); });
   if (faults_.duplicateProbability > 0.0 &&
       rng_.chance(faults_.duplicateProbability)) {
     ++stats_.flowModsDuplicated;
     sim.scheduleAt(when + installTime,
-                   [this, xid, mods] { deliverBatch(xid, mods); });
+                   [this, xid, mods = p.mods] { deliver(xid, *mods); });
   }
   return when;
 }
 
-void ControlChannel::deliverBatch(std::uint64_t xid,
-                                  const std::vector<FlowMod>& mods) {
-  // Mirrors deliver(): a disconnected switch never receives the message;
-  // otherwise every mod applies (at-least-once) and the batch acks once.
-  const net::NodeId sw = mods.front().switchNode;
-  if (!switchConnected(sw)) {
+void ControlChannel::deliver(std::uint64_t xid, const std::vector<FlowMod>& mods) {
+  // A switch that lost its control session while the message was in
+  // flight never receives it. With a retry budget the retransmit timer
+  // keeps the message pending; fire-and-forget ones are abandoned here.
+  if (!switchConnected(mods.front().switchNode)) {
     stats_.flowModsDropped += mods.size();
-    const auto lost = pending_.find(xid);
-    if (lost != pending_.end() && !lost->second.resolved &&
-        retry_.maxRetries == 0) {
+    if (pending_.contains(xid) && retry_.maxRetries == 0) {
       stats_.flowModsAbandoned += mods.size();
       resolve(xid, false);
     }
@@ -306,46 +228,24 @@ void ControlChannel::deliverBatch(std::uint64_t xid,
   }
   bool ok = true;
   for (const FlowMod& mod : mods) {
-    const bool applied = applyIdempotent(mod);
-    if (!applied) ++stats_.asyncApplyFailures;
-    ok = ok && applied;
-  }
-  const auto it = pending_.find(xid);
-  if (it != pending_.end() && !it->second.resolved) resolve(xid, ok);
-}
-
-void ControlChannel::deliver(std::uint64_t xid, const FlowMod& mod) {
-  // A switch that lost its control session while the mod was in flight
-  // never receives it. With a retry budget the retransmit timer keeps the
-  // mod pending; fire-and-forget mods are abandoned here.
-  if (!switchConnected(mod.switchNode)) {
-    ++stats_.flowModsDropped;
-    const auto lost = pending_.find(xid);
-    if (lost != pending_.end() && !lost->second.resolved &&
-        retry_.maxRetries == 0) {
-      ++stats_.flowModsAbandoned;
-      resolve(xid, false);
+    if (!applyIdempotent(mod)) {
+      ++stats_.asyncApplyFailures;
+      ok = false;
     }
-    return;
   }
-  const bool ok = applyIdempotent(mod);
-  if (!ok) ++stats_.asyncApplyFailures;
-  // Ack back to the controller side: resolves the pending entry (late or
-  // duplicate deliveries of an already-resolved xid still applied above,
-  // but carry no ack).
-  const auto it = pending_.find(xid);
-  if (it != pending_.end() && !it->second.resolved) resolve(xid, ok);
+  // Ack back to the controller side (late or duplicate deliveries of an
+  // already-resolved xid still applied above, but carry no ack).
+  resolve(xid, ok);
 }
 
 void ControlChannel::armRetryTimer(std::uint64_t xid, net::SimTime basis) {
   const auto it = pending_.find(xid);
-  if (it == pending_.end() || it->second.resolved) return;
+  if (it == pending_.end()) return;
   network_.simulator().scheduleAt(basis + it->second.timeout, [this, xid] {
     const auto p = pending_.find(xid);
-    if (p == pending_.end() || p->second.resolved) return;
+    if (p == pending_.end()) return;
     if (p->second.attempts > retry_.maxRetries) {
-      const std::size_t modCount = 1 + p->second.rest.size();
-      stats_.flowModsAbandoned += modCount;
+      stats_.flowModsAbandoned += p->second.mods->size();
       resolve(xid, false);
       return;
     }
@@ -353,7 +253,7 @@ void ControlChannel::armRetryTimer(std::uint64_t xid, net::SimTime basis) {
     if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant(tracer_->traceIdOf(p->second.span), p->second.span,
                        "flow_mod.retry", network_.simulator().now(),
-                       p->second.mod.switchNode);
+                       p->second.mods->front().switchNode);
     }
     ++p->second.attempts;
     constexpr net::SimTime kMaxRetryTimeout = 32 * net::kMillisecond;
@@ -364,23 +264,21 @@ void ControlChannel::armRetryTimer(std::uint64_t xid, net::SimTime basis) {
 
 void ControlChannel::resolve(std::uint64_t xid, bool ok) {
   const auto it = pending_.find(xid);
-  if (it == pending_.end() || it->second.resolved) return;
-  it->second.resolved = true;
-  it->second.ok = ok;
-  const net::NodeId sw = it->second.mod.switchNode;
+  if (it == pending_.end()) return;
   if (ok) ++stats_.flowModsAcked;
   if (it->second.span != obs::kNoSpan && tracer_ != nullptr) {
     tracer_->annotate(it->second.span, "ok", ok ? "true" : "false");
     tracer_->end(it->second.span, network_.simulator().now());
   }
 
+  const net::NodeId sw = it->second.mods->front().switchNode;
   const auto out = outstanding_.find(sw);
   if (out != outstanding_.end()) {
     out->second.erase(xid);
     if (out->second.empty()) outstanding_.erase(out);
   }
 
-  pending_.erase(xid);
+  pending_.erase(it);
 }
 
 std::size_t ControlChannel::outstandingMods(net::NodeId switchNode) const {

@@ -12,12 +12,17 @@
 //    transient the paper's sequential-processing rule bounds but cannot
 //    eliminate. Used by the activation-delay bench and consistency tests.
 //
+// Flow-mods travel in messages: one or more mods to one switch, sharing one
+// xid, one drop draw, one duplicate draw and one ack/retry unit. A plain
+// send() is a message of one; sendBatch() groups one message per mod, or
+// one per switch when batching is on.
+//
 // Fault model (control-plane robustness extension): the channel can lose,
-// duplicate, or delay flow-mods — per-attempt faults drawn from the seeded
+// duplicate, or delay messages — per-attempt faults drawn from the seeded
 // util::Rng — and individual switches can be disconnected (node failure /
 // control-session loss). On top of the lossy channel sits an OpenFlow-style
-// reliability layer: every mod carries an xid, applied mods are
-// acknowledged, and unacknowledged mods are retransmitted with capped
+// reliability layer: every message carries an xid, applied messages are
+// acknowledged, and unacknowledged ones are retransmitted with capped
 // exponential backoff under the simulator clock. Mods that exhaust the
 // retry budget are *abandoned* (counted in the stats); the controller's
 // anti-entropy pass (ctrl::Reconciler) repairs the resulting mirror/switch
@@ -25,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -71,9 +77,9 @@ class ControlChannel {
   void enableAsyncInstall() { async_ = true; }
   bool asyncInstall() const noexcept { return async_; }
 
-  /// Opt-in flow-mod batching: sendBatch() coalesces the mods for each
-  /// switch into one control message (one xid, one fault draw, one
-  /// ack/retry unit) instead of one message per mod. Off by default —
+  /// Opt-in flow-mod batching: sendBatch() groups the mods for each switch
+  /// into one message instead of one message per mod, and every message
+  /// counts as a batch (ControlPlaneStats::flowModBatches). Off by default —
   /// batching changes the channel's message and fault-draw sequence, so
   /// seeded runs are only reproducible against themselves.
   void enableBatching(bool on = true) { batching_ = on; }
@@ -107,26 +113,25 @@ class ControlChannel {
 
   // ---- sending ---------------------------------------------------------
 
-  /// Applies (sync) or schedules (async) a flow-mod. Synchronous mode
-  /// returns false when the mod is lost by the fault model, an add is
-  /// rejected (TCAM full), or a modify/delete targets a missing entry;
-  /// asynchronous mode always returns true (failures surface in the stats
-  /// and are resolved through acks/retries).
-  bool send(const FlowMod& mod);
+  /// Applies (sync) or schedules (async) a flow-mod as a message of one.
+  /// Synchronous mode returns false when the mod is lost by the fault
+  /// model, an add is rejected (TCAM full), or a modify/delete targets a
+  /// missing entry; asynchronous mode always returns true (failures surface
+  /// in the stats and are resolved through acks/retries).
+  bool send(const FlowMod& mod) { return sendMessage({&mod, 1}) == 1; }
 
-  /// Sends a group of flow-mods, coalescing them (when batching is
-  /// enabled) into one message per destination switch: the batch shares a
-  /// single xid, a single drop/duplicate draw, and a single ack. Mod order
-  /// is preserved within each switch's batch. With batching disabled this
-  /// degenerates to send() per mod, byte-identical to the unbatched path.
-  /// Returns the number of mods applied (sync) or queued (async).
+  /// Sends a group of flow-mods: one message per mod, or, when batching is
+  /// enabled, one message per destination switch in first-appearance
+  /// order. Mod order is preserved within each message. Returns the number
+  /// of mods applied (sync) or queued (async).
   std::size_t sendBatch(std::span<const FlowMod> mods);
 
   // ---- introspection ---------------------------------------------------
 
-  /// Mods sent to `switchNode` not yet resolved (acked or abandoned).
+  /// Messages sent to `switchNode` not yet resolved (acked or abandoned);
+  /// a batch counts once.
   std::size_t outstandingMods(net::NodeId switchNode) const;
-  /// Total unresolved mods across all switches.
+  /// Total unresolved messages across all switches.
   std::size_t outstandingMods() const;
   /// No mod towards this switch is in flight — its flow table can be
   /// audited without racing the reliability layer.
@@ -197,18 +202,20 @@ class ControlChannel {
   net::Network& network() noexcept { return network_; }
 
  private:
+  /// An unresolved async message; erased once acked or abandoned.
   struct Pending {
-    FlowMod mod;
-    /// Batch mode: the mods after `mod` travelling in the same message
-    /// (same switch, same xid). Empty for a plain single-mod send.
-    std::vector<FlowMod> rest;
+    /// The message's mods, shared with its scheduled deliveries: a late or
+    /// duplicate delivery still applies after the entry is gone.
+    std::shared_ptr<const std::vector<FlowMod>> mods;
     int attempts = 1;          // transmission attempts so far
     net::SimTime timeout = 0;  // current RTO
-    bool resolved = false;
-    bool ok = false;
     obs::SpanId span = obs::kNoSpan;  // open trace span, closed on resolve
   };
 
+  /// Sends one message: `mods` (non-empty, all towards one switch) share
+  /// one xid, one drop draw, one duplicate draw and one ack/retry unit.
+  /// Returns the number of mods applied (sync) or queued (async).
+  std::size_t sendMessage(std::span<const FlowMod> mods);
   bool applyNow(const FlowMod& mod);
   /// One switch's share of a flow-stats read, without counting a request
   /// (requestFlowStats and the batched sweep count differently).
@@ -216,19 +223,15 @@ class ControlChannel {
   /// At-least-once apply: re-delivery of an already-applied mod succeeds
   /// (add of an identical entry, delete of an absent entry).
   bool applyIdempotent(const FlowMod& mod);
-  /// One switch's share of a batch: a single message / fault-draw /
-  /// ack-retry unit. Mods are in send order.
-  std::size_t sendBatchToSwitch(net::NodeId sw, std::vector<FlowMod> mods);
   /// Counts a mod in the sent/add/modify/delete stats.
   void countSent(const FlowMod& mod);
-  /// One transmission attempt of a pending mod; arms the retry timer.
+  /// One transmission attempt of a pending message; arms the retry timer.
   void transmitAttempt(std::uint64_t xid, bool isRetransmit);
   /// Returns the absolute delivery time of the scheduled attempt.
   net::SimTime scheduleDelivery(std::uint64_t xid, const Pending& p,
                                 bool chained);
-  void deliver(std::uint64_t xid, const FlowMod& mod);
-  /// Batch delivery: applies every mod of the message, acks once.
-  void deliverBatch(std::uint64_t xid, const std::vector<FlowMod>& mods);
+  /// Applies every mod of the message (at-least-once) and acks it once.
+  void deliver(std::uint64_t xid, const std::vector<FlowMod>& mods);
   /// Arms the RTO to fire `timeout` after `basis` — the expected delivery
   /// time of the attempt, so FIFO queueing delay is not mistaken for loss.
   void armRetryTimer(std::uint64_t xid, net::SimTime basis);
@@ -239,8 +242,8 @@ class ControlChannel {
   net::SimTime modeledInstallTime_ = 0;
   bool async_ = false;
   bool batching_ = false;
-  /// Completion time of the last scheduled async mod, so installs on the
-  /// same channel never reorder even when sends burst.
+  /// Completion time of the last scheduled async message, so installs on
+  /// the same channel never reorder even when sends burst.
   net::SimTime lastScheduled_ = 0;
   bool muted_ = false;
   ControlPlaneStats stats_;

@@ -234,29 +234,15 @@ TEST_F(ControllerFixture, MergePreservesDisjointness) {
   }
 }
 
-TEST_F(ControllerFixture, MergeWithoutCoarseningKeepsExactUnion) {
-  ControllerConfig cfg;
-  cfg.maxTrees = 1;
-  cfg.coarsenOnMerge = false;
-  Controller c = makeController(cfg);
-  const auto hosts = topo.hosts();
-  // Two disjoint dim0 quarters; with interleaved bits (dz[0], dz[2] from
-  // dim0, dz[1] from dim1) they decompose to {000,010} and {100,110}. The
-  // merged tree must carry exactly their union — no inflation.
-  c.advertise(hosts[0], rect(0, 255, 0, 1023));    // DZ {000, 010}
-  c.advertise(hosts[1], rect(512, 767, 0, 1023));  // DZ {100, 110}
-  ASSERT_EQ(c.treeCount(), 1u);
-  EXPECT_EQ(c.trees()[0]->dzSet().toString(), "000,010,100,110");
-}
-
 TEST_F(ControllerFixture, MergeWithCoarseningMayEnlarge) {
   ControllerConfig cfg;
   cfg.maxTrees = 1;
-  cfg.coarsenOnMerge = true;
   Controller c = makeController(cfg);
   const auto hosts = topo.hosts();
-  c.advertise(hosts[0], rect(0, 255, 0, 1023));
-  c.advertise(hosts[1], rect(512, 767, 0, 1023));
+  // Two disjoint dim0 quarters; with interleaved bits (dz[0], dz[2] from
+  // dim0, dz[1] from dim1) they decompose to {000,010} and {100,110}.
+  c.advertise(hosts[0], rect(0, 255, 0, 1023));    // DZ {000, 010}
+  c.advertise(hosts[1], rect(512, 767, 0, 1023));  // DZ {100, 110}
   ASSERT_EQ(c.treeCount(), 1u);
   // With one tree there is nothing to clash with: coarsening may grow the
   // DZ up to the whole space, but it must remain a covering superset of

@@ -1,4 +1,4 @@
-// Per-switch TCAM entry budget (Sec 3 coarsening instead of failing):
+// TCAM entry budget (Sec 3 coarsening instead of failing):
 // an over-budget install coarsens the switch's flows to a sticky
 // truncation length, forwarding becomes a superset (false positives,
 // never misses), reconcile passes respect the coarsened projection, and
@@ -131,14 +131,6 @@ TEST_F(TcamBudgetFixture, LaterInstallsFoldIntoCoarsenedPrefixes) {
   EXPECT_LE(tableSize(), std::max<std::size_t>(sizeAfterCoarsen, 2u));
   const auto ports = portsFor("0011");
   EXPECT_TRUE(std::find(ports.begin(), ports.end(), 4) != ports.end());
-}
-
-TEST_F(TcamBudgetFixture, PerSwitchOverrideBeatsDefault) {
-  installer.setTcamBudget(2);
-  installer.setTcamBudget(sw, 0);  // this switch: unlimited
-  installer.installPath(set("000,010,100,110"), {RouteHop{sw, 2, std::nullopt}});
-  EXPECT_EQ(tableSize(), 4u);
-  EXPECT_EQ(installer.coarsenLength(sw), -1);
 }
 
 TEST_F(TcamBudgetFixture, CoarseningIsDeterministic) {

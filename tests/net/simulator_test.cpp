@@ -87,36 +87,6 @@ TEST(Simulator, ScheduleAtAbsoluteTime) {
   EXPECT_EQ(seen, 250);
 }
 
-TEST(SmallTask, SmallCapturesStayInline) {
-  int x = 0;
-  SmallTask t = [&x] { ++x; };  // one pointer: far under kInlineBytes
-  EXPECT_TRUE(t.inlineStored());
-  t();
-  EXPECT_EQ(x, 1);
-}
-
-TEST(SmallTask, LargeCapturesFallBackToBox) {
-  struct Big {
-    char pad[SmallTask::kInlineBytes + 8] = {};
-  };
-  Big big;
-  int calls = 0;
-  SmallTask t = [big, &calls] { (void)big; ++calls; };
-  EXPECT_FALSE(t.inlineStored());
-  t();
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(SmallTask, MovePreservesTheCallable) {
-  int x = 0;
-  SmallTask a = [&x] { x += 7; };
-  SmallTask b = std::move(a);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  ASSERT_TRUE(static_cast<bool>(b));
-  b();
-  EXPECT_EQ(x, 7);
-}
-
 /// Records every packet event it receives, with the clock reading.
 struct RecordingSink : PacketSink {
   struct Rec {

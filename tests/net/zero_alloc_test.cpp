@@ -1,9 +1,10 @@
 // Proves the data-plane fast path is allocation-free at steady state: after
 // a warm-up burst sizes the simulator's slabs, run FIFOs, and free lists, a
 // second identical burst must complete without a single call to the global
-// allocator. The whole point of the pooled PacketEvent lane, the SmallTask
-// SBO, and the shared EventPayload is that per-hop cost is O(1) with zero
-// heap traffic — this test pins that property so it cannot silently rot.
+// allocator. The whole point of the pooled PacketEvent lane and the shared
+// EventPayload is that per-hop cost is O(1) with zero heap traffic — this
+// test pins that property so it cannot silently rot. (The slow lane's
+// std::function timers are control-plane only and not on this path.)
 //
 // Counting is done by replacing the global operator new/delete set with a
 // thin wrapper that bumps an atomic while a window flag is armed. The

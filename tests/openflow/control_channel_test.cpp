@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace pleroma::openflow {
 namespace {
@@ -17,12 +23,14 @@ net::FlowEntry entry(std::string_view dzStr, net::PortId port) {
   return e;
 }
 
-struct ChannelFixture : ::testing::Test {
-  ChannelFixture()
+/// A 2 ms channel to the switches of a two-switch line.
+struct ChannelRig {
+  explicit ChannelRig(bool batched)
       : topo(net::Topology::line(2)),
         net_(topo, sim, {}),
-        channel(net_, 2 * net::kMillisecond) {
-    sw = topo.switches()[0];
+        channel(net_, 2 * net::kMillisecond),
+        sw(topo.switches()[0]) {
+    channel.enableBatching(batched);
   }
   net::Topology topo;
   net::Simulator sim;
@@ -30,6 +38,38 @@ struct ChannelFixture : ::testing::Test {
   ControlChannel channel;
   net::NodeId sw;
 };
+
+struct ChannelFixture : ::testing::Test, ChannelRig {
+  ChannelFixture() : ChannelRig(/*batched=*/false) {}
+};
+
+/// Runs `body` on a fresh rig with batching off, then on. A message of one
+/// must behave alike either way, apart from counting as a batch.
+template <typename Body>
+void withBatchingOffAndOn(Body body) {
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batching on" : "batching off");
+    ChannelRig rig(batched);
+    body(rig, batched);
+  }
+}
+
+/// Every counter of `s` but the two batch counters.
+auto countersBesideBatches(const ControlPlaneStats& s) {
+  return std::tie(s.flowModsSent, s.flowAdds, s.flowModifies, s.flowDeletes,
+                  s.flowModsDropped, s.flowModsDuplicated, s.flowModsRetried,
+                  s.flowModsAcked, s.flowModsAbandoned, s.asyncApplyFailures,
+                  s.flowStatsRequests, s.flowStatsReplies, s.flowStatsBatches,
+                  s.roleRequests, s.roleReplies);
+}
+
+/// The table's entries in a canonical order (FlowTable's is unspecified).
+std::vector<std::string> tableOf(const net::FlowTable& table) {
+  std::vector<std::string> out;
+  for (const net::FlowEntry& e : table.entries()) out.push_back(e.toString());
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 TEST_F(ChannelFixture, AddInstallsFlow) {
   EXPECT_TRUE(channel.send({FlowModType::kAdd, sw, entry("10", 2)}));
@@ -152,26 +192,31 @@ TEST_F(ChannelFixture, RetryRecoversFromLossyChannel) {
 }
 
 TEST_F(ChannelFixture, DuplicateDeliveryIsIdempotent) {
-  channel.enableAsyncInstall();
-  ControlFaultModel faults;
-  faults.duplicateProbability = 1.0;
-  channel.setFaultModel(faults);
-  channel.send({FlowModType::kAdd, sw, entry("10", 2)});
-  channel.send({FlowModType::kDelete, sw, entry("10", 2)});
-  sim.run();
-  EXPECT_TRUE(net_.flowTable(sw).empty());
-  EXPECT_EQ(channel.stats().flowModsDuplicated, 2u);
-  // Re-applying an identical add / already-done delete is not a failure.
-  EXPECT_EQ(channel.asyncApplyFailures(), 0u);
+  withBatchingOffAndOn([](ChannelRig& r, bool batched) {
+    r.channel.enableAsyncInstall();
+    ControlFaultModel faults;
+    faults.duplicateProbability = 1.0;
+    r.channel.setFaultModel(faults);
+    r.channel.send({FlowModType::kAdd, r.sw, entry("10", 2)});
+    r.channel.send({FlowModType::kDelete, r.sw, entry("10", 2)});
+    r.sim.run();
+    EXPECT_TRUE(r.net_.flowTable(r.sw).empty());
+    EXPECT_EQ(r.channel.stats().flowModsDuplicated, 2u);
+    EXPECT_EQ(r.channel.stats().flowModBatches, batched ? 2u : 0u);
+    // Re-applying an identical add / already-done delete is not a failure.
+    EXPECT_EQ(r.channel.asyncApplyFailures(), 0u);
+  });
 }
 
 TEST_F(ChannelFixture, AsyncApplyFailureIsCounted) {
-  channel.enableAsyncInstall();
-  // Modify of a missing entry fails at the switch; the seed silently
-  // discarded the deferred result.
-  channel.send({FlowModType::kModify, sw, entry("10", 2)});
-  sim.run();
-  EXPECT_EQ(channel.asyncApplyFailures(), 1u);
+  withBatchingOffAndOn([](ChannelRig& r, bool) {
+    r.channel.enableAsyncInstall();
+    // Modify of a missing entry fails at the switch; the seed silently
+    // discarded the deferred result.
+    r.channel.send({FlowModType::kModify, r.sw, entry("10", 2)});
+    r.sim.run();
+    EXPECT_EQ(r.channel.asyncApplyFailures(), 1u);
+  });
 }
 
 TEST_F(ChannelFixture, AsyncModsStayOutstandingUntilTheyLand) {
@@ -186,31 +231,35 @@ TEST_F(ChannelFixture, AsyncModsStayOutstandingUntilTheyLand) {
 }
 
 TEST_F(ChannelFixture, RetryBudgetExhaustionAbandonsMod) {
-  channel.enableAsyncInstall();
-  ControlFaultModel faults;
-  faults.dropProbability = 1.0;
-  channel.setFaultModel(faults);
-  RetryPolicy retry;
-  retry.maxRetries = 2;
-  retry.initialTimeout = net::kMillisecond;
-  channel.setRetryPolicy(retry);
-  channel.send({FlowModType::kAdd, sw, entry("10", 2)});
-  sim.run();
-  EXPECT_EQ(channel.stats().flowModsAbandoned, 1u);
-  EXPECT_EQ(channel.stats().flowModsRetried, 2u);
-  EXPECT_EQ(channel.stats().flowModsAcked, 0u);
-  EXPECT_TRUE(channel.quiescent(sw));
-  EXPECT_TRUE(net_.flowTable(sw).empty());
+  withBatchingOffAndOn([](ChannelRig& r, bool) {
+    r.channel.enableAsyncInstall();
+    ControlFaultModel faults;
+    faults.dropProbability = 1.0;
+    r.channel.setFaultModel(faults);
+    RetryPolicy retry;
+    retry.maxRetries = 2;
+    retry.initialTimeout = net::kMillisecond;
+    r.channel.setRetryPolicy(retry);
+    r.channel.send({FlowModType::kAdd, r.sw, entry("10", 2)});
+    r.sim.run();
+    EXPECT_EQ(r.channel.stats().flowModsAbandoned, 1u);
+    EXPECT_EQ(r.channel.stats().flowModsRetried, 2u);
+    EXPECT_EQ(r.channel.stats().flowModsAcked, 0u);
+    EXPECT_TRUE(r.channel.quiescent(r.sw));
+    EXPECT_TRUE(r.net_.flowTable(r.sw).empty());
+  });
 }
 
 TEST_F(ChannelFixture, DisconnectedSwitchDropsEverything) {
-  channel.setSwitchConnected(sw, false);
-  EXPECT_FALSE(channel.switchConnected(sw));
-  EXPECT_FALSE(channel.send({FlowModType::kAdd, sw, entry("10", 2)}));
-  EXPECT_EQ(channel.stats().flowModsDropped, 1u);
-  channel.setSwitchConnected(sw, true);
-  EXPECT_TRUE(channel.send({FlowModType::kAdd, sw, entry("10", 2)}));
-  EXPECT_EQ(net_.flowTable(sw).size(), 1u);
+  withBatchingOffAndOn([](ChannelRig& r, bool) {
+    r.channel.setSwitchConnected(r.sw, false);
+    EXPECT_FALSE(r.channel.switchConnected(r.sw));
+    EXPECT_FALSE(r.channel.send({FlowModType::kAdd, r.sw, entry("10", 2)}));
+    EXPECT_EQ(r.channel.stats().flowModsDropped, 1u);
+    r.channel.setSwitchConnected(r.sw, true);
+    EXPECT_TRUE(r.channel.send({FlowModType::kAdd, r.sw, entry("10", 2)}));
+    EXPECT_EQ(r.net_.flowTable(r.sw).size(), 1u);
+  });
 }
 
 TEST_F(ChannelFixture, ExtraDelayDefersAsyncApply) {
@@ -376,6 +425,80 @@ TEST_F(ChannelFixture, SyncBatchDropLosesWholeMessage) {
   EXPECT_TRUE(net_.flowTable(sw).empty());
   EXPECT_EQ(channel.stats().flowModsDropped, 2u);
   EXPECT_EQ(channel.stats().flowModsAbandoned, 2u);
+}
+
+// Seeded random mod sequences under random fault models: send(mod) on a
+// channel that does not batch and sendBatch({mod}) on one that does take
+// the same message path, so tables and stats agree (the batch counters
+// aside), synchronous and asynchronous alike.
+TEST(ChannelEquivalence, MessageOfOneMatchesWithAndWithoutBatching) {
+  util::Rng rng(0xBA7C4ULL);
+  const std::vector<std::string> dzs = {"0", "1", "01", "10", "110", "0110"};
+  ControlPlaneStats total;  // the faults the rounds reached, summed
+  for (int round = 0; round < 24; ++round) {
+    const bool async = round % 2 == 1;
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    ControlFaultModel faults;
+    faults.dropProbability = rng.uniformReal(0.0, 0.5);
+    faults.duplicateProbability = rng.uniformReal(0.0, 0.5);
+    if (async) {
+      faults.maxExtraDelay =
+          static_cast<net::SimTime>(rng.uniformInt(0, 3)) * net::kMillisecond;
+    }
+    RetryPolicy retry;
+    retry.maxRetries = static_cast<int>(rng.uniformInt(0, 3));
+    ChannelRig plain(/*batched=*/false);
+    ChannelRig batching(/*batched=*/true);
+    for (ChannelRig* r : {&plain, &batching}) {
+      if (async) r->channel.enableAsyncInstall();
+      r->channel.setFaultModel(faults);
+      r->channel.setRetryPolicy(retry);
+      r->channel.reseedFaults(static_cast<std::uint64_t>(round) + 1);
+    }
+    const std::vector<net::NodeId> switches = plain.topo.switches();
+    for (int i = 0; i < 60; ++i) {
+      const net::NodeId sw = switches[rng.uniformInt(0, switches.size() - 1)];
+      if (rng.chance(0.05)) {
+        const bool up = !plain.channel.switchConnected(sw);
+        plain.channel.setSwitchConnected(sw, up);
+        batching.channel.setSwitchConnected(sw, up);
+      }
+      const FlowMod mod{static_cast<FlowModType>(rng.uniformInt(0, 2)), sw,
+                        entry(dzs[rng.uniformInt(0, dzs.size() - 1)],
+                              static_cast<net::PortId>(rng.uniformInt(1, 3)))};
+      EXPECT_EQ(plain.channel.send(mod) ? 1u : 0u,
+                batching.channel.sendBatch({&mod, 1}));
+      if (async && rng.chance(0.3)) {
+        const net::SimTime until =
+            plain.sim.now() +
+            static_cast<net::SimTime>(rng.uniformInt(0, 4)) * net::kMillisecond;
+        plain.sim.runUntil(until);
+        batching.sim.runUntil(until);
+      }
+    }
+    plain.sim.run();
+    batching.sim.run();
+    for (const net::NodeId sw : switches) {
+      EXPECT_EQ(tableOf(plain.net_.flowTable(sw)),
+                tableOf(batching.net_.flowTable(sw)));
+    }
+    const ControlPlaneStats& a = plain.channel.stats();
+    const ControlPlaneStats& b = batching.channel.stats();
+    EXPECT_EQ(countersBesideBatches(a), countersBesideBatches(b));
+    EXPECT_EQ(a.flowModBatches, 0u);
+    EXPECT_EQ(b.flowModBatches, a.flowModsSent);
+    EXPECT_EQ(b.batchedMods, a.flowModsSent);
+    EXPECT_EQ(plain.channel.modeledInstallTime(),
+              batching.channel.modeledInstallTime());
+    total.flowModsDropped += a.flowModsDropped;
+    total.flowModsDuplicated += a.flowModsDuplicated;
+    total.flowModsRetried += a.flowModsRetried;
+    total.asyncApplyFailures += a.asyncApplyFailures;
+  }
+  EXPECT_GT(total.flowModsDropped, 0u);
+  EXPECT_GT(total.flowModsDuplicated, 0u);
+  EXPECT_GT(total.flowModsRetried, 0u);
+  EXPECT_GT(total.asyncApplyFailures, 0u);
 }
 
 }  // namespace
