@@ -155,6 +155,50 @@ void BM_FlowTableLookupAcrossTables(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableLookupAcrossTables);
 
+/// The lookup memo's worst case: every lookup follows a modify, so each
+/// one pays the memo's reset and a walk. One fanout-shaped table of 200
+/// flows on dz lengths 4-11, priority = dz length; each iteration gives one
+/// flow new actions (insertOrReplace) and looks up an event address under
+/// it.
+void BM_FlowTableLookupAfterModify(benchmark::State& state) {
+  constexpr std::size_t kFlows = 200;
+  constexpr int kMinLength = 4;
+  constexpr int kLengths = 8;
+  constexpr int kEventLength = 20;
+  util::Rng rng(9);
+  net::FlowTable table;
+  std::vector<net::FlowEntry> flows;
+  std::vector<dz::Ipv6Address> probes;
+  while (table.size() < kFlows) {
+    const int len = kMinLength + static_cast<int>(rng.uniformInt(0, kLengths - 1));
+    const dz::DzExpression d = nthDz(
+        static_cast<int>(rng.uniformInt(0, (std::uint64_t{1} << len) - 1)), len);
+    net::FlowEntry e;
+    e.match = dz::dzToPrefix(d);
+    e.priority = len;
+    e.actions.push_back(net::FlowAction{2, std::nullopt});
+    if (!table.insert(e)) continue;
+    flows.push_back(e);
+    dz::U128 bits = d.bits();
+    for (int b = d.length(); b < kEventLength; ++b) bits.setBitFromMsb(b, rng.chance(0.5));
+    probes.push_back(dz::dzToAddress(dz::DzExpression(bits, kEventLength)));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    net::FlowAction& out = flows[i].actions[0];
+    out.port = out.port % 4 + 1;
+    table.insertOrReplace(flows[i]);
+    benchmark::DoNotOptimize(table.lookup(probes[i]));
+    if (++i == kFlows) i = 0;
+  }
+  state.counters["probes_per_lookup"] =
+      static_cast<double>(table.stats().probes) /
+      static_cast<double>(table.stats().lookups);
+  state.SetLabel("modify+lookup, " + std::to_string(kFlows) + " flows, " +
+                 std::to_string(kLengths) + " lengths");
+}
+BENCHMARK(BM_FlowTableLookupAfterModify);
+
 /// Steady-state churn: a sliding window of 10k length-17 flows, one remove
 /// + one insert per iteration. Exercises the flat bucket's backward-shift
 /// deletion and the entry arena's slot recycling (steady state must not

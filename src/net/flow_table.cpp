@@ -1,6 +1,7 @@
 #include "net/flow_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "dz/u128.hpp"
@@ -214,6 +215,7 @@ bool FlowTable::insert(FlowEntry entry) {
   ++size_;
   if (size_ > peakSize_) peakSize_ = size_;
   ++stats_.inserts;
+  memoStale_ = true;
   return true;
 }
 
@@ -231,6 +233,7 @@ bool FlowTable::insertOrReplace(FlowEntry entry) {
       slotRef(slot) = std::move(entry);
       raiseBound(static_cast<std::size_t>(bi), priority);
       ++stats_.modifies;
+      memoStale_ = true;
       return true;
     }
   }
@@ -248,6 +251,7 @@ bool FlowTable::remove(const dz::Ipv6Prefix& match) {
   --size_;
   ++stats_.removes;
   dropBucketIfEmpty(b);
+  memoStale_ = true;
   return true;
 }
 
@@ -259,8 +263,7 @@ const FlowEntry* FlowTable::find(const dz::Ipv6Prefix& match) const noexcept {
   return idx == kNpos ? nullptr : &syncedSlot(b.recs[idx].slot);
 }
 
-const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
-  ++stats_.lookups;
+inline std::uint32_t FlowTable::walk(dz::Ipv6Address dst) const noexcept {
   const ProbeRecord* best = nullptr;
   int bestLength = -1;
   std::uint64_t probes = 0;
@@ -285,13 +288,72 @@ const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
     }
   }
   stats_.probes += probes;
-  if (best == nullptr) {
+  return best == nullptr ? kMissCell : best->slot;
+}
+
+void FlowTable::resetMemo() const {
+  memoStale_ = false;
+  memo_.clear();
+  // At most 2^(P-C+1) - 1 distinct prefixes share their top C bits and are
+  // at most P long, so a table this large is too wide for the memo.
+  if (buckets_.empty() || size_ >= (std::size_t{2} << kMemoMaxBits)) return;
+  int shortest = 128;
+  int longest = 0;
+  for (const Bucket& b : buckets_) {
+    shortest = std::min(shortest, b.length);
+    longest = std::max(longest, b.length);
+  }
+  if (longest - shortest > kMemoMaxBits) return;  // C is at most shortest
+  // Bits set in some key but not in all of them.
+  dz::U128 any{};
+  dz::U128 all = ~dz::U128{};
+  for (const Bucket& b : buckets_) {
+    // A sorted bucket's records are all live; a flat one's free cells hold
+    // kEmptySlot.
+    for (const ProbeRecord& r : b.recs) {
+      if (r.slot == kEmptySlot) continue;
+      any = any | r.key;
+      all = all & r.key;
+    }
+  }
+  const dz::U128 differ = any ^ all;
+  const int agreed = differ.hi != 0 ? std::countl_zero(differ.hi)
+                                    : 64 + std::countl_zero(differ.lo);
+  const int common = std::min(shortest, agreed);
+  const int bits = longest - common;
+  if (bits > kMemoMaxBits) return;
+  memoMask_ = dz::U128::topMask(common);
+  memoTop_ = all & memoMask_;
+  memoShift_ = 128 - longest;
+  memo_.assign(std::size_t{1} << bits, kUnknownCell);
+}
+
+const FlowEntry* FlowTable::lookup(dz::Ipv6Address dst) const {
+  ++stats_.lookups;
+  if (memoStale_) resetMemo();
+  std::uint32_t slot = kUnknownCell;
+  std::uint32_t* cell = nullptr;
+  if (!memo_.empty()) {
+    if (((dst.value ^ memoTop_) & memoMask_).isZero()) {
+      // Every address of one cell matches the same entries, so the walk's
+      // answer for the first one is everyone's.
+      cell = &memo_[(dst.value >> memoShift_).lo & (memo_.size() - 1)];
+      slot = *cell;
+    } else {
+      slot = kMissCell;  // outside the prefix every installed key shares
+    }
+  }
+  if (slot == kUnknownCell) {
+    slot = walk(dst);
+    if (cell != nullptr) *cell = slot;
+  }
+  if (slot == kMissCell) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  ++matched_[best->slot];
-  return &slotRef(best->slot);
+  ++matched_[slot];
+  return &slotRef(slot);
 }
 
 void FlowTable::clear() noexcept {
@@ -303,6 +365,7 @@ void FlowTable::clear() noexcept {
   freeSlots_.clear();
   slotHighWater_ = 0;
   matched_.clear();
+  memoStale_ = true;
 }
 
 std::vector<FlowEntry> FlowTable::entries() const {

@@ -20,7 +20,12 @@
 // installed prefix lengths in descending (priority bound, length) order and
 // stops at the first bucket that can no longer beat the best hit — at most
 // one probe per distinct installed length, constant-time in table size,
-// which is also the hardware-TCAM property Fig 7a demonstrates.
+// which is also the hardware-TCAM property Fig 7a demonstrates. In front of
+// that walk sits a memo: the winner depends only on the destination bits
+// between the installed keys' common prefix and the longest installed
+// length, so while that window is at most kMemoMaxBits wide, a dense array
+// over it answers every repeated lookup with one load; mutators only mark
+// it stale, and the next lookup rebuilds it.
 #pragma once
 
 #include <array>
@@ -217,9 +222,9 @@ struct FlowTableStats {
   std::uint64_t misses = 0;
   /// Bucket probes lookup() actually issued: it walks the installed prefix
   /// lengths by descending (priority bound, length) and stops once no
-  /// later bucket can beat its best hit, so a lookup probes between one
-  /// and all installed lengths; probes/lookups is the effective TCAM scan
-  /// width.
+  /// later bucket can beat its best hit, so a walk probes between one and
+  /// all installed lengths. A lookup the memo answers issues no probe;
+  /// probes/lookups is the effective TCAM scan width.
   std::uint64_t probes = 0;
   std::uint64_t inserts = 0;
   std::uint64_t modifies = 0;
@@ -230,6 +235,10 @@ struct FlowTableStats {
 
 class FlowTable {
  public:
+  /// Widest lookup-memo index (bits): 2^13 four-byte cells, 32 KB per
+  /// table. A table whose window is wider walks every lookup.
+  static constexpr int kMemoMaxBits = 13;
+
   /// `capacity` models the switch's TCAM size (40k-180k entries in 2014
   /// hardware, Sec 1 requirement 3); 0 means unlimited.
   explicit FlowTable(std::size_t capacity = 0) : capacity_(capacity) {
@@ -255,9 +264,9 @@ class FlowTable {
 
   /// TCAM lookup: the matching entry with the highest priority (ties broken
   /// by longer prefix). nullptr on miss. Counted in stats, with the bucket
-  /// probes it issued. The returned entry's matchedPackets field is NOT
-  /// refreshed here (the bump goes to the SoA counter column); read
-  /// per-flow counters via find()/entries().
+  /// probes it issued (none when the memo answers). The returned entry's
+  /// matchedPackets field is NOT refreshed here (the bump goes to the SoA
+  /// counter column); read per-flow counters via find()/entries().
   const FlowEntry* lookup(dz::Ipv6Address dst) const;
 
   std::size_t size() const noexcept { return size_; }
@@ -310,6 +319,9 @@ class FlowTable {
   /// empty host tables cost nothing.
   static constexpr std::uint32_t kChunkShift = 6;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  /// Memo cells hold an arena slot, or one of these two markers.
+  static constexpr std::uint32_t kUnknownCell = kEmptySlot;
+  static constexpr std::uint32_t kMissCell = kEmptySlot - 1;
 
   /// One probe cell: 24 bytes, so a 64-byte cache line covers 2-3 probe
   /// candidates. The key is the match address masked to the bucket's
@@ -394,6 +406,17 @@ class FlowTable {
     return b.flat ? findFlat(b, key) : findSorted(b, key);
   }
 
+  /// The probe walk, the one source of truth for lookup's answer: the
+  /// winner's arena slot, or kMissCell. Counts the probes it issues.
+  /// Defined in flow_table.cpp, lookup's file, and force-inlined there
+  /// like the probe helpers, so a table the memo does not cover runs the
+  /// walk inside lookup as it did before the memo.
+  [[gnu::always_inline]] inline std::uint32_t walk(dz::Ipv6Address dst) const noexcept;
+  /// Recomputes the memo window from the installed keys and marks every
+  /// cell unknown, or leaves memo_ empty (no memo) for an empty or
+  /// too-wide table.
+  void resetMemo() const;
+
   void insertRecord(Bucket& b, dz::U128 key, std::int32_t priority,
                     std::uint32_t slot);
   void eraseRecord(Bucket& b, std::size_t idx);
@@ -435,6 +458,20 @@ class FlowTable {
   /// Per-entry matched-packet counters, SoA column parallel to the arena.
   /// Mutable: bumped by const lookup, like the stats counters.
   mutable std::vector<std::uint64_t> matched_;
+
+  // ---- lookup memo (DESIGN.md §13) --------------------------------------
+  // Every installed prefix is at most P bits long and shares its top C
+  // bits, so an address outside those C bits misses and any other's winner
+  // depends only on its bits [C, P). memo_ has 2^(P-C) cells, and cell
+  // (dst >> (128 - P)) & (2^(P-C) - 1) caches the walk's answer for every
+  // address with those bits. Empty while the table has no memo. Mutable:
+  // filled and reset by const lookup.
+  mutable std::vector<std::uint32_t> memo_;
+  mutable dz::U128 memoMask_{};  ///< topMask(C)
+  mutable dz::U128 memoTop_{};   ///< the installed keys' common top C bits
+  mutable int memoShift_ = 0;    ///< 128 - P
+  /// Set by every mutation; the next lookup calls resetMemo().
+  mutable bool memoStale_ = true;
 
   mutable FlowTableStats stats_;
 };

@@ -63,12 +63,33 @@ class ReferenceTable {
     if (best != nullptr) ++best->matchedPackets;
     return best;
   }
+  void clear() { entries_.clear(); }
   std::size_t size() const { return entries_.size(); }
   /// Distinct installed prefix lengths: the real table's bucket count.
   std::size_t lengths() const {
     std::set<int> seen;
     for (const auto& e : entries_) seen.insert(e.match.length);
     return seen.size();
+  }
+  /// Width of the window the real table's lookup memo indexes: the longest
+  /// installed length minus the shorter of the shortest length and the
+  /// installed prefixes' common leading bits. -1 when empty.
+  int memoWidth() const {
+    if (entries_.empty()) return -1;
+    int shortest = 128;
+    int longest = 0;
+    for (const auto& e : entries_) {
+      shortest = std::min(shortest, e.match.length);
+      longest = std::max(longest, e.match.length);
+    }
+    int common = shortest;
+    for (const auto& e : entries_) {
+      while (!dz::Ipv6Prefix{entries_.front().match.address, common}.matches(
+          e.match.address)) {
+        --common;
+      }
+    }
+    return longest - common;
   }
 
  private:
@@ -85,53 +106,123 @@ dz::DzExpression randomDz(util::Rng& rng, int maxLen) {
 
 class FlowTablePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FlowTablePropertyTest, MatchesReferenceUnderChurn) {
-  util::Rng rng(GetParam());
+FlowEntry randomChurnEntry(util::Rng& rng, int maxLen) {
+  FlowEntry e;
+  e.match = dz::dzToPrefix(randomDz(rng, maxLen));
+  // Random priority: exercise priority-over-length semantics too.
+  e.priority = static_cast<int>(rng.uniformInt(0, 20));
+  e.actions.push_back(
+      FlowAction{static_cast<PortId>(rng.uniformInt(1, 4)), std::nullopt});
+  if (rng.chance(0.2)) {
+    e.actions.push_back(FlowAction{5, dz::dzToAddress(randomDz(rng, 8))});
+  }
+  return e;
+}
+
+/// Random churn of entries up to dz length `maxLen` against the reference:
+/// inserts, modifies of live prefixes with a new priority and new actions,
+/// removes, an occasional clear(), and lookups, half of which repeat one of
+/// the last 8 addresses so the table's lookup memo answers some of them.
+void churnAgainstReference(std::uint64_t seed, int maxLen) {
+  util::Rng rng(seed);
   FlowTable table;
   ReferenceTable reference;
   std::vector<dz::Ipv6Prefix> live;
+  std::vector<dz::Ipv6Address> recent;  // the last 8 probed addresses
+  std::set<dz::Ipv6Address> sinceMutation;  // probed since the last mutation
+  std::size_t memoAnswered = 0;
+  std::size_t wideLookups = 0;  // on a table wider than the memo's limit
 
   for (int step = 0; step < 2000; ++step) {
-    const auto dice = rng.uniformInt(0, 9);
-    if (dice < 5) {
-      FlowEntry e;
-      const dz::DzExpression d = randomDz(rng, 10);
-      e.match = dz::dzToPrefix(d);
-      // Random priority: exercise priority-over-length semantics too.
-      e.priority = static_cast<int>(rng.uniformInt(0, 20));
-      e.actions.push_back(
-          FlowAction{static_cast<PortId>(rng.uniformInt(1, 4)), std::nullopt});
+    const auto dice = rng.uniformInt(0, 999);
+    if (dice < 3) {
+      table.clear();
+      reference.clear();
+      live.clear();
+      sinceMutation.clear();
+      // Nothing the memo learned before the clear may answer after it.
+      for (const dz::Ipv6Address& a : recent) {
+        ASSERT_EQ(table.lookup(a), nullptr) << "step " << step;
+      }
+    } else if (dice < 403) {
+      const FlowEntry e = randomChurnEntry(rng, maxLen);
       const bool a = table.insert(e);
       const bool b = reference.insert(e);
       ASSERT_EQ(a, b);
-      if (a) live.push_back(e.match);
-    } else if (dice < 7 && !live.empty()) {
+      if (a) {
+        live.push_back(e.match);
+        sinceMutation.clear();
+      }
+    } else if (dice < 503 && !live.empty()) {
+      FlowEntry e = randomChurnEntry(rng, maxLen);
+      e.match = live[rng.uniformInt(0, live.size() - 1)];
+      ASSERT_TRUE(table.insertOrReplace(e));
+      ASSERT_TRUE(reference.insertOrReplace(e));
+      sinceMutation.clear();
+    } else if (dice < 653 && !live.empty()) {
       const std::size_t victim = rng.uniformInt(0, live.size() - 1);
       const bool a = table.remove(live[victim]);
       const bool b = reference.remove(live[victim]);
       ASSERT_EQ(a, b);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+      sinceMutation.clear();
     } else {
-      const dz::Ipv6Address probe = dz::dzToAddress(randomDz(rng, 12));
+      dz::Ipv6Address probe;
+      if (!recent.empty() && rng.chance(0.5)) {
+        probe = recent[rng.uniformInt(0, recent.size() - 1)];
+      } else {
+        probe = dz::dzToAddress(randomDz(rng, maxLen + 2));
+        if (recent.size() == 8) recent.erase(recent.begin());
+        recent.push_back(probe);
+      }
+      const bool repeat = !sinceMutation.insert(probe).second;
       const std::uint64_t probesBefore = table.stats().probes;
       const FlowEntry* a = table.lookup(probe);
       const FlowEntry* b = reference.lookup(probe);
       ASSERT_EQ(a == nullptr, b == nullptr) << "step " << step;
-      // At most one probe per bucket; a miss probes every bucket.
+      // At most one probe per bucket. The memo answers without a probe, so
+      // a miss issues none or one per installed length, and a repeat on a
+      // table within the memo's window issues none.
       const std::uint64_t probes = table.stats().probes - probesBefore;
       ASSERT_LE(probes, reference.lengths()) << "step " << step;
       if (a == nullptr) {
-        ASSERT_EQ(probes, reference.lengths()) << "step " << step;
+        ASSERT_TRUE(probes == 0 || probes == reference.lengths())
+            << "step " << step << ": " << probes << " probes";
       }
+      if (reference.memoWidth() > FlowTable::kMemoMaxBits) {
+        ++wideLookups;
+      } else if (repeat) {
+        ASSERT_EQ(probes, 0u) << "step " << step;
+      }
+      if (probes == 0 && reference.size() != 0) ++memoAnswered;
       if (a != nullptr) {
-        // The same winner must be chosen. Ambiguity is possible only when
-        // priority AND length tie — compare the deciding keys instead of
-        // identity.
-        EXPECT_EQ(a->priority, b->priority);
-        EXPECT_EQ(a->match.length, b->match.length);
+        // Match prefixes are unique and two of one length cannot both
+        // match, so the winner is one entry: the reference's.
+        EXPECT_EQ(a->match, b->match) << "step " << step;
+        EXPECT_EQ(a->priority, b->priority) << "step " << step;
+        EXPECT_TRUE(a->actions == b->actions) << "step " << step;
       }
     }
     ASSERT_EQ(table.size(), reference.size());
+  }
+  EXPECT_GT(memoAnswered, 0u);
+  // Every installed key starts with the 16-bit ff0e prefix, so dz lengths
+  // up to maxLen give windows of at most maxLen bits.
+  if (maxLen <= FlowTable::kMemoMaxBits) {
+    EXPECT_EQ(wideLookups, 0u);
+  } else {
+    EXPECT_GT(wideLookups, 0u);
+  }
+}
+
+TEST_P(FlowTablePropertyTest, MatchesReferenceUnderChurn) {
+  {
+    SCOPED_TRACE("entries up to dz length 10: every window fits the memo");
+    churnAgainstReference(GetParam(), 10);
+  }
+  {
+    SCOPED_TRACE("entries up to dz length 20: windows outgrow the memo");
+    churnAgainstReference(GetParam() + 1, 20);
   }
 }
 

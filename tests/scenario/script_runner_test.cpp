@@ -305,7 +305,7 @@ TEST_F(RunnerFixture, StatsMetricsGoldenLines) {
       "  flow_table.hits 25",
       "  flow_table.lookups 25",
       "  flow_table.misses 0",
-      "  flow_table.probes_per_lookup 1.24",
+      "  flow_table.probes_per_lookup 0.84",
       "  net.bp_parked 0",
       "  net.bp_retries 0",
       "  net.drops_backpressure 0",

@@ -9,10 +9,13 @@ Configures a separate coverage build (`-O0 --coverage`), then runs:
   * `schema_check` over the reports those runs wrote and over the catalog;
   * the examples, and `pleroma_cli` on the committed CLI tour
     (examples/cli_tour.txt).
-Unit tests are not run. It then reads `gcov --json-format` for every object
-of the build (inline src/ functions also count in the bench and example
-objects that use them) and prints each src/ function whose call count is
-zero in all of them, as `path:line  name`.
+Unit tests are not run, so their objects (everything under the build's
+tests/ directory) are not read either: a src/ template instantiated with a
+test's own types would otherwise be listed, and the count would move with
+how tests call src/. It then reads `gcov --json-format` for every other
+object of the build (inline src/ functions also count in the bench and
+example objects that use them) and prints each src/ function whose call
+count is zero in all of them, as `path:line  name`.
 
     python3 tools/unreached.py [--build-dir DIR]
 
@@ -80,8 +83,12 @@ def run_workloads(build_dir, out_dir):
 def call_counts(build_dir):
     """(file, line, mangled name) -> [demangled name, summed call count]."""
     src = ROOT / "src"
+    tests = build_dir / "tests"
     counts = {}
     for gcno in sorted(build_dir.rglob("*.gcno")):
+        # Test objects never run (see the module docstring).
+        if tests in gcno.parents:
+            continue
         # An object no run linked has no .gcda; gcov then reports zeros.
         out = subprocess.run(
             ["gcov", "--json-format", "--stdout", gcno.name],
